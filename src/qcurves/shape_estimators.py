@@ -82,7 +82,8 @@ def _bracketed_root(f, lo, hi, xtol=1e-12, maxiter=200, strict=True):
     root[fa == 0.0] = a[fa == 0.0]
     root[fb == 0.0] = b[fb == 0.0]
     active = np.isnan(root)
-    no_bracket = active & (np.sign(fa) == np.sign(fb))
+    # a NaN end value (a residual undefined for these data) is no sign change
+    no_bracket = active & ~(np.sign(fa) * np.sign(fb) < 0.0)
     if np.any(no_bracket):
         if strict:
             raise NoBracket(
@@ -221,10 +222,13 @@ def moment_shape(sample: SortedSample) -> EstimateResult:
     x = _values(sample)
     _require_n(x, 2)
     _require_spread(x)
-    m1 = float(x.mean())
+    # the CV is scale invariant; on y = x / max(x) its moments neither
+    # overflow nor underflow anywhere in the float range
+    y = x / x[-1]
+    m1 = float(y.mean())
     if m1 <= 0.0:
         raise DegenerateSample("sample mean is zero")
-    cv2 = float(((x - m1) ** 2).mean()) / m1**2
+    cv2 = float(((y - m1) ** 2).mean()) / m1**2
     target = float(np.log1p(cv2))
 
     def h(beta):

@@ -23,7 +23,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from io import StringIO
 
 import csv
@@ -35,7 +35,7 @@ from ._version import __version__
 from .curves import CurveKind, QuadratureSpec, gauss_legendre_grid
 from .empirical_qf import interp_plan, plotting_positions, step_indices
 from .errors import DomainError
-from .md_estimation import MdConfig, MD_REFERENCES, _minimize_log, _objective_closure
+from .md_estimation import MdConfig, MD_REFERENCES, _minimize_log
 from .shape_estimators import (
     BCML_FACTOR,
     BRACKET_LO,
@@ -153,7 +153,8 @@ def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind, plan: _CellPl
 
 
 def _profile_roots(x_rows: np.ndarray, shift: float) -> np.ndarray:
-    ly = np.log(x_rows / x_rows[:, -1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ly = np.log(x_rows / x_rows[:, -1:])
     mly = ly.mean(axis=1)
 
     def g(beta):
@@ -166,12 +167,15 @@ def _profile_roots(x_rows: np.ndarray, shift: float) -> np.ndarray:
     roots, _ = _bracketed_root(
         g, np.full(rows, BRACKET_LO), np.full(rows, BRACKET_HI),
         xtol=1e-12, maxiter=200, strict=False)
-    return roots
+    # NaN where the scalar fit raises: a nonpositive value or no spread
+    return np.where((x_rows[:, 0] > 0.0) & (x_rows[:, 0] < x_rows[:, -1]), roots, np.nan)
 
 
 def _moment_roots(x_rows: np.ndarray) -> np.ndarray:
-    m1 = x_rows.mean(axis=1)
-    cv2 = ((x_rows - m1[:, None]) ** 2).mean(axis=1) / m1**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = x_rows / x_rows[:, -1:]
+        m1 = y.mean(axis=1)
+        cv2 = ((y - m1[:, None]) ** 2).mean(axis=1) / m1**2
     target = np.log1p(cv2)
 
     def h(beta):
@@ -181,7 +185,8 @@ def _moment_roots(x_rows: np.ndarray) -> np.ndarray:
     roots, _ = _bracketed_root(
         h, np.full(rows, BRACKET_LO), np.full(rows, BRACKET_HI),
         xtol=1e-12, maxiter=200, strict=False)
-    return roots
+    # NaN where the scalar fit raises: no spread
+    return np.where(x_rows[:, 0] < x_rows[:, -1], roots, np.nan)
 
 
 def _lmoment_rows(x_rows: np.ndarray) -> np.ndarray:
@@ -271,18 +276,9 @@ def _md_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
     ok = np.isfinite(start) & (start > 0.0)
     if not np.any(ok):
         return out
-    ref_ok = ref[ok]
-    lr = plan.lr[kind]
-    weights = plan.weights
-
-    def f(log_beta, idx):
-        return _objective_closure(ref_ok[idx], lr, weights)(log_beta)
-
-    log_start = np.log(start[ok])
-    xmin, fmin, pending, _ = _minimize_log(f, log_start, config, strict=False)
-    f_start = _objective_closure(ref_ok, lr, weights)(log_start)
-    beta = np.where(f_start <= fmin, start[ok], np.exp(xmin))
-    out[ok] = np.where(pending, np.nan, beta)
+    log_beta, _, _, _ = _minimize_log(ref[ok], plan.lr[kind], plan.weights,
+                                      np.log(start[ok]), config, strict=False)
+    out[ok] = np.exp(log_beta)
     return out
 
 
@@ -428,12 +424,20 @@ class SimulationReport:
     version: str
     records: tuple
 
+    @cached_property
+    def _index(self) -> dict:
+        # built on first lookup and kept in the instance dict, outside the
+        # dataclass fields, so equality and serialization never see it;
+        # reversed so that a repeated key finds its first record
+        return {(rec["estimator"], rec["metric"], rec["n"], rec["beta"]): rec
+                for rec in reversed(self.records)}
+
     def _find(self, estimator: str, metric: str, n: int, beta: float) -> dict:
-        for rec in self.records:
-            if (rec["estimator"] == estimator and rec["metric"] == metric
-                    and rec["n"] == n and rec["beta"] == beta):
-                return rec
-        raise KeyError(f"no record for ({estimator}, {metric}, n={n}, beta={beta})")
+        try:
+            return self._index[(estimator, metric, n, beta)]
+        except KeyError:
+            raise KeyError(
+                f"no record for ({estimator}, {metric}, n={n}, beta={beta})") from None
 
     def value(self, estimator: str, metric: str, n: int, beta: float) -> float:
         return self._find(estimator, metric, n, beta)["value"]

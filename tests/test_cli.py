@@ -16,7 +16,7 @@ from qcurves import (
     WeibullParams,
 )
 from qcurves._gauss_legendre import MAX_NODES
-from qcurves.cli import main
+from qcurves.cli import _FIT_METHODS, main
 
 from tests.conftest import weib_sorted
 
@@ -65,6 +65,26 @@ def test_fit_17_digit_round_trip(data_file, capsys):
     main(["fit", "--data", path, "--method", "ml"])
     pairs = parse_pairs(capsys.readouterr().out)
     assert float(pairs["beta_hat"]) == fit_shape(sample, "ml").beta_hat
+
+
+@pytest.mark.parametrize("method", _FIT_METHODS)
+def test_fit_across_float_range_and_typed_failures(method, data_file, capsys):
+    sample = weib_sorted(1.5, 80, 9)
+    assert main(["fit", "--data", data_file(sample.values), "--method", method]) == 0
+    base = float(parse_pairs(capsys.readouterr().out)["beta_hat"])
+    for scale in (1e-300, 1e300):
+        assert main(["fit", "--data", data_file(sample.values * scale),
+                     "--method", method]) == 0
+        beta = float(parse_pairs(capsys.readouterr().out)["beta_hat"])
+        assert abs(beta - base) < 2e-8 * base, scale  # within the MD fits' tolerance
+    # a sample no method can fit, and one spanning the whole float range:
+    # a failure is a one-line error with exit code 3, never a traceback
+    assert main(["fit", "--data", data_file([2.5] * 5), "--method", method]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    with np.errstate(all="ignore"):
+        code = main(["fit", "--data", data_file([1e-300, 1.0, 2.0, 1e300]),
+                     "--method", method])
+    assert code in (0, 3)
 
 
 def test_curve_closed_form(capsys):

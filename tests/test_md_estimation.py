@@ -1,16 +1,25 @@
 """Minimum-distance shape fitting against empirical reference curves."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qcurves.md_estimation as md_estimation
 from qcurves import (
+    BracketFailure,
     CurveKind,
     DomainError,
     MdConfig,
     SortedSample,
+    WeibullParams,
     md_fit,
     md_objective,
 )
+from qcurves.simulation import _cell_plan, _md_rows
+from qcurves.weibull import sample as weibull_sample
 from tests.conftest import weib_sorted
 
 
@@ -129,3 +138,67 @@ def test_md_objective_validates_beta():
         md_objective(s, 0.0)
     with pytest.raises(DomainError):
         md_objective(s, float("nan"))
+
+
+def test_typical_fit_takes_few_newton_passes():
+    for seed in range(20, 30):
+        s = weib_sorted(2.0, 60, seed=seed)
+        for reference in ("empirical", "hf"):
+            assert md_fit(s, MdConfig(reference=reference)).iterations <= 12
+
+
+def test_far_start_converges_through_golden_fallback():
+    # the ls start is 0.15 away in log-shape, so the first Newton step leaves
+    # the 1.05 bracket and the golden search with expansions takes over
+    s = weib_sorted(2.0, 200, seed=13)
+    near = md_fit(s, MdConfig())
+    golden_calls = []
+    golden = md_estimation._golden
+
+    def counted(*args):
+        golden_calls.append(args)
+        return golden(*args)
+
+    with mock.patch.object(md_estimation, "_golden", counted):
+        far = md_fit(s, MdConfig(start_method="ls", bracket_factor=1.05, max_expansions=8))
+    assert len(golden_calls) > 1  # the first bracket and at least one expansion
+    assert abs(math.log(far.beta_hat / near.beta_hat)) < 1e-7
+    assert far.residual == md_objective(s, far.beta_hat, MdConfig())
+
+
+def test_bracket_failure_when_expansions_run_out():
+    s = weib_sorted(2.0, 200, seed=13)
+    with pytest.raises(BracketFailure):
+        md_fit(s, MdConfig(start_method="ls", bracket_factor=1.05, max_expansions=1))
+
+
+def test_fit_does_not_depend_on_block_size():
+    s = weib_sorted(1.5, 80, seed=14)
+    x_rows = np.vstack([weib_sorted(1.5, 80, seed=k).values for k in range(14, 24)])
+    config = MdConfig(reference="hf")
+    base = md_fit(s, config)
+    with mock.patch.object(md_estimation, "_BLOCK_ROWS", 3):
+        blocked = md_fit(s, config)
+        plan = _cell_plan(80, config.quadrature.panels, config.quadrature.nodes)
+        rows3 = _md_rows(x_rows, "hf", CurveKind.QZ, plan, config.quadrature)
+    assert (blocked.beta_hat, blocked.residual) == (base.beta_hat, base.residual)
+    rows = _md_rows(x_rows, "hf", CurveKind.QZ, plan, config.quadrature)
+    assert np.array_equal(rows3, rows)
+    assert rows[0] == base.beta_hat
+
+
+@settings(max_examples=25, deadline=None)
+@given(beta=st.floats(0.5, 3.0), n=st.integers(10, 200), seed=st.integers(0, 2**32 - 1),
+       reference=st.sampled_from(("empirical", "hf")),
+       curve=st.sampled_from((CurveKind.QZ, CurveKind.QD)))
+def test_newton_residual_not_above_golden_only(beta, n, seed, reference, curve):
+    rng = np.random.default_rng(seed)
+    s = SortedSample.from_data(weibull_sample(WeibullParams(beta, 1.0), n, rng))
+    config = MdConfig(curve=curve, reference=reference)
+    newton = md_fit(s, config)
+    # no Newton pass: every row goes to the golden search, as before Newton;
+    # that path also kept the start when the search did not beat it
+    with mock.patch.object(md_estimation, "_NEWTON_PASSES", 0):
+        golden = md_fit(s, config)
+    golden_residual = min(golden.residual, md_objective(s, golden.start, config))
+    assert newton.residual <= golden_residual + 1e-15

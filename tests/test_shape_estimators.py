@@ -12,7 +12,7 @@ from qcurves import (
     fit_shape,
     profile_scale,
 )
-from qcurves.simulation import replicate_estimates
+from qcurves.simulation import _moment_roots, replicate_estimates
 from tests.conftest import weib_sorted
 
 ALL_METHODS = tuple(SHAPE_METHODS)
@@ -94,6 +94,18 @@ def test_scale_invariance(method):
     for c in (0.001, 3.7, 1024.0):
         scaled = SortedSample.from_data(s.values * c)
         assert abs(fit_shape(scaled, method).beta_hat - base) < 1e-10
+
+
+def test_moment_shape_scale_invariant_across_float_range():
+    s = weib_sorted(1.5, 80, seed=9)
+    base = fit_shape(s, "me").beta_hat
+    scales = 10.0 ** np.arange(-300, 301, 25)
+    x_rows = np.vstack([s.values * c for c in scales])
+    batch = _moment_roots(x_rows)
+    for k, c in enumerate(scales):
+        scaled = fit_shape(SortedSample.from_data(x_rows[k]), "me").beta_hat
+        assert abs(scaled - base) < 1e-12 * base, c
+        assert batch[k] == scaled, c
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)

@@ -7,6 +7,7 @@ from qcurves import (
     CurveKind,
     DomainError,
     MdConfig,
+    QcurvesError,
     QuadratureSpec,
     SimulationConfig,
     SimulationReport,
@@ -32,6 +33,7 @@ from qcurves.simulation import (
     _shape_rows,
 )
 from qcurves.weibull import sample as weibull_sample
+from tests.conftest import weib_sorted
 
 SHAPE_ESTS = tuple(e for e in ESTIMATOR_ORDER if e not in ("hf", "mde", "mdhf"))
 
@@ -205,6 +207,51 @@ def test_report_round_trip_and_accessors():
     lines = csv_text.strip().splitlines()
     assert len(lines) == 1 + len(report.records)
     assert lines[0].startswith("estimator,metric,n,beta")
+
+
+def test_report_lookup_by_cell():
+    report = run_simulation(small_config(replications=20))
+    for rec in report.records:
+        cell = (rec["estimator"], rec["metric"], rec["n"], rec["beta"])
+        assert report.value(*cell) is rec["value"]
+        assert report.se(*cell) is rec["se"]
+        assert report.failures(*cell) == rec["failures"]
+    # the lookup index is not part of the report's value or its bytes
+    back = SimulationReport.from_json(report.to_json())
+    assert back == report
+    assert back.to_json() == report.to_json()
+    for accessor in (report.value, report.se, report.failures):
+        for cell in (("ml", "MISE_qZ", 31, 1.0), ("ml", "MISE_qZ", 30, 1.5),
+                     ("bcml", "MISE_qZ", 30, 1.0), ("ml", "mise_qz", 30, 1.0)):
+            with pytest.raises(KeyError):
+                accessor(*cell)
+
+
+def test_batched_and_scalar_fail_on_the_same_rows():
+    # rows the scalar estimators reject (a zero, no spread, all zeros) next
+    # to rows at the ends of the float range that every estimator accepts
+    rows = [weib_sorted(2.0, 30, seed=k).values.copy() for k in range(7)]
+    rows[1][0] = 0.0
+    rows[2][:3] = 0.0
+    rows[3][:] = 1.7
+    rows[4][:] = 0.0
+    rows[5] *= 1e-300
+    rows[6] *= 1e300
+    x_rows = np.vstack(rows)
+    plan = _cell_plan(30, 256, 8)
+    for est in SHAPE_ESTS:
+        with np.errstate(all="ignore"):
+            batch = _shape_rows(est, x_rows, plan, {})
+        for k in range(len(rows)):
+            try:
+                scalar = fit_shape(SortedSample(x_rows[k]), est).beta_hat
+            except QcurvesError:
+                scalar = None
+            if scalar is None:
+                assert np.isnan(batch[k]), (est, k, batch[k])
+            else:
+                assert batch[k] == scalar, (est, k)
+    assert np.all(np.isnan(_shape_rows("ml", x_rows[1:5], plan, {})))
 
 
 def test_report_json_has_no_environment_fields():
