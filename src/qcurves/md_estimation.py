@@ -8,9 +8,10 @@ estimate, with analytic first and second derivatives, finishes most fits in
 a few passes.  A fit that Newton cannot finish safely falls back to a
 golden-section search inside a multiplicative bracket around the start,
 expanding the bracket when the minimum lands on an edge.  The scalar fit
-and the batched study rows share one minimizer, which evaluates rows in
-cache-sized blocks on the fixed quadrature grid, so fits are deterministic
-and a batched fit of one sample equals its scalar fit bitwise.
+and the batched study rows share the default start (``_start_rows``) and
+one minimizer, which evaluates rows in cache-sized blocks on the fixed
+quadrature grid, so fits are deterministic and a batched fit of one sample
+equals its scalar fit bitwise.
 
 Method identifiers: ``mde`` (step reference), ``mdhf`` (interpolated).
 """
@@ -25,7 +26,7 @@ import numpy as np
 from .curves import CurveKind, QuadratureSpec, curve_value, gauss_legendre_grid
 from .empirical_qf import SortedSample, empirical_qf, plotting_position_qf
 from .errors import BracketFailure, DomainError, QcurvesError, StartFailure
-from .shape_estimators import EstimateResult, SHAPE_METHODS, lmoment_shape, pe_shape
+from .shape_estimators import EstimateResult, SHAPE_METHODS, _ROW_KERNELS, lmoment_shape
 from .weibull import _log_ratio
 
 __all__ = ["MdConfig", "md_objective", "md_fit", "MD_REFERENCES"]
@@ -282,20 +283,30 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
     return xmin, fmin, pending, evals
 
 
+def _start_rows(x_rows: np.ndarray) -> np.ndarray:
+    """Default start of each row: the pe estimate, else the lm estimate.
+
+    A row where neither gives a finite positive shape is NaN.
+    """
+    pe = _ROW_KERNELS["pe"](x_rows, False)[0]
+    start = np.where(np.isfinite(pe), pe, _ROW_KERNELS["lm"](x_rows, False)[0])
+    return np.where(np.isfinite(start) & (start > 0.0), start, np.nan)
+
+
 def _start_beta(sample: SortedSample, config: MdConfig) -> float:
     if config.start_method is not None:
         try:
             return SHAPE_METHODS[config.start_method](sample).beta_hat
         except QcurvesError as exc:
             raise StartFailure(f"start method {config.start_method!r} failed: {exc}") from exc
-    try:
-        return pe_shape(sample).beta_hat
-    except QcurvesError:
-        pass
-    try:
-        return lmoment_shape(sample).beta_hat
-    except QcurvesError as exc:
-        raise StartFailure(f"default starts pe and lm both failed: {exc}") from exc
+    start = float(_start_rows(sample.values[None, :])[0])
+    if math.isnan(start):
+        try:
+            lmoment_shape(sample)  # raises with the reason lm failed
+        except QcurvesError as exc:
+            raise StartFailure(f"default starts pe and lm both failed: {exc}") from exc
+        raise StartFailure("default starts pe and lm both failed")
+    return start
 
 
 def md_fit(sample: SortedSample, config: MdConfig = MdConfig()) -> EstimateResult:

@@ -6,18 +6,26 @@ shape b.  Likelihood-type equations are solved with a bracketed
 secant/bisection (Illinois) root finder on a fixed shape bracket so results
 are deterministic.
 
+Each estimator has one implementation, a row kernel in ``_ROW_KERNELS``
+called as ``kernel(x_rows, strict)``.  It maps sorted samples, one per row,
+to (shapes, root-finder iterations, residuals); a row it cannot fit is NaN,
+or with ``strict`` raises the typed error.  The Monte Carlo study calls the
+kernels on chunks of replicates and each ``*_shape`` function is the
+one-row call of its kernel, so batched and scalar fits agree by construction.
+
 Method identifiers: ml, mml, bcml, me, lm, tmml, ls, wls, g1, pe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .empirical_qf import SortedSample, plotting_position_qf, plotting_positions
+from .empirical_qf import SortedSample, interp_plan, plotting_positions
 from .errors import DegenerateSample, DomainError, NoBracket, NonConvergence
 
 __all__ = [
@@ -49,7 +57,8 @@ BRACKET_HI = 1e3
 BCML_FACTOR = 1.3795
 
 _LOG2 = math.log(2.0)
-# Numerator of the percentile estimator for the order pair (0.31, 0.63).
+# Quantile orders of the percentile estimator and the numerator they give.
+_PE_ORDERS = np.array([0.31, 0.63])
 _PE_NUM = math.log(-math.log1p(-0.63)) - math.log(-math.log1p(-0.31))
 
 
@@ -64,45 +73,41 @@ class EstimateResult:
     start: float | None = None
 
 
-def _bracketed_root(f, lo, hi, xtol=1e-12, maxiter=200, strict=True):
-    """Vectorized Illinois root finder on per-element brackets [lo, hi].
+def _bracketed_root(f, rows, strict, xtol=1e-12, maxiter=200):
+    """Vectorized Illinois root finder on the bracket [BRACKET_LO, BRACKET_HI].
 
-    ``f`` maps a 1-d array of candidates to an array of residuals.  Elements
+    ``f`` maps a 1-d array of ``rows`` candidates to their residuals.  Rows
     whose bracket shows no sign change raise NoBracket (strict) or come back
-    NaN.  Returns (roots, iterations).
+    NaN.  Returns (roots, iterations, |f(roots)|), the residual being that of
+    the evaluation that settled each root.  Runs inside a kernel's errstate.
     """
-    a = np.atleast_1d(np.array(lo, dtype=float)).copy()
-    b = np.atleast_1d(np.array(hi, dtype=float)).copy()
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-        a, b = a.copy(), b.copy()
-    fa = np.atleast_1d(np.asarray(f(a), dtype=float)).copy()
-    fb = np.atleast_1d(np.asarray(f(b), dtype=float)).copy()
-    root = np.full(a.shape, np.nan)
+    a = np.full(rows, BRACKET_LO)
+    b = np.full(rows, BRACKET_HI)
+    fa = f(a)
+    fb = f(b)
+    root = np.full(rows, np.nan)
     root[fa == 0.0] = a[fa == 0.0]
     root[fb == 0.0] = b[fb == 0.0]
+    residual = np.where(np.isnan(root), np.nan, 0.0)
     active = np.isnan(root)
     # a NaN end value (a residual undefined for these data) is no sign change
     no_bracket = active & ~(np.sign(fa) * np.sign(fb) < 0.0)
     if np.any(no_bracket):
         if strict:
-            raise NoBracket(
-                f"no sign change on [{float(a.flat[0]):g}, {float(b.flat[0]):g}]")
+            raise NoBracket(f"no sign change on [{BRACKET_LO:g}, {BRACKET_HI:g}]")
         active &= ~no_bracket
-    side = np.zeros(a.shape, dtype=np.int8)  # -1: lower end moved last, +1: upper
+    side = np.zeros(rows, dtype=np.int8)  # -1: lower end moved last, +1: upper
     iterations = 0
     for it in range(maxiter):
         if not np.any(active):
             break
         iterations = it + 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = (a * fb - b * fa) / (fb - fa)
+        x = (a * fb - b * fa) / (fb - fa)
         inside = np.isfinite(x) & (x > np.minimum(a, b)) & (x < np.maximum(a, b))
         x = np.where(inside, x, 0.5 * (a + b))
         x = np.where(active, x, a)
-        fx = np.atleast_1d(np.asarray(f(x), dtype=float))
+        fx = f(x)
         exact = active & (fx == 0.0)
-        root[exact] = x[exact]
         active &= ~exact
         lower = active & (np.sign(fx) == np.sign(fa))
         upper = active & ~lower
@@ -117,13 +122,65 @@ def _bracketed_root(f, lo, hi, xtol=1e-12, maxiter=200, strict=True):
         fa[halve_a] *= 0.5
         side[upper] = 1
         tight = active & (np.abs(b - a) < xtol + 4.0 * np.finfo(float).eps * np.abs(b))
-        root[tight] = x[tight]
+        settled = exact | tight
+        root[settled] = x[settled]
+        residual[settled] = np.abs(fx[settled])
         active &= ~tight
     if np.any(active):
         if strict:
             raise NonConvergence(f"root finder hit the {maxiter}-iteration cap")
         # leave unconverged entries NaN
-    return root, iterations
+    return root, iterations, residual
+
+
+_ROW_KERNELS = {}  # method identifier -> row kernel
+
+
+def _row_kernel(method, *bound):
+    """Register the decorated function, given the trailing arguments ``bound``,
+    as the kernel of ``method``; it runs with numpy's floating-point warnings
+    off, as its own checks mark the rows it cannot fit."""
+
+    def register(kernel):
+        @functools.wraps(kernel)
+        def quiet(x_rows, strict, *args):
+            with np.errstate(all="ignore"):
+                return kernel(x_rows, strict, *bound, *args)
+
+        _ROW_KERNELS[method] = quiet
+        return kernel
+
+    return register
+
+
+def _reject(strict, bad, exc, message, *values):
+    """Mark rows ``bad`` failed; with ``strict``, raise ``exc`` if any are, its
+    ``message`` formatted with the first failing row of each of ``values``."""
+    if strict and bad.any():
+        raise exc(message.format(*(v[bad][0] for v in values)))
+    return bad
+
+
+def _screen(x_rows, strict, n_min, positive=False, spread=False):
+    """Rows failing the input checks the kernels share, applied in this order."""
+    rows, n = x_rows.shape
+    if n < n_min:
+        if strict:
+            raise DomainError(f"method requires at least {n_min} observations")
+        return np.ones(rows, dtype=bool)
+    bad = np.zeros(rows, dtype=bool)
+    if positive:
+        bad |= _reject(strict, x_rows[:, 0] <= 0.0, DomainError,
+                       "method requires strictly positive data")
+    if spread:
+        bad |= _reject(strict, x_rows[:, 0] == x_rows[:, -1], DegenerateSample,
+                       "all sample values are equal")
+    return bad
+
+
+def _closed_form(bad, beta):
+    """Kernel output of an estimator that needs no root finder."""
+    return np.where(bad, np.nan, beta), 0, np.zeros(beta.shape)
 
 
 def _values(sample: SortedSample) -> np.ndarray:
@@ -132,41 +189,30 @@ def _values(sample: SortedSample) -> np.ndarray:
     return sample.values
 
 
-def _require_spread(x: np.ndarray):
-    if x[0] == x[-1]:
-        raise DegenerateSample("all sample values are equal")
+def _fit_one(method: str, sample: SortedSample) -> EstimateResult:
+    beta, iterations, residual = _ROW_KERNELS[method](_values(sample)[None, :], True)
+    return EstimateResult(method, float(beta[0]), iterations, float(residual[0]))
 
 
-def _require_positive(x: np.ndarray):
-    if x[0] <= 0.0:
-        raise DomainError("method requires strictly positive data")
-
-
-def _require_n(x: np.ndarray, n_min: int):
-    if x.size < n_min:
-        raise DomainError(f"method requires at least {n_min} observations")
-
-
-def _profile_terms(x: np.ndarray):
+@_row_kernel("mml", True)
+@_row_kernel("ml", False)
+def _profile_rows(x_rows, strict, modified):
+    """Roots of shift/b + mean(log y) - sum(y^b log y)/sum(y^b) = 0, where the
+    shift is 1 for ml and (n-1)/n for mml."""
+    bad = _screen(x_rows, strict, 2, positive=True, spread=True)
+    n = x_rows.shape[1]
+    shift = (n - 1.0) / n if modified else 1.0
     # Work with y = x / max(x); the profile equation is invariant and
     # y**beta stays in (0, 1] for any shape, avoiding overflow.
-    ly = np.log(x / x[-1])
-    return ly, float(ly.mean())
-
-
-def _solve_profile(ly: np.ndarray, mean_ly: float, shift: float):
-    """Root of shift/beta + mean(log y) - sum(y^b log y)/sum(y^b) = 0."""
+    ly = np.log(x_rows / x_rows[:, -1:])
+    mean_ly = ly.mean(axis=1)
 
     def g(beta):
-        w = np.exp(np.multiply.outer(beta, ly))
-        with np.errstate(invalid="ignore"):
-            ratio = (w * ly).sum(axis=-1) / w.sum(axis=-1)
-        return shift / beta + mean_ly - ratio
+        w = np.exp(beta[:, None] * ly)
+        return shift / beta + mean_ly - (w * ly).sum(axis=1) / w.sum(axis=1)
 
-    root, iters = _bracketed_root(g, BRACKET_LO, BRACKET_HI, xtol=1e-12, maxiter=200)
-    beta = float(root[0])
-    residual = abs(float(np.atleast_1d(g(np.array([beta])))[0]))
-    return beta, iters, residual
+    beta, iterations, residual = _bracketed_root(g, len(x_rows), strict)
+    return np.where(bad, np.nan, beta), iterations, residual
 
 
 def ml_shape(sample: SortedSample) -> EstimateResult:
@@ -176,13 +222,7 @@ def ml_shape(sample: SortedSample) -> EstimateResult:
     side minus the right is strictly decreasing in b, so the bracketed
     solve is reliable whenever a sign change exists on the bracket.
     """
-    x = _values(sample)
-    _require_n(x, 2)
-    _require_positive(x)
-    _require_spread(x)
-    ly, mean_ly = _profile_terms(x)
-    beta, iters, residual = _solve_profile(ly, mean_ly, 1.0)
-    return EstimateResult("ml", beta, iterations=iters, residual=residual)
+    return _fit_one("ml", sample)
 
 
 def mml_shape(sample: SortedSample) -> EstimateResult:
@@ -193,23 +233,38 @@ def mml_shape(sample: SortedSample) -> EstimateResult:
 
         (n-1)/(n*b) + mean(log x) = sum(x**b * log x) / sum(x**b).
     """
-    x = _values(sample)
-    _require_n(x, 2)
-    _require_positive(x)
-    _require_spread(x)
-    ly, mean_ly = _profile_terms(x)
-    n = x.size
-    beta, iters, residual = _solve_profile(ly, mean_ly, (n - 1.0) / n)
-    return EstimateResult("mml", beta, iterations=iters, residual=residual)
+    return _fit_one("mml", sample)
+
+
+@_row_kernel("bcml")
+def _bcml_rows(x_rows, strict, ml=None):
+    """``ml``: the output of the ml kernel on these rows, when already known."""
+    bad = _screen(x_rows, strict, 3)
+    beta, iterations, residual = _profile_rows(x_rows, strict, False) if ml is None else ml
+    beta = np.where(bad, np.nan, beta * (1.0 - BCML_FACTOR / x_rows.shape[1]))
+    return beta, iterations, residual
 
 
 def bcml_shape(sample: SortedSample) -> EstimateResult:
     """Bias-corrected ML shape: the ML estimate times (1 - 1.3795/n)."""
-    x = _values(sample)
-    _require_n(x, 3)
-    ml = ml_shape(sample)
-    beta = ml.beta_hat * (1.0 - BCML_FACTOR / x.size)
-    return EstimateResult("bcml", beta, iterations=ml.iterations, residual=ml.residual)
+    return _fit_one("bcml", sample)
+
+
+@_row_kernel("me")
+def _moment_rows(x_rows, strict):
+    bad = _screen(x_rows, strict, 2, spread=True)
+    # the CV is scale invariant; on y = x / max(x) its moments neither
+    # overflow nor underflow anywhere in the float range
+    y = x_rows / x_rows[:, -1:]
+    m1 = y.mean(axis=1)
+    bad |= _reject(strict, m1 <= 0.0, DegenerateSample, "sample mean is zero")
+    target = np.log1p(((y - m1[:, None]) ** 2).mean(axis=1) / m1**2)
+
+    def h(beta):
+        return gammaln(1.0 + 2.0 / beta) - 2.0 * gammaln(1.0 + 1.0 / beta) - target
+
+    beta, iterations, residual = _bracketed_root(h, len(x_rows), strict)
+    return np.where(bad, np.nan, beta), iterations, residual
 
 
 def moment_shape(sample: SortedSample) -> EstimateResult:
@@ -219,34 +274,26 @@ def moment_shape(sample: SortedSample) -> EstimateResult:
     strictly decreasing function of b; the sample CV uses 1/n moments.
     Tolerates zeros.
     """
-    x = _values(sample)
-    _require_n(x, 2)
-    _require_spread(x)
-    # the CV is scale invariant; on y = x / max(x) its moments neither
-    # overflow nor underflow anywhere in the float range
-    y = x / x[-1]
-    m1 = float(y.mean())
-    if m1 <= 0.0:
-        raise DegenerateSample("sample mean is zero")
-    cv2 = float(((y - m1) ** 2).mean()) / m1**2
-    target = float(np.log1p(cv2))
-
-    def h(beta):
-        return gammaln(1.0 + 2.0 / beta) - 2.0 * gammaln(1.0 + 1.0 / beta) - target
-
-    root, iters = _bracketed_root(h, BRACKET_LO, BRACKET_HI, xtol=1e-12, maxiter=200)
-    beta = float(root[0])
-    residual = abs(float(np.atleast_1d(h(np.array([beta])))[0]))
-    return EstimateResult("me", beta, iterations=iters, residual=residual)
+    return _fit_one("me", sample)
 
 
-def _sample_l_ratio(x: np.ndarray) -> float:
-    """Unbiased sample L-moment ratio l2/l1."""
-    n = x.size
-    b1 = float((np.arange(n, dtype=float) * x).sum()) / (n * (n - 1.0))
-    l1 = float(x.mean())
-    l2 = 2.0 * b1 - l1
-    return l2 / l1
+def _binary_scaled(x_rows):
+    """Rows divided by the power of two of their maximum: exact, and a weighted
+    sum of n such values stays below n**2 instead of overflowing near 1e308."""
+    return np.ldexp(x_rows, -np.frexp(x_rows[:, -1:])[1])
+
+
+@_row_kernel("lm")
+def _lmoment_rows(x_rows, strict):
+    bad = _screen(x_rows, strict, 2, spread=True)
+    x = _binary_scaled(x_rows)
+    n = x.shape[1]
+    b1 = (np.arange(n, dtype=float) * x).sum(axis=1) / (n * (n - 1.0))
+    l1 = x.mean(axis=1)
+    tau = (2.0 * b1 - l1) / l1  # unbiased l2 / l1
+    bad |= _reject(strict, ~((tau > 0.0) & (tau < 1.0)), DomainError,
+                   "L-moment ratio {:.6g} outside the invertible range (0, 1)", tau)
+    return _closed_form(bad, _LOG2 / -np.log1p(-tau))
 
 
 def lmoment_shape(sample: SortedSample) -> EstimateResult:
@@ -255,14 +302,19 @@ def lmoment_shape(sample: SortedSample) -> EstimateResult:
     Uses the unbiased sample l2, so tau equals the sample Gini index with
     the n*(n-1) mean-difference denominator.  Tolerates zeros.
     """
-    x = _values(sample)
-    _require_n(x, 2)
-    _require_spread(x)
-    tau = _sample_l_ratio(x)
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"L-moment ratio {tau:.6g} outside the invertible range (0, 1)")
-    beta = float(_LOG2 / -np.log1p(-tau))
-    return EstimateResult("lm", beta)
+    return _fit_one("lm", sample)
+
+
+@_row_kernel("g1")
+def _gini_rows(x_rows, strict):
+    bad = _screen(x_rows, strict, 2, spread=True)
+    x = _binary_scaled(x_rows)
+    n = x.shape[1]
+    i = np.arange(1, n + 1, dtype=float)
+    gini = ((2.0 * i - n - 1.0) * x).sum(axis=1) / (n * x.sum(axis=1))
+    bad |= _reject(strict, ~((gini > 0.0) & (gini < 1.0)), DomainError,
+                   "sample Gini {:.6g} outside the invertible range (0, 1)", gini)
+    return _closed_form(bad, _LOG2 / -np.log1p(-gini))
 
 
 def gini_shape(sample: SortedSample) -> EstimateResult:
@@ -272,16 +324,18 @@ def gini_shape(sample: SortedSample) -> EstimateResult:
     2*n**2*mean), which is (n-1)/n times the L-moment ratio, so this
     estimator differs from ``lm`` in finite samples.  Tolerates zeros.
     """
-    x = _values(sample)
-    _require_n(x, 2)
-    _require_spread(x)
-    n = x.size
-    i = np.arange(1, n + 1, dtype=float)
-    gini = float(((2.0 * i - n - 1.0) * x).sum()) / (n * float(x.sum()))
-    if not 0.0 < gini < 1.0:
-        raise DomainError(f"sample Gini {gini:.6g} outside the invertible range (0, 1)")
-    beta = float(_LOG2 / -np.log1p(-gini))
-    return EstimateResult("g1", beta)
+    return _fit_one("g1", sample)
+
+
+@_row_kernel("pe")
+def _pe_rows(x_rows, strict):
+    bad = _screen(x_rows, strict, 2)
+    j0, j1, frac = interp_plan(plotting_positions(x_rows.shape[1], "hf"), _PE_ORDERS)
+    q1, q2 = ((1.0 - frac) * x_rows[:, j0] + frac * x_rows[:, j1]).T
+    bad |= _reject(strict, q1 == q2, DomainError,
+                   "sample quantiles at orders 0.31 and 0.63 coincide")
+    bad |= _reject(strict, q1 <= 0.0, DomainError, "quantile at order 0.31 must be positive")
+    return _closed_form(bad, _PE_NUM / (np.log(q2) - np.log(q1)))
 
 
 def pe_shape(sample: SortedSample) -> EstimateResult:
@@ -292,33 +346,25 @@ def pe_shape(sample: SortedSample) -> EstimateResult:
     the 0.31/0.63 pair follows Seki & Yokoyama (1993).  Quantiles come
     from the interpolated quantile function.
     """
-    x = _values(sample)
-    _require_n(x, 2)
-    qf = plotting_position_qf(SortedSample(x), "hf")
-    q1 = qf(0.31)
-    q2 = qf(0.63)
-    if q1 == q2:
-        raise DomainError("sample quantiles at orders 0.31 and 0.63 coincide")
-    if q1 <= 0.0:
-        raise DomainError("quantile at order 0.31 must be positive")
-    beta = float(_PE_NUM / (np.log(q2) - np.log(q1)))
-    return EstimateResult("pe", beta)
+    return _fit_one("pe", sample)
 
 
-def _plot_regression(x: np.ndarray, weights) -> float:
+@_row_kernel("wls", True)
+@_row_kernel("ls", False)
+def _plot_regression(x_rows, strict, weighted):
     """Slope of log(-log(1-p_k)) on log x_(k) at the hf positions."""
-    p = plotting_positions(x.size, "hf")
+    bad = _screen(x_rows, strict, 2, positive=True, spread=True)
+    p = plotting_positions(x_rows.shape[1], "hf")
     yv = np.log(-np.log1p(-p))
-    u = np.log(x)
-    w = np.ones_like(u) if weights is None else weights
+    u = np.log(x_rows)
+    w = ((1.0 - p) * np.log1p(-p)) ** 2 if weighted else np.ones_like(p)
     sw = w.sum()
-    ub = (w * u).sum() / sw
+    ub = (w * u).sum(axis=1) / sw
     yb = (w * yv).sum() / sw
-    du = u - ub
-    denom = float((w * du * du).sum())
-    if denom == 0.0:
-        raise DegenerateSample("log data carry no variation")
-    return float((w * du * (yv - yb)).sum()) / denom
+    du = u - ub[:, None]
+    denom = (w * du * du).sum(axis=1)
+    bad |= _reject(strict, ~(denom > 0.0), DegenerateSample, "log data carry no variation")
+    return _closed_form(bad, (w * du * (yv - yb)).sum(axis=1) / denom)
 
 
 def ls_shape(sample: SortedSample) -> EstimateResult:
@@ -327,11 +373,7 @@ def ls_shape(sample: SortedSample) -> EstimateResult:
     Regresses log(-log(1-p_k)) on log x_(k) with the hf plotting
     positions; the slope estimates the shape directly.
     """
-    x = _values(sample)
-    _require_n(x, 2)
-    _require_positive(x)
-    _require_spread(x)
-    return EstimateResult("ls", _plot_regression(x, None))
+    return _fit_one("ls", sample)
 
 
 def wls_shape(sample: SortedSample) -> EstimateResult:
@@ -340,13 +382,31 @@ def wls_shape(sample: SortedSample) -> EstimateResult:
     Same regression as ``ls`` but weighted by ((1-p_k)*log(1-p_k))**2,
     the inverse of the leading variance factor of the plot ordinate.
     """
-    x = _values(sample)
-    _require_n(x, 2)
-    _require_positive(x)
-    _require_spread(x)
-    p = plotting_positions(x.size, "hf")
-    w = ((1.0 - p) * np.log1p(-p)) ** 2
-    return EstimateResult("wls", _plot_regression(x, w))
+    return _fit_one("wls", sample)
+
+
+@_row_kernel("tmml")
+def _tmml_rows(x_rows, strict):
+    bad = _screen(x_rows, strict, 2, positive=True, spread=True)
+    n = x_rows.shape[1]
+    y = np.log(x_rows)
+    q = np.arange(1, n + 1, dtype=float) / (n + 1.0)
+    bi = -np.log1p(-q)
+    ti = np.log(bi)
+    ai = bi * (1.0 - ti)
+    m = float(bi.sum())
+    kappa = (bi * y).sum(axis=1) / m
+    excess = (n - float(ai.sum())) / m
+    w = y - kappa[:, None]
+    lin = ((ai - 1.0) * w).sum(axis=1)
+    quad = (bi * w * w).sum(axis=1)
+    lead = n - excess * float((ai - 1.0).sum()) - excess * excess * m
+    bad |= _reject(strict, np.full(len(x_rows), lead <= 0.0), NonConvergence,
+                   "linearized likelihood lost positive curvature")
+    delta = (lin + np.sqrt(lin * lin + 4.0 * lead * quad)) / (2.0 * lead)
+    bad |= _reject(strict, ~(delta > 0.0), DomainError,
+                   "linearized scale estimate is not positive")
+    return _closed_form(bad, 1.0 / delta)
 
 
 def tmml_shape(sample: SortedSample) -> EstimateResult:
@@ -359,29 +419,7 @@ def tmml_shape(sample: SortedSample) -> EstimateResult:
     the linearized equations then solve in closed form and the shape is
     the reciprocal of the fitted scale.
     """
-    x = _values(sample)
-    _require_n(x, 2)
-    _require_positive(x)
-    _require_spread(x)
-    n = x.size
-    y = np.log(x)
-    q = np.arange(1, n + 1, dtype=float) / (n + 1.0)
-    bi = -np.log1p(-q)
-    ti = np.log(bi)
-    ai = bi * (1.0 - ti)
-    m = float(bi.sum())
-    kappa = float((bi * y).sum()) / m
-    excess = (n - float(ai.sum())) / m
-    w = y - kappa
-    lin = float(((ai - 1.0) * w).sum())
-    quad = float((bi * w * w).sum())
-    lead = n - excess * float((ai - 1.0).sum()) - excess * excess * m
-    if lead <= 0.0:
-        raise NonConvergence("linearized likelihood lost positive curvature")
-    delta = (lin + float(np.sqrt(lin * lin + 4.0 * lead * quad))) / (2.0 * lead)
-    if delta <= 0.0:
-        raise DomainError("linearized scale estimate is not positive")
-    return EstimateResult("tmml", 1.0 / delta)
+    return _fit_one("tmml", sample)
 
 
 SHAPE_METHODS = {
@@ -407,7 +445,8 @@ def profile_scale(sample: SortedSample, beta: float) -> float:
     if not (beta > 0.0) or not math.isfinite(beta):
         raise DomainError("shape must be positive and finite")
     x = _values(sample)
-    _require_positive(x)
+    if x[0] <= 0.0:
+        raise DomainError("method requires strictly positive data")
     top = x[-1]
     scaled = float(np.power(x / top, beta).mean())
     return top * scaled ** (1.0 / beta)

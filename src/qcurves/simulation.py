@@ -11,10 +11,11 @@ not depend on the worker count, and per-replication results are reduced in
 replication order, so a report is bit-for-bit identical for any ``workers``
 setting.
 
-Estimator arithmetic is shared with the scalar code paths: the profile
-likelihood root finder, the minimum-distance minimizer, and the quantile
-interpolation rule are the same functions evaluated on batched rows, so a
-batched fit of one sample equals the scalar fit of that sample.
+The study computes no estimate of its own.  Shape estimates come from the
+row kernels of ``shape_estimators``, whose one-row calls are the scalar
+fits, and MD estimates from the default start and the minimizer that
+``md_fit`` uses, so a batched fit of one sample equals the scalar fit of
+that sample.
 """
 
 from __future__ import annotations
@@ -29,22 +30,13 @@ from io import StringIO
 import csv
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._version import __version__
 from .curves import CurveKind, QuadratureSpec, gauss_legendre_grid
 from .empirical_qf import interp_plan, plotting_positions, step_indices
 from .errors import DomainError
-from .md_estimation import MdConfig, MD_REFERENCES, _minimize_log
-from .shape_estimators import (
-    BCML_FACTOR,
-    BRACKET_LO,
-    BRACKET_HI,
-    SHAPE_METHODS,
-    _LOG2,
-    _PE_NUM,
-    _bracketed_root,
-)
+from .md_estimation import MdConfig, MD_REFERENCES, _minimize_log, _start_rows
+from .shape_estimators import SHAPE_METHODS, _ROW_KERNELS
 from .weibull import WeibullParams, _log_ratio, sample as weibull_sample
 
 __all__ = [
@@ -108,13 +100,11 @@ class SimulationConfig:
 class _CellPlan:
     """Precomputed gather plans for one (sample size, quadrature) pair."""
 
-    points: np.ndarray
     weights: np.ndarray
     lr: dict
     emp: dict
     hf: dict
     wg: dict
-    pe: tuple
 
 
 @lru_cache(maxsize=None)
@@ -130,13 +120,7 @@ def _cell_plan(n: int, panels: int, nodes: int) -> _CellPlan:
         emp[kind] = (step_indices(n, num_q), step_indices(n, den_q))
         hf[kind] = (interp_plan(pos_hf, num_q), interp_plan(pos_hf, den_q))
         wg[kind] = (interp_plan(pos_wg, num_q), interp_plan(pos_wg, den_q))
-    return _CellPlan(points, weights, lr, emp, hf, wg,
-                     interp_plan(pos_hf, np.array([0.31, 0.63])))
-
-
-def _gather_interp(x_rows: np.ndarray, plan) -> np.ndarray:
-    j0, j1, frac = plan
-    return (1.0 - frac) * x_rows[:, j0] + frac * x_rows[:, j1]
+    return _CellPlan(weights, lr, emp, hf, wg)
 
 
 def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind, plan: _CellPlan):
@@ -145,135 +129,20 @@ def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind, plan: _CellPl
         num, den = x_rows[:, ni], x_rows[:, di]
     else:
         plans = plan.hf if reference == "hf" else plan.wg
-        num = _gather_interp(x_rows, plans[kind][0])
-        den = _gather_interp(x_rows, plans[kind][1])
+        num, den = ((1.0 - frac) * x_rows[:, j0] + frac * x_rows[:, j1]
+                    for j0, j1, frac in plans[kind])
     # column gathers leave a transposed buffer; summing such rows groups
     # differently than the contiguous scalar path, so normalize the layout
     return np.ascontiguousarray(1.0 - num / den)
-
-
-def _profile_roots(x_rows: np.ndarray, shift: float) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ly = np.log(x_rows / x_rows[:, -1:])
-    mly = ly.mean(axis=1)
-
-    def g(beta):
-        w = np.exp(beta[:, None] * ly)
-        with np.errstate(invalid="ignore"):
-            ratio = (w * ly).sum(axis=-1) / w.sum(axis=-1)
-        return shift / beta + mly - ratio
-
-    rows = x_rows.shape[0]
-    roots, _ = _bracketed_root(
-        g, np.full(rows, BRACKET_LO), np.full(rows, BRACKET_HI),
-        xtol=1e-12, maxiter=200, strict=False)
-    # NaN where the scalar fit raises: a nonpositive value or no spread
-    return np.where((x_rows[:, 0] > 0.0) & (x_rows[:, 0] < x_rows[:, -1]), roots, np.nan)
-
-
-def _moment_roots(x_rows: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = x_rows / x_rows[:, -1:]
-        m1 = y.mean(axis=1)
-        cv2 = ((y - m1[:, None]) ** 2).mean(axis=1) / m1**2
-    target = np.log1p(cv2)
-
-    def h(beta):
-        return gammaln(1.0 + 2.0 / beta) - 2.0 * gammaln(1.0 + 1.0 / beta) - target
-
-    rows = x_rows.shape[0]
-    roots, _ = _bracketed_root(
-        h, np.full(rows, BRACKET_LO), np.full(rows, BRACKET_HI),
-        xtol=1e-12, maxiter=200, strict=False)
-    # NaN where the scalar fit raises: no spread
-    return np.where(x_rows[:, 0] < x_rows[:, -1], roots, np.nan)
-
-
-def _lmoment_rows(x_rows: np.ndarray) -> np.ndarray:
-    n = x_rows.shape[1]
-    b1 = (np.arange(n, dtype=float) * x_rows).sum(axis=1) / (n * (n - 1.0))
-    l1 = x_rows.mean(axis=1)
-    tau = (2.0 * b1 - l1) / l1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        beta = _LOG2 / -np.log1p(-tau)
-    return np.where((tau > 0.0) & (tau < 1.0), beta, np.nan)
-
-
-def _gini_rows(x_rows: np.ndarray) -> np.ndarray:
-    n = x_rows.shape[1]
-    i = np.arange(1, n + 1, dtype=float)
-    gini = ((2.0 * i - n - 1.0) * x_rows).sum(axis=1) / (n * x_rows.sum(axis=1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        beta = _LOG2 / -np.log1p(-gini)
-    return np.where((gini > 0.0) & (gini < 1.0), beta, np.nan)
-
-
-def _pe_rows(x_rows: np.ndarray, plan: _CellPlan) -> np.ndarray:
-    q = _gather_interp(x_rows, plan.pe)
-    ok = (q[:, 0] > 0.0) & (q[:, 0] != q[:, 1])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        beta = _PE_NUM / (np.log(q[:, 1]) - np.log(q[:, 0]))
-    return np.where(ok, beta, np.nan)
-
-
-def _slope_rows(x_rows: np.ndarray, w) -> np.ndarray:
-    n = x_rows.shape[1]
-    p = plotting_positions(n, "hf")
-    yv = np.log(-np.log1p(-p))
-    u = np.log(x_rows)
-    if w is None:
-        w = np.ones(n)
-    sw = w.sum()
-    ub = (w * u).sum(axis=1) / sw
-    yb = (w * yv).sum() / sw
-    du = u - ub[:, None]
-    denom = (w * du * du).sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        slope = (w * du * (yv - yb)).sum(axis=1) / denom
-    return np.where(denom > 0.0, slope, np.nan)
-
-
-def _wls_weights(n: int) -> np.ndarray:
-    p = plotting_positions(n, "hf")
-    return ((1.0 - p) * np.log1p(-p)) ** 2
-
-
-def _tmml_rows(x_rows: np.ndarray) -> np.ndarray:
-    n = x_rows.shape[1]
-    y = np.log(x_rows)
-    q = np.arange(1, n + 1, dtype=float) / (n + 1.0)
-    bi = -np.log1p(-q)
-    ti = np.log(bi)
-    ai = bi * (1.0 - ti)
-    m = float(bi.sum())
-    kappa = (bi * y).sum(axis=1) / m
-    excess = (n - float(ai.sum())) / m
-    w = y - kappa[:, None]
-    lin = ((ai - 1.0) * w).sum(axis=1)
-    quad = (bi * w * w).sum(axis=1)
-    lead = n - excess * float((ai - 1.0).sum()) - excess * excess * m
-    if lead <= 0.0:
-        return np.full(x_rows.shape[0], np.nan)
-    delta = (lin + np.sqrt(lin * lin + 4.0 * lead * quad)) / (2.0 * lead)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        beta = 1.0 / delta
-    return np.where(delta > 0.0, beta, np.nan)
-
-
-def _start_rows(x_rows: np.ndarray, plan: _CellPlan) -> np.ndarray:
-    """Batched default start: percentile estimate, else L-moment estimate."""
-    pe = _pe_rows(x_rows, plan)
-    lm = _lmoment_rows(x_rows)
-    return np.where(np.isfinite(pe), pe, lm)
 
 
 def _md_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
              plan: _CellPlan, quadrature: QuadratureSpec) -> np.ndarray:
     config = MdConfig(curve=kind, reference=reference, quadrature=quadrature)
     ref = _ref_rows(x_rows, reference, kind, plan)
-    start = _start_rows(x_rows, plan)
+    start = _start_rows(x_rows)
     out = np.full(x_rows.shape[0], np.nan)
-    ok = np.isfinite(start) & (start > 0.0)
+    ok = ~np.isnan(start)
     if not np.any(ok):
         return out
     log_beta, _, _, _ = _minimize_log(ref[ok], plan.lr[kind], plan.weights,
@@ -282,42 +151,18 @@ def _md_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
     return out
 
 
-def _shape_rows(est: str, x_rows: np.ndarray, plan: _CellPlan,
-                cache: dict) -> np.ndarray:
-    """Batched shape estimates for one method; NaN marks a failed fit."""
-    if est in cache:
-        return cache[est]
-    n = x_rows.shape[1]
-    if est in ("ml", "bcml"):
-        ml = cache.get("ml")
-        if ml is None:
-            ml = cache["ml"] = _profile_roots(x_rows, 1.0)
-        if est == "ml":
-            return ml
-        if n < 3:
-            out = np.full(x_rows.shape[0], np.nan)
-        else:
-            out = ml * (1.0 - BCML_FACTOR / n)
-    elif est == "mml":
-        out = _profile_roots(x_rows, (n - 1.0) / n)
-    elif est == "me":
-        out = _moment_roots(x_rows)
-    elif est == "lm":
-        out = _lmoment_rows(x_rows)
-    elif est == "g1":
-        out = _gini_rows(x_rows)
-    elif est == "pe":
-        out = _pe_rows(x_rows, plan)
-    elif est == "ls":
-        out = _slope_rows(x_rows, None)
-    elif est == "wls":
-        out = _slope_rows(x_rows, _wls_weights(n))
-    elif est == "tmml":
-        out = _tmml_rows(x_rows)
-    else:
-        raise DomainError(f"unknown shape estimator {est!r}")
-    cache[est] = out
-    return out
+def _shape_rows(est: str, x_rows: np.ndarray, cache: dict) -> np.ndarray:
+    """Batched shape estimates for one method; NaN marks a failed fit.
+
+    ``cache`` keeps the kernel outputs of one chunk, so bcml scales the
+    chunk's ml roots instead of solving again.
+    """
+    if est == "bcml" and "ml" not in cache:
+        cache["ml"] = _ROW_KERNELS["ml"](x_rows, False)
+    if est not in cache:
+        ml = (cache["ml"],) if est == "bcml" else ()
+        cache[est] = _ROW_KERNELS[est](x_rows, False, *ml)
+    return cache[est][0]
 
 
 def _draw_rows(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int):
@@ -358,37 +203,33 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
     cache: dict = {}
     out = {}
     for est in config.estimators:
+        # each branch gives the qZ/qD curve rows for the ISE and for the index error
         if est == "hf":
             # nonparametric plug-in row: curve error from the k/(n+1)
             # interpolation, index error from the (k-1/3)/(n+1/3) one;
             # the two benchmark conventions this row reproduces differ
             cz = _ref_rows(x_rows, "wg", CurveKind.QZ, plan)
             cd = _ref_rows(x_rows, "wg", CurveKind.QD, plan)
-            ise_z = ((cz - true_z) ** 2 * w).sum(axis=1)
-            ise_d = ((cd - true_d) ** 2 * w).sum(axis=1)
             iz = _ref_rows(x_rows, "hf", CurveKind.QZ, plan)
             id_ = _ref_rows(x_rows, "hf", CurveKind.QD, plan)
-            err_zi = (iz * w).sum(axis=1) - true_zi
-            err_di = (id_ * w).sum(axis=1) - true_di
-        elif est in _MD_KINDS:
-            reference = _MD_KINDS[est]
-            bz = _md_rows(x_rows, reference, CurveKind.QZ, plan, config.quadrature)
-            bd = _md_rows(x_rows, reference, CurveKind.QD, plan, config.quadrature)
-            mz = _curve_rows(bz, lr_qz)
-            md = _curve_rows(bd, lr_qd)
-            ise_z = ((mz - true_z) ** 2 * w).sum(axis=1)
-            ise_d = ((md - true_d) ** 2 * w).sum(axis=1)
-            err_zi = (mz * w).sum(axis=1) - true_zi
-            err_di = (md * w).sum(axis=1) - true_di
         else:
-            b = _shape_rows(est, x_rows, plan, cache)
-            mz = _curve_rows(b, lr_qz)
-            md = _curve_rows(b, lr_qd)
-            ise_z = ((mz - true_z) ** 2 * w).sum(axis=1)
-            ise_d = ((md - true_d) ** 2 * w).sum(axis=1)
-            err_zi = (mz * w).sum(axis=1) - true_zi
-            err_di = (md * w).sum(axis=1) - true_di
-        out[est] = np.column_stack([ise_z, ise_d, err_zi, err_di])
+            if est in _MD_KINDS:
+                reference = _MD_KINDS[est]
+                bz = _md_rows(x_rows, reference, CurveKind.QZ, plan, config.quadrature)
+                bd = _md_rows(x_rows, reference, CurveKind.QD, plan, config.quadrature)
+            else:
+                bz = bd = _shape_rows(est, x_rows, cache)
+            cz = iz = _curve_rows(bz, lr_qz)
+            cd = id_ = _curve_rows(bd, lr_qd)
+        ise = []
+        for curves, truth in ((cz, true_z), (cd, true_d)):
+            sq = curves - truth  # squared and weighted in place: one large temporary
+            sq *= sq
+            sq *= w
+            ise.append(sq.sum(axis=1))
+        err_zi = (iz * w).sum(axis=1) - true_zi
+        err_di = (id_ * w).sum(axis=1) - true_di
+        out[est] = np.column_stack([*ise, err_zi, err_di])
     return out
 
 
@@ -569,15 +410,15 @@ def replicate_estimates(estimator: str, beta: float, n: int, replications: int,
     config = SimulationConfig(
         betas=(beta,), sizes=(n,), replications=replications,
         estimators=(estimator,), master_seed=master_seed, quadrature=quadrature)
-    plan = _cell_plan(n, quadrature.panels, quadrature.nodes)
     chunks = []
     for r0, r1 in _chunk_bounds(replications):
         x_rows = _draw_rows(config, 0, 0, r0, r1)
         if estimator in _MD_KINDS:
+            plan = _cell_plan(n, quadrature.panels, quadrature.nodes)
             chunks.append(_md_rows(x_rows, _MD_KINDS[estimator], curve,
                                    plan, quadrature))
         else:
-            chunks.append(_shape_rows(estimator, x_rows, plan, {}))
+            chunks.append(_shape_rows(estimator, x_rows, {}))
     return np.concatenate(chunks)
 
 

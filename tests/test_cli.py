@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,30 @@ def test_fit_across_float_range_and_typed_failures(method, data_file, capsys):
         code = main(["fit", "--data", data_file([1e-300, 1.0, 2.0, 1e300]),
                      "--method", method])
     assert code in (0, 3)
+
+
+@pytest.mark.parametrize("method", ("lm", "g1"))
+def test_fit_near_float_max(method, data_file, capsys):
+    data = np.array([1e308, 1.5e308, 1.7e308])
+    assert main(["fit", "--data", data_file(data), "--method", method]) == 0
+    beta = float(parse_pairs(capsys.readouterr().out)["beta_hat"])
+    # a power-of-two rescaling is exact, so the fit must not move
+    assert beta == fit_shape(SortedSample.from_data(data * 2.0**-1000), method).beta_hat
+
+
+@pytest.mark.parametrize("method", _FIT_METHODS)
+@pytest.mark.parametrize("values", ([1e-300, 1.0, 2.0, 1e300], [0.0, 1.0, 2.0, 3.0, 4.0]))
+def test_fit_prints_no_numpy_warnings(method, values, data_file, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", "--data", data_file(values), "--method", method])
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_curve_closed_form(capsys):

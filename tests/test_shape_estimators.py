@@ -7,12 +7,14 @@ from qcurves import (
     BCML_FACTOR,
     DegenerateSample,
     DomainError,
+    NoBracket,
     SHAPE_METHODS,
     SortedSample,
     fit_shape,
     profile_scale,
 )
-from qcurves.simulation import _moment_roots, replicate_estimates
+from qcurves.shape_estimators import _ROW_KERNELS
+from qcurves.simulation import replicate_estimates
 from tests.conftest import weib_sorted
 
 ALL_METHODS = tuple(SHAPE_METHODS)
@@ -101,7 +103,7 @@ def test_moment_shape_scale_invariant_across_float_range():
     base = fit_shape(s, "me").beta_hat
     scales = 10.0 ** np.arange(-300, 301, 25)
     x_rows = np.vstack([s.values * c for c in scales])
-    batch = _moment_roots(x_rows)
+    batch = _ROW_KERNELS["me"](x_rows, False)[0]
     for k, c in enumerate(scales):
         scaled = fit_shape(SortedSample.from_data(x_rows[k]), "me").beta_hat
         assert abs(scaled - base) < 1e-12 * base, c
@@ -112,6 +114,24 @@ def test_moment_shape_scale_invariant_across_float_range():
 def test_degenerate_sample_raises(method):
     with pytest.raises((DegenerateSample, DomainError)):
         fit_shape(SortedSample.from_data([2.5, 2.5, 2.5, 2.5]), method)
+
+
+POSITIVE_ONLY = ("ml", "mml", "bcml", "ls", "wls", "tmml")
+FAILURE_CASES = (
+    [("bcml", [1.0, 2.0], DomainError)]
+    + [(m, [0.0, 1.0, 2.0, 3.0, 4.0], DomainError) for m in POSITIVE_ONLY]
+    + [(m, [2.5] * 4, DomainError if m == "pe" else DegenerateSample) for m in ALL_METHODS]
+    + [("pe", [1.0] * 10 + [9.0], DomainError),
+       ("lm", [0.0, 4.0], DomainError),  # tau = 1
+       ("ml", [1e-300, 1.0, 2.0, 1e300], NoBracket)]
+)
+
+
+@pytest.mark.parametrize("method, data, error", FAILURE_CASES)
+def test_failure_raises_its_exact_class(method, data, error):
+    with pytest.raises(error) as info:
+        fit_shape(SortedSample.from_data(data), method)
+    assert type(info.value) is error
 
 
 def test_gini_inversion_half_gives_one():
