@@ -181,7 +181,8 @@ def _cmd_gof(args) -> int:
         ("method", result.method), ("n", sample.n),
         ("statistic", result.statistic), ("p_value", result.p_value),
         ("beta_hat", result.beta_hat), ("sigma_hat", result.sigma_hat),
-        ("bootstrap_reps", result.bootstrap_reps), ("seed", result.seed),
+        ("bootstrap_reps", result.bootstrap_reps),
+        ("failed_refits", result.failed_refits), ("seed", result.seed),
     ])
     return 0
 

@@ -30,6 +30,14 @@ __all__ = [
 _SCHEMES = ("hf", "wg")
 
 
+def check_values(values: np.ndarray):
+    """Raise DomainError unless every value is finite and nonnegative."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError("sample values must be finite")
+    if np.any(values < 0.0):
+        raise DomainError("sample values must be nonnegative")
+
+
 @dataclass(frozen=True)
 class SortedSample:
     """Nonnegative sample stored in ascending order."""
@@ -41,10 +49,7 @@ class SortedSample:
         values = np.asarray(data, dtype=float).ravel()
         if values.size < 1:
             raise DomainError("sample must contain at least one value")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("sample values must be finite")
-        if np.any(values < 0.0):
-            raise DomainError("sample values must be nonnegative")
+        check_values(values)
         values = np.sort(values)
         values.flags.writeable = False
         return cls(values)

@@ -8,6 +8,12 @@ with F the fitted distribution function.  Because shape and scale are
 estimated from the data, the null distribution of A2 is not the classical
 tabulated one; the p-value comes from a parametric bootstrap that refits
 both parameters on every resample.
+
+The bootstrap works on blocks of resamples, one per row: the shape
+estimator's row kernel refits a whole block at once, and the profile scale
+and the statistic are computed for every row together.  A resample the
+method cannot refit, or whose refit puts an observation at probability 0
+or 1, counts as a failed refit; the p-value is taken over the others.
 """
 
 from __future__ import annotations
@@ -16,12 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical_qf import SortedSample
+from .empirical_qf import SortedSample, check_values
 from .errors import DomainError
-from .shape_estimators import fit_shape, profile_scale
-from .weibull import WeibullParams, cdf as weibull_cdf, sample as weibull_sample
+from .shape_estimators import _ROW_KERNELS, _profile_scale_rows, fit_shape, profile_scale
+from .weibull import WeibullParams, sample as weibull_sample
 
 __all__ = ["GofResult", "ad_statistic", "ad_test"]
+
+# Values (rows x sample size) per bootstrap block: 32K values make 256 KB
+# matrices, so the few a kernel's root-finder pass holds stay in a 2 MB
+# per-core L2 cache, and memory does not grow with the number of resamples.
+_BLOCK_VALUES = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -35,29 +46,52 @@ class GofResult:
     bootstrap_reps: int
     seed: int
     method: str
+    failed_refits: int = 0
 
     def __str__(self) -> str:
+        failed = f", {self.failed_refits} failed refits" if self.failed_refits else ""
         return (
             f"A2 = {self.statistic:.6g}, p = {self.p_value:.4g} "
-            f"({self.bootstrap_reps} bootstrap replicates, method {self.method})"
+            f"({self.bootstrap_reps} bootstrap replicates{failed}, method {self.method})"
         )
+
+
+def _ad_rows(x_rows, beta, sigma, strict):
+    """A2 of each sorted row against the Weibull(beta, sigma) of its row; NaN
+    for a row with an observation at fitted probability 0 or 1 (or a NaN
+    parameter), or with ``strict`` a DomainError."""
+    n = x_rows.shape[1]
+    with np.errstate(all="ignore"):
+        z = -np.expm1(-np.power(x_rows / sigma[:, None], beta[:, None]))
+        bad = ~((z > 0.0) & (z < 1.0)).all(axis=1)
+        if strict and bad.any():
+            raise DomainError("fitted distribution puts an observation at probability 0 or 1")
+        i = np.arange(1, n + 1, dtype=float)
+        terms = (2.0 * i - 1.0) * (np.log(z) + np.log1p(-z[:, ::-1]))
+        return np.where(bad, np.nan, -n - terms.sum(axis=1) / n)
 
 
 def ad_statistic(sample: SortedSample, params: WeibullParams) -> float:
     """Anderson-Darling distance between the sample and a fitted Weibull."""
-    x = sample.values
-    n = x.size
-    z = weibull_cdf(params, x)
-    if np.any(z <= 0.0) or np.any(z >= 1.0):
-        raise DomainError("fitted distribution puts an observation at probability 0 or 1")
-    i = np.arange(1, n + 1, dtype=float)
-    terms = (2.0 * i - 1.0) * (np.log(z) + np.log1p(-z[::-1]))
-    return -n - float(terms.sum()) / n
+    beta, sigma = np.array([params.beta]), np.array([params.sigma])
+    return float(_ad_rows(sample.values[None, :], beta, sigma, True)[0])
 
 
 def _fit_both(sample: SortedSample, method: str) -> WeibullParams:
     beta = fit_shape(sample, method).beta_hat
     return WeibullParams(beta=beta, sigma=profile_scale(sample, beta))
+
+
+def _bootstrap_block(fitted, n, seed, reps, method):
+    """Bootstrap statistics of replicates ``reps``, NaN where a refit failed."""
+    x_rows = np.empty((len(reps), n))
+    for row, b in zip(x_rows, reps):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
+        row[:] = weibull_sample(fitted, n, rng)
+    check_values(x_rows)
+    x_rows.sort(axis=1)
+    beta = _ROW_KERNELS[method](x_rows, False)[0]
+    return _ad_rows(x_rows, beta, _profile_scale_rows(x_rows, beta, False), False)
 
 
 def ad_test(
@@ -70,29 +104,39 @@ def ad_test(
 
     Shape (by ``method``) and profile scale are estimated on the data, then on
     each of ``bootstrap_reps`` resamples drawn from the fitted distribution;
-    each resample is compared with its own refit.  The p-value is the
-    proportion of bootstrap statistics exceeding the observed one.  Resamples
-    are seeded by (seed, replicate index), so the result is reproducible and
-    independent of evaluation order.
+    each resample is compared with its own refit.  Resamples are seeded by
+    (seed, replicate index), so the result is reproducible and independent of
+    evaluation order, and they are refitted in blocks of rows through the
+    method's row kernel.
+
+    A refit fails when the method cannot fit the resample (say, a resample
+    with a zero for a method that needs positive data) or when the refit puts
+    an observation at probability 0 or 1; ``failed_refits`` counts these.  The
+    p-value is the proportion of the other bootstrap statistics exceeding the
+    observed one, exceedances / (bootstrap_reps - failed_refits).  If every
+    refit fails, DomainError is raised.
     """
     if bootstrap_reps < 1:
         raise DomainError("need at least one bootstrap replicate")
     fitted = _fit_both(sample, method)
     observed = ad_statistic(sample, fitted)
     n = sample.n
-    exceed = 0
-    for b in range(bootstrap_reps):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
-        draw = SortedSample.from_data(weibull_sample(fitted, n, rng))
-        refit = _fit_both(draw, method)
-        if ad_statistic(draw, refit) > observed:
-            exceed += 1
+    block = max(1, _BLOCK_VALUES // n)
+    exceed = failed = 0
+    for start in range(0, bootstrap_reps, block):
+        stats = _bootstrap_block(fitted, n, seed,
+                                 range(start, min(start + block, bootstrap_reps)), method)
+        exceed += int(np.count_nonzero(stats > observed))
+        failed += int(np.count_nonzero(np.isnan(stats)))
+    if failed == bootstrap_reps:
+        raise DomainError(f"no bootstrap refit succeeded ({failed} failed)")
     return GofResult(
         statistic=observed,
-        p_value=exceed / bootstrap_reps,
+        p_value=exceed / (bootstrap_reps - failed),
         beta_hat=fitted.beta,
         sigma_hat=fitted.sigma,
         bootstrap_reps=bootstrap_reps,
         seed=seed,
         method=method,
+        failed_refits=failed,
     )

@@ -335,7 +335,10 @@ def _pe_rows(x_rows, strict):
     bad |= _reject(strict, q1 == q2, DomainError,
                    "sample quantiles at orders 0.31 and 0.63 coincide")
     bad |= _reject(strict, q1 <= 0.0, DomainError, "quantile at order 0.31 must be positive")
-    return _closed_form(bad, _PE_NUM / (np.log(q2) - np.log(q1)))
+    log_gap = np.log(q2) - np.log(q1)
+    bad |= _reject(strict, ~(log_gap > 0.0), DomainError,
+                   "sample quantiles at orders 0.31 and 0.63 have equal logarithms")
+    return _closed_form(bad, _PE_NUM / log_gap)
 
 
 def pe_shape(sample: SortedSample) -> EstimateResult:
@@ -436,20 +439,31 @@ SHAPE_METHODS = {
 }
 
 
+def _profile_scale_rows(x_rows, beta, strict):
+    """Profile scales of sorted rows, one shape per row; NaN for a row whose
+    shape is not positive and finite or whose data are not strictly positive,
+    or with ``strict`` the DomainError, shape checked first."""
+    bad = _reject(strict, ~((beta > 0.0) & np.isfinite(beta)), DomainError,
+                  "shape must be positive and finite")
+    bad |= _reject(strict, x_rows[:, 0] <= 0.0, DomainError,
+                   "method requires strictly positive data")
+    top = x_rows[:, -1]
+    with np.errstate(all="ignore"):
+        scaled = np.power(x_rows / top[:, None], beta[:, None]).mean(axis=1)
+    # Python's pow for the final root: numpy's power differs from it in the
+    # last bit for about 6% of arguments, which would move the fitted scales
+    return np.array([math.nan if skip else t * s ** (1.0 / b) for skip, t, s, b in
+                     zip(bad.tolist(), top.tolist(), scaled.tolist(), beta.tolist())])
+
+
 def profile_scale(sample: SortedSample, beta: float) -> float:
     """Likelihood-maximizing scale for a fixed shape: (mean x^beta)^(1/beta).
 
     Computed on data rescaled by the sample maximum so x^beta cannot
     overflow for large shapes.
     """
-    if not (beta > 0.0) or not math.isfinite(beta):
-        raise DomainError("shape must be positive and finite")
-    x = _values(sample)
-    if x[0] <= 0.0:
-        raise DomainError("method requires strictly positive data")
-    top = x[-1]
-    scaled = float(np.power(x / top, beta).mean())
-    return top * scaled ** (1.0 / beta)
+    x_rows = _values(sample)[None, :]
+    return float(_profile_scale_rows(x_rows, np.array([beta], dtype=float), True)[0])
 
 
 def fit_shape(sample: SortedSample, method: str) -> EstimateResult:

@@ -18,6 +18,7 @@ from qcurves import (
 )
 from qcurves._gauss_legendre import MAX_NODES
 from qcurves.cli import _FIT_METHODS, main
+from qcurves.weibull import sample as weibull_sample
 
 from tests.conftest import weib_sorted
 
@@ -263,6 +264,26 @@ def test_gof(data_file, capsys):
     expect = ad_test(sample, bootstrap_reps=49, seed=3, method="ml")
     assert float(pairs["statistic"]) == expect.statistic
     assert float(pairs["p_value"]) == expect.p_value
+    assert pairs["failed_refits"] == "0"
+
+
+def test_gof_counts_failed_refits(data_file, capsys):
+    # fitted shape about 0.012: some resamples underflow to 0, which ml cannot refit
+    x = weibull_sample(WeibullParams(0.01, 1.0), 20, np.random.default_rng(3))
+    code = main(["gof", "--data", data_file(x), "--reps", "99", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    pairs = parse_pairs(out)
+    assert int(pairs["failed_refits"]) > 0
+    assert 0.0 <= float(pairs["p_value"]) <= 1.0
+
+
+def test_gof_all_refits_failing_exit_3(data_file, capsys):
+    x = weibull_sample(WeibullParams(0.005, 1.0), 20, np.random.default_rng(3))
+    code = main(["gof", "--data", data_file(x), "--reps", "1", "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: no bootstrap refit succeeded") and "Traceback" not in err
 
 
 def test_whitespace_separated_file(data_file, capsys):

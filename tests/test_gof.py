@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from qcurves import (
     DomainError,
+    QcurvesError,
     SortedSample,
     WeibullParams,
     ad_statistic,
     ad_test,
     fit_shape,
+    load_guinea_pigs,
     profile_scale,
 )
+from qcurves.gof import _BLOCK_VALUES
+from qcurves.shape_estimators import _profile_scale_rows
 from qcurves.weibull import cdf as weibull_cdf, sample as weibull_sample
 
 from tests.conftest import weib_sorted
@@ -128,3 +133,91 @@ def test_guinea_pig_groups():
     assert treated.statistic == pytest.approx(0.7261295656380042, rel=1e-12)
     assert control.p_value < 0.01
     assert 0.01 < treated.p_value < 0.20
+
+
+def reference_ad_test(sample, bootstrap_reps, seed, method):
+    """The bootstrap as a loop of scalar refits, one resample at a time, with
+    a refit that raises counted as failed; the batched ``ad_test`` must agree
+    with it bitwise."""
+    beta = fit_shape(sample, method).beta_hat
+    fitted = WeibullParams(beta, profile_scale(sample, beta))
+    observed = ad_statistic(sample, fitted)
+    exceed = failed = 0
+    for b in range(bootstrap_reps):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
+        draw = SortedSample.from_data(weibull_sample(fitted, sample.n, rng))
+        try:
+            refit_beta = fit_shape(draw, method).beta_hat
+            refit = WeibullParams(refit_beta, profile_scale(draw, refit_beta))
+            statistic = ad_statistic(draw, refit)
+        except QcurvesError:
+            failed += 1
+            continue
+        if statistic > observed:
+            exceed += 1
+    return (observed, exceed / (bootstrap_reps - failed), fitted.beta, fitted.sigma, failed)
+
+
+def assert_matches_reference(sample, bootstrap_reps, seed, method):
+    result = ad_test(sample, bootstrap_reps, seed, method)
+    got = (result.statistic, result.p_value, result.beta_hat, result.sigma_hat,
+           result.failed_refits)
+    assert got == reference_ad_test(sample, bootstrap_reps, seed, method)
+    return result
+
+
+BATCH_METHODS = ("ml", "mml", "lm", "pe")
+
+
+@pytest.mark.parametrize("group", ["control", "treated"])
+@pytest.mark.parametrize("method", BATCH_METHODS)
+def test_batched_bootstrap_matches_scalar_loop_on_guinea_pigs(method, group):
+    sample = SortedSample.from_data(load_guinea_pigs()[group])
+    block = _BLOCK_VALUES // sample.n
+    reps = block + 89  # a full block and a partial one
+    assert reps % block != 0
+    result = assert_matches_reference(sample, reps, 20260822, method)
+    assert result.failed_refits == 0
+
+
+@pytest.mark.parametrize("method", BATCH_METHODS)
+def test_batched_bootstrap_matches_scalar_loop_with_one_replicate(method):
+    assert_matches_reference(weib_sorted(1.3, 25, 12), 1, 4, method)
+
+
+@pytest.mark.parametrize("method", BATCH_METHODS)
+def test_batched_bootstrap_matches_scalar_loop_across_blocks(method):
+    n = 5000
+    assert _BLOCK_VALUES // n < 7  # 20 replicates span at least three blocks
+    assert_matches_reference(weib_sorted(0.8, n, 13, scale=40.0), 20, 6, method)
+
+
+def tiny_shape_sample(beta):
+    """A sample whose resamples can underflow to 0, which ml cannot refit."""
+    return SortedSample.from_data(
+        weibull_sample(WeibullParams(beta, 1.0), 20, np.random.default_rng(3)))
+
+
+def test_failed_refits_are_counted_not_raised():
+    # fitted shape about 0.012
+    result = assert_matches_reference(tiny_shape_sample(0.01), 99, 1, "ml")
+    assert result.failed_refits > 0
+    assert 0.0 <= result.p_value <= 1.0
+    assert "failed refits" in str(result)
+
+
+def test_all_refits_failing_raises():
+    with pytest.raises(DomainError, match="no bootstrap refit succeeded"):
+        ad_test(tiny_shape_sample(0.005), bootstrap_reps=1, seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       exponent=st.integers(-300, 300), log_beta=st.floats(-6.9, 6.9))
+def test_row_profile_scale_equals_scalar_bitwise(seed, n, exponent, log_beta):
+    rng = np.random.default_rng(seed)
+    x_rows = np.sort(rng.weibull(1.5, (5, n)) + 0.01, axis=1) * 10.0 ** exponent
+    beta = np.exp(log_beta + rng.normal(0.0, 0.5, 5))
+    rows = _profile_scale_rows(x_rows, beta, False)
+    for row, b, got in zip(x_rows, beta, rows):
+        assert got == profile_scale(SortedSample.from_data(row), float(b))

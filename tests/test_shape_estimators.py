@@ -123,7 +123,9 @@ FAILURE_CASES = (
     + [(m, [2.5] * 4, DomainError if m == "pe" else DegenerateSample) for m in ALL_METHODS]
     + [("pe", [1.0] * 10 + [9.0], DomainError),
        ("lm", [0.0, 4.0], DomainError),  # tau = 1
-       ("ml", [1e-300, 1.0, 2.0, 1e300], NoBracket)]
+       ("ml", [1e-300, 1.0, 2.0, 1e300], NoBracket),
+       # distinct pe quantiles whose logarithms are equal
+       ("pe", [1e300] * 5 + [np.nextafter(1e300, np.inf)] * 5, DomainError)]
 )
 
 
