@@ -8,10 +8,11 @@ estimate, with analytic first and second derivatives, finishes most fits in
 a few passes.  A fit that Newton cannot finish safely falls back to a
 golden-section search inside a multiplicative bracket around the start,
 expanding the bracket when the minimum lands on an edge.  The scalar fit
-and the batched study rows share the default start (``_start_rows``) and
-one minimizer, which evaluates rows in cache-sized blocks on the fixed
-quadrature grid, so fits are deterministic and a batched fit of one sample
-equals its scalar fit bitwise.
+and the batched study rows share the reference rows (``_ref_rows``, from
+one cached gather plan per sample size, reference and curve), the default
+start (``_start_rows``) and one minimizer, which evaluates rows in
+cache-sized blocks on the fixed quadrature grid, so fits are deterministic
+and a batched fit of one sample equals its scalar fit bitwise.
 
 Method identifiers: ``mde`` (step reference), ``mdhf`` (interpolated).
 """
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .curves import CurveKind, QuadratureSpec, curve_value, gauss_legendre_grid
-from .empirical_qf import SortedSample, empirical_qf, plotting_position_qf
-from .errors import BracketFailure, DomainError, QcurvesError, StartFailure
+from .curves import CurveKind, QuadratureSpec, gauss_legendre_grid
+from .empirical_qf import SortedSample, interp_plan, plotting_positions, step_indices
+from .errors import BracketFailure, DegenerateQuantile, DomainError, QcurvesError, StartFailure
 from .shape_estimators import EstimateResult, SHAPE_METHODS, _ROW_KERNELS, lmoment_shape
 from .weibull import _log_ratio
 
@@ -66,13 +68,73 @@ class MdConfig:
         return MD_REFERENCES[self.reference]
 
 
-def _reference_values(sample: SortedSample, config: MdConfig) -> np.ndarray:
-    points, _ = gauss_legendre_grid(config.quadrature)
-    if config.reference == "empirical":
-        qf = empirical_qf(sample)
+# A plan holds about 100 KB at the default 2048 nodes.  A study needs up to
+# six per sample size and ``md_fit`` one per configuration and sample size,
+# so the cache is bounded.
+@lru_cache(maxsize=64)
+def _cell_plan(n: int, reference: str, kind: CurveKind, quadrature: QuadratureSpec):
+    """Gather plan of one reference curve for sorted rows of ``n`` values.
+
+    ``reference`` is ``empirical`` (step quantile function) or a
+    plotting-position scheme (``hf``, ``wg``) for the interpolated one.
+    Returns (num, den, lr, weights): the gathers of the quantiles at the
+    orders p/2 and (1+p)/2 (qZ) or 1-p/2 (qD) of the quadrature points p,
+    each ``(idx,)`` for the step function or ``interp_plan``'s
+    ``(j0, j1, frac)`` for an interpolant, then the model's log-ratio row
+    (the curve at shape b is 1 - exp(lr/b)) and the quadrature weights.  All
+    arrays are read-only.
+    """
+    points, weights = gauss_legendre_grid(quadrature)
+    orders = (0.5 * points,
+              0.5 * (1.0 + points) if kind is CurveKind.QZ else 1.0 - 0.5 * points)
+    if reference == "empirical":
+        gathers = [(step_indices(n, q),) for q in orders]
     else:
-        qf = plotting_position_qf(sample, "hf")
-    return curve_value(qf, config.curve, points)
+        gathers = [interp_plan(plotting_positions(n, reference), q) for q in orders]
+    lr = _log_ratio(points, kind.value)
+    for arr in (lr, *gathers[0], *gathers[1]):
+        arr.flags.writeable = False
+    return (*gathers, lr, weights)
+
+
+def _gather(x_rows: np.ndarray, plan: tuple) -> np.ndarray:
+    """Quantiles of every row at a plan's orders, in one new C-ordered array.
+
+    The interpolant is (1 - frac) * x[j0] + frac * x[j1], as in
+    ``PlottingPositionQF``.  ``np.take`` returns C order where ``x[:, idx]``
+    leaves a transposed buffer, whose row sums would group differently from
+    those of a one-row call.
+    """
+    out = np.take(x_rows, plan[0], axis=1)
+    if len(plan) > 1:
+        _, j1, frac = plan
+        out *= 1.0 - frac
+        upper = np.take(x_rows, j1, axis=1)
+        upper *= frac
+        out += upper
+    return out
+
+
+def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
+              quadrature: QuadratureSpec, strict: bool) -> np.ndarray:
+    """Reference curve 1 - q(num)/q(den) of every sorted row on the grid.
+
+    A row whose denominator quantile is zero somewhere raises
+    DegenerateQuantile with ``strict``; otherwise it is NaN in every column,
+    without a warning.  A one-row call is the reference of ``md_fit`` and
+    equals ``curve_value`` of the matching quantile function bitwise.
+    """
+    num, den, _, _ = _cell_plan(x_rows.shape[1], reference, kind, quadrature)
+    den_rows = _gather(x_rows, den)
+    zero = den_rows.min(axis=1) == 0.0
+    if strict and zero.any():
+        raise DegenerateQuantile("denominator quantile is zero")
+    out = _gather(x_rows, num)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(out, den_rows, out=out)
+    np.subtract(1.0, out, out=out)
+    out[zero] = np.nan
+    return out
 
 
 # Rows per evaluation block.  At the default 2048 nodes a block temporary is
@@ -153,15 +215,21 @@ def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
     return f, -2.0 * g, 2.0 * h
 
 
+def _fit_terms(sample: SortedSample, config: MdConfig):
+    """The one-row reference of ``sample`` and the model row and weights of its plan."""
+    _, _, lr, weights = _cell_plan(sample.n, config.reference, config.curve, config.quadrature)
+    ref = _ref_rows(sample.values[None, :], config.reference, config.curve,
+                    config.quadrature, strict=True)
+    return ref, lr, weights
+
+
 def md_objective(sample: SortedSample, beta: float, config: MdConfig = MdConfig()) -> float:
     """Squared L2 distance between the reference and model curves at ``beta``."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise DomainError(f"shape must be finite and positive, got {beta}")
     if not isinstance(sample, SortedSample):
         sample = SortedSample.from_data(sample)
-    points, weights = gauss_legendre_grid(config.quadrature)
-    ref = _reference_values(sample, config)[None, :]
-    lr = _log_ratio(points, config.curve.value)
+    ref, lr, weights = _fit_terms(sample, config)
     return float(_objective_closure(ref, lr, weights)(np.array([math.log(beta)]))[0])
 
 
@@ -319,9 +387,7 @@ def md_fit(sample: SortedSample, config: MdConfig = MdConfig()) -> EstimateResul
     if not isinstance(sample, SortedSample):
         sample = SortedSample.from_data(sample)
     beta0 = _start_beta(sample, config)
-    points, weights = gauss_legendre_grid(config.quadrature)
-    ref = _reference_values(sample, config)[None, :]
-    lr = _log_ratio(points, config.curve.value)
+    ref, lr, weights = _fit_terms(sample, config)
     xmin, fmin, _, evals = _minimize_log(ref, lr, weights, np.log([beta0]), config,
                                          strict=True)
     return EstimateResult(config.method, float(np.exp(xmin[0])), iterations=evals,

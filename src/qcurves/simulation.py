@@ -13,9 +13,10 @@ setting.
 
 The study computes no estimate of its own.  Shape estimates come from the
 row kernels of ``shape_estimators``, whose one-row calls are the scalar
-fits, and MD estimates from the default start and the minimizer that
-``md_fit`` uses, so a batched fit of one sample equals the scalar fit of
-that sample.
+fits, and MD estimates from the reference rows, the default start and the
+minimizer that ``md_fit`` uses, so a batched fit of one sample equals the
+scalar fit of that sample.  The ``hf`` plug-in curves are reference rows
+too, from the same gather plans.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from io import StringIO
 
 import csv
@@ -32,12 +33,12 @@ import csv
 import numpy as np
 
 from ._version import __version__
-from .curves import CurveKind, QuadratureSpec, gauss_legendre_grid
-from .empirical_qf import interp_plan, plotting_positions, step_indices
+from .curves import CurveKind, QuadratureSpec
 from .errors import DomainError
-from .md_estimation import MdConfig, MD_REFERENCES, _minimize_log, _start_rows
+from .md_estimation import (MdConfig, MD_REFERENCES, _cell_plan, _minimize_log, _ref_rows,
+                            _start_rows)
 from .shape_estimators import SHAPE_METHODS, _ROW_KERNELS
-from .weibull import WeibullParams, _log_ratio, sample as weibull_sample
+from .weibull import WeibullParams, sample as weibull_sample
 
 __all__ = [
     "SimulationConfig",
@@ -96,56 +97,18 @@ class SimulationConfig:
                     f"unknown estimator {est!r}; valid: {', '.join(ESTIMATOR_ORDER)}")
 
 
-@dataclass(frozen=True)
-class _CellPlan:
-    """Precomputed gather plans for one (sample size, quadrature) pair."""
-
-    weights: np.ndarray
-    lr: dict
-    emp: dict
-    hf: dict
-    wg: dict
-
-
-@lru_cache(maxsize=None)
-def _cell_plan(n: int, panels: int, nodes: int) -> _CellPlan:
-    points, weights = gauss_legendre_grid(QuadratureSpec(panels, nodes))
-    pos_hf = plotting_positions(n, "hf")
-    pos_wg = plotting_positions(n, "wg")
-    lr, emp, hf, wg = {}, {}, {}, {}
-    for kind in CurveKind:
-        num_q = 0.5 * points
-        den_q = 0.5 * (1.0 + points) if kind is CurveKind.QZ else 1.0 - 0.5 * points
-        lr[kind] = _log_ratio(points, kind.value)
-        emp[kind] = (step_indices(n, num_q), step_indices(n, den_q))
-        hf[kind] = (interp_plan(pos_hf, num_q), interp_plan(pos_hf, den_q))
-        wg[kind] = (interp_plan(pos_wg, num_q), interp_plan(pos_wg, den_q))
-    return _CellPlan(weights, lr, emp, hf, wg)
-
-
-def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind, plan: _CellPlan):
-    if reference == "empirical":
-        ni, di = plan.emp[kind]
-        num, den = x_rows[:, ni], x_rows[:, di]
-    else:
-        plans = plan.hf if reference == "hf" else plan.wg
-        num, den = ((1.0 - frac) * x_rows[:, j0] + frac * x_rows[:, j1]
-                    for j0, j1, frac in plans[kind])
-    # column gathers leave a transposed buffer; summing such rows groups
-    # differently than the contiguous scalar path, so normalize the layout
-    return np.ascontiguousarray(1.0 - num / den)
-
-
 def _md_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
-             plan: _CellPlan, quadrature: QuadratureSpec) -> np.ndarray:
+             quadrature: QuadratureSpec) -> np.ndarray:
+    """Batched MD estimates; a row without a start or a reference is NaN."""
     config = MdConfig(curve=kind, reference=reference, quadrature=quadrature)
-    ref = _ref_rows(x_rows, reference, kind, plan)
+    _, _, lr, weights = _cell_plan(x_rows.shape[1], reference, kind, quadrature)
+    ref = _ref_rows(x_rows, reference, kind, quadrature, strict=False)
     start = _start_rows(x_rows)
     out = np.full(x_rows.shape[0], np.nan)
-    ok = ~np.isnan(start)
+    ok = ~np.isnan(start) & ~np.isnan(ref[:, 0])
     if not np.any(ok):
         return out
-    log_beta, _, _, _ = _minimize_log(ref[ok], plan.lr[kind], plan.weights,
+    log_beta, _, _, _ = _minimize_log(ref if ok.all() else ref[ok], lr, weights,
                                       np.log(start[ok]), config, strict=False)
     out[ok] = np.exp(log_beta)
     return out
@@ -178,8 +141,11 @@ def _draw_rows(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int):
 
 
 def _curve_rows(beta_rows: np.ndarray, lr: np.ndarray) -> np.ndarray:
+    """Model curves 1 - exp(lr/b) of every row's shape, built in one buffer."""
     with np.errstate(invalid="ignore"):
-        return -np.expm1(lr[None, :] / beta_rows[:, None])
+        out = np.divide(lr, beta_rows[:, None])
+        np.expm1(out, out=out)
+    return np.negative(out, out=out)
 
 
 def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int):
@@ -190,10 +156,9 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
     """
     beta = config.betas[ib]
     n = config.sizes[jn]
-    plan = _cell_plan(n, config.quadrature.panels, config.quadrature.nodes)
-    w = plan.weights
-    lr_qz = plan.lr[CurveKind.QZ]
-    lr_qd = plan.lr[CurveKind.QD]
+    # every plan of a curve and grid carries the same lr and weights
+    _, _, lr_qz, w = _cell_plan(n, "empirical", CurveKind.QZ, config.quadrature)
+    _, _, lr_qd, _ = _cell_plan(n, "empirical", CurveKind.QD, config.quadrature)
     true_z = -np.expm1(lr_qz / beta)
     true_d = -np.expm1(lr_qd / beta)
     true_zi = float((w * true_z).sum())
@@ -208,15 +173,15 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
             # nonparametric plug-in row: curve error from the k/(n+1)
             # interpolation, index error from the (k-1/3)/(n+1/3) one;
             # the two benchmark conventions this row reproduces differ
-            cz = _ref_rows(x_rows, "wg", CurveKind.QZ, plan)
-            cd = _ref_rows(x_rows, "wg", CurveKind.QD, plan)
-            iz = _ref_rows(x_rows, "hf", CurveKind.QZ, plan)
-            id_ = _ref_rows(x_rows, "hf", CurveKind.QD, plan)
+            cz = _ref_rows(x_rows, "wg", CurveKind.QZ, config.quadrature, strict=False)
+            cd = _ref_rows(x_rows, "wg", CurveKind.QD, config.quadrature, strict=False)
+            iz = _ref_rows(x_rows, "hf", CurveKind.QZ, config.quadrature, strict=False)
+            id_ = _ref_rows(x_rows, "hf", CurveKind.QD, config.quadrature, strict=False)
         else:
             if est in _MD_KINDS:
                 reference = _MD_KINDS[est]
-                bz = _md_rows(x_rows, reference, CurveKind.QZ, plan, config.quadrature)
-                bd = _md_rows(x_rows, reference, CurveKind.QD, plan, config.quadrature)
+                bz = _md_rows(x_rows, reference, CurveKind.QZ, config.quadrature)
+                bd = _md_rows(x_rows, reference, CurveKind.QD, config.quadrature)
             else:
                 bz = bd = _shape_rows(est, x_rows, cache)
             cz = iz = _curve_rows(bz, lr_qz)
@@ -414,9 +379,7 @@ def replicate_estimates(estimator: str, beta: float, n: int, replications: int,
     for r0, r1 in _chunk_bounds(replications):
         x_rows = _draw_rows(config, 0, 0, r0, r1)
         if estimator in _MD_KINDS:
-            plan = _cell_plan(n, quadrature.panels, quadrature.nodes)
-            chunks.append(_md_rows(x_rows, _MD_KINDS[estimator], curve,
-                                   plan, quadrature))
+            chunks.append(_md_rows(x_rows, _MD_KINDS[estimator], curve, quadrature))
         else:
             chunks.append(_shape_rows(estimator, x_rows, {}))
     return np.concatenate(chunks)

@@ -26,7 +26,6 @@ from qcurves.simulation import (
     ESTIMATOR_ORDER,
     METRICS,
     _aggregate,
-    _cell_plan,
     _chunk_bounds,
     _draw_rows,
     _md_rows,
@@ -105,8 +104,7 @@ def test_batched_md_estimates_match_scalar_bitwise(reference, kind):
     rng = np.random.default_rng(6)
     x_rows = np.sort(weibull_sample(WeibullParams(2.0, 1.0), 8 * 30, rng).reshape(8, 30), axis=1)
     quad = QuadratureSpec()
-    plan = _cell_plan(30, quad.panels, quad.nodes)
-    batch = _md_rows(x_rows, reference, kind, plan, quad)
+    batch = _md_rows(x_rows, reference, kind, quad)
     config = MdConfig(curve=kind, reference=reference, quadrature=quad)
     for k in range(8):
         scalar = md_fit(SortedSample(x_rows[k]), config).beta_hat
