@@ -16,6 +16,19 @@ the L2 projection of the limiting process onto the one-dimensional range
 of the local parametrization divides by C once for the projection and
 once for the parametrization scale.  The choice is validated against
 direct simulation in the test suite.
+
+Per point everything follows from Lu = -log(1 - u) and Lv = -log(1 - v),
+with 1 - v formed directly ((1 - t)/2 for qZ, t/2 for qD) and
+lr = log(Lu/Lv) the curve's log ratio:
+
+    1 - curve(t) = exp(lr/beta),     eta(t) = exp(lr/beta) * lr / beta**2,
+    a(t) = exp(lr/beta) / (beta (1 - u) Lu),
+    b(t) = exp(lr/beta) / (beta (1 - v) Lv),
+
+since Q'(p)/Q(p) = 1 / (beta (1 - p) (-log(1 - p))): one log1p, two logs
+and one exp a point.  On the triangle s < t every min() in R(s, t)
+resolves (u_s <= u_t <= 1/2 <= v), so R(s, t) is a sum of products
+f_k(s) g_k(t) and each inner integral over s is a weighted row sum.
 """
 
 from __future__ import annotations
@@ -27,15 +40,21 @@ import numpy as np
 
 from .curves import CurveKind, QuadratureSpec, gauss_legendre_grid
 from .errors import DomainError, NonConvergence
-from .weibull import WeibullParams, closed_curve, eta_weibull, quantile, quantile_density
+from .weibull import _log_terms
 
 __all__ = ["KernelContext", "kernel_ab", "kernel_R", "md_asymptotic_variance",
            "AsymptoticVariance"]
 
+# values per block temporary of _double_integral: 64 KB, 32 outer nodes of
+# the default coarse grid.  Temporaries this small stay in L2 and are reused
+# from the heap; from 96 KB up they were handed back to the OS and faulted
+# in again block after block, which cost up to twice the time.
+_BLOCK_VALUES = 8 * 1024
+
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Shape, curve kind, and the model quantile machinery for the kernel."""
+    """Shape and curve kind of the model whose kernel is evaluated."""
 
     beta: float
     kind: CurveKind
@@ -43,10 +62,6 @@ class KernelContext:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise DomainError(f"shape must be finite and positive, got {self.beta}")
-
-    @property
-    def params(self) -> WeibullParams:
-        return WeibullParams(self.beta, 1.0)
 
     def orders(self, t):
         """Quantile orders (u_t, v_t) entering the curve at t."""
@@ -60,6 +75,17 @@ def _check_interior(t: np.ndarray):
         raise DomainError("kernel arguments must lie strictly inside (0, 1)")
 
 
+def _point_terms(ctx: KernelContext, t: np.ndarray):
+    """eta(t), a(t), b(t) and 1 - v_t at interior curve arguments t."""
+    lu, lv, one_minus_v = _log_terms(t, ctx.kind.value)
+    lr = np.log(lu / lv)
+    e = np.exp(lr / ctx.beta)  # 1 - curve(t)
+    eta = e * lr / ctx.beta**2
+    a = e / (ctx.beta * (1.0 - 0.5 * t) * lu)
+    b = e / (ctx.beta * one_minus_v * lv)
+    return eta, a, b, one_minus_v
+
+
 def kernel_ab(ctx: KernelContext, t):
     """Coefficients a(t), b(t) of the limiting process at curve argument t.
 
@@ -68,11 +94,7 @@ def kernel_ab(ctx: KernelContext, t):
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     _check_interior(t)
-    u, v = ctx.orders(t)
-    factor = 1.0 - closed_curve(ctx.beta, t, ctx.kind)
-    p = ctx.params
-    a = factor * quantile_density(p, u) / quantile(p, u)
-    b = factor * quantile_density(p, v) / quantile(p, v)
+    _, a, b, _ = _point_terms(ctx, t)
     return a, b
 
 
@@ -114,15 +136,38 @@ def _double_integral(ctx: KernelContext, panels: int, nodes: int) -> float:
 
     Splitting the square along the diagonal keeps the min() kink out of
     every panel: the inner integral over s runs on [0, t], on an
-    endpoint-graded grid in both directions.
+    endpoint-graded grid in both directions (s = t * inner node).  With
+    w = 1 - v, R(s, t) on s < t is
+
+        a_s u_s [a_t (1 - u_t) - b_t w_t] - b_s w_s a_t u_t
+        + b_s b_t (v_s w_t for qZ, w_s v_t for qD),
+
+    so each outer node needs the inner sums of eta a u, eta b w and (qZ)
+    eta b v, taken over blocks of outer nodes of ``_BLOCK_VALUES`` points.
     """
     tp, tw = _graded_grid(panels, nodes)
-    s_mat = np.multiply.outer(tp, tp)          # s = t * inner node
-    w_mat = np.multiply.outer(tp * tw, tw)     # d s = t * inner weight
-    eta_t = eta_weibull(ctx.beta, tp, ctx.kind)
-    eta_s = eta_weibull(ctx.beta, s_mat, ctx.kind)
-    r_mat = kernel_R(ctx, s_mat, tp[:, None])
-    return 2.0 * float((w_mat * eta_s * r_mat * eta_t[:, None]).sum())
+    qz = ctx.kind is CurveKind.QZ
+    sums = np.empty((3 if qz else 2, tp.size))
+    block = max(1, _BLOCK_VALUES // tp.size)
+    for lo in range(0, tp.size, block):
+        hi = min(lo + block, tp.size)
+        s = np.multiply.outer(tp[lo:hi], tp)
+        eta, a, b, w = _point_terms(ctx, s)
+        eta *= tw
+        a *= eta
+        b *= eta
+        sums[0, lo:hi] = (a * (0.5 * s)).sum(axis=1)
+        sums[1, lo:hi] = (b * w).sum(axis=1)
+        if qz:
+            sums[2, lo:hi] = (b * (1.0 - w)).sum(axis=1)
+    eta_t, a_t, b_t, w_t = _point_terms(ctx, tp)
+    u_t = 0.5 * tp
+    row = sums[0] * (a_t * (1.0 - u_t) - b_t * w_t)
+    if qz:
+        row += sums[2] * b_t * w_t - sums[1] * a_t * u_t
+    else:
+        row -= sums[1] * (a_t * u_t - b_t * (1.0 - w_t))
+    return 2.0 * float((tp * tw * eta_t * row).sum())
 
 
 @dataclass(frozen=True)
@@ -155,7 +200,7 @@ def md_asymptotic_variance(beta: float, kind=CurveKind.QZ, panels: int = 64,
         raise NonConvergence(
             f"double quadrature changed by {rel:.3e} under panel doubling")
     points, weights = gauss_legendre_grid(QuadratureSpec())
-    eta = eta_weibull(beta, points, kind)
+    eta = _point_terms(ctx, points)[0]
     c_val = float((weights * eta * eta).sum())
     sigma2 = fine / (c_val * c_val)
     return AsymptoticVariance(beta=beta, kind=kind, sigma2=sigma2,

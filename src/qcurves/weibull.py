@@ -133,14 +133,21 @@ def weibull_qf(params: WeibullParams):
     return qf
 
 
+def _log_terms(p: np.ndarray, kind: str):
+    """-log(1 - u), -log(1 - v) and 1 - v at the curve's orders, interior p.
+
+    u = p/2 for both curves and v = (1 + p)/2 (qZ) or 1 - p/2 (qD).  1 - v
+    is formed directly, so it keeps full precision where v rounds to 1.
+    r(p) is the ratio of the two logs.
+    """
+    one_minus_v = 0.5 * (1.0 - p) if kind == "qz" else 0.5 * p
+    return -np.log1p(-0.5 * p), -np.log(one_minus_v), one_minus_v
+
+
 def _log_ratio(p: np.ndarray, kind: str) -> np.ndarray:
     """log of r(p) for interior p; r is the curve's bracketed log ratio."""
-    num = np.log1p(-0.5 * p)
-    if kind == "qz":
-        den = np.log(0.5 * (1.0 - p))
-    else:
-        den = np.log(0.5 * p)
-    return np.log(num / den)
+    lu, lv, _ = _log_terms(p, kind)
+    return np.log(lu / lv)
 
 
 def _closed(beta: float, p, kind: str):

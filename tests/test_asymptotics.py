@@ -1,5 +1,7 @@
 """Limit-variance machinery for the minimum-distance shape estimator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from qcurves import (
     NonConvergence,
     WeibullParams,
     closed_curve,
+    eta_weibull,
     md_asymptotic_variance,
 )
-from qcurves.asymptotics import KernelContext, kernel_R, kernel_ab
+from qcurves import asymptotics
+from qcurves.asymptotics import KernelContext, _double_integral, _graded_grid, kernel_R, kernel_ab
 from qcurves.weibull import quantile, quantile_density, sample as weibull_sample
 
 # frozen deterministic outputs of md_asymptotic_variance at default resolution
@@ -130,3 +134,41 @@ def test_variance_convergence_check_raises_on_coarse_grid():
         md_asymptotic_variance(2.0, "qz", panels=2, nodes=2, check_tol=1e-10)
     result = md_asymptotic_variance(2.0, "qz", panels=2, nodes=2, check=False)
     assert result.rel_change > 1e-10  # reported, not enforced
+
+
+def _tensor_double_integral(ctx, panels, nodes):
+    """The same triangle-split rule on the full N x N tensor of s = t * node."""
+    tp, tw = _graded_grid(panels, nodes)
+    s_mat = np.multiply.outer(tp, tp)
+    w_mat = np.multiply.outer(tp * tw, tw)
+    eta_t = eta_weibull(ctx.beta, tp, ctx.kind)
+    eta_s = eta_weibull(ctx.beta, s_mat, ctx.kind)
+    r_mat = kernel_R(ctx, s_mat, tp[:, None])
+    return 2.0 * float((w_mat * eta_s * r_mat * eta_t[:, None]).sum())
+
+
+@pytest.mark.parametrize("panels,nodes", [(2, 2), (16, 4), (64, 4), (128, 4)])
+@pytest.mark.parametrize("kind", ["qz", "qd"])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 7.5])
+def test_double_integral_matches_tensor_reference(beta, kind, panels, nodes):
+    ctx = KernelContext(beta, CurveKind(kind))
+    ref = _tensor_double_integral(ctx, panels, nodes)
+    assert _double_integral(ctx, panels, nodes) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["qz", "qd"])
+def test_double_integral_does_not_depend_on_block_size(kind):
+    ctx = KernelContext(1.5, CurveKind(kind))
+    n = _graded_grid(16, 4)[0].size
+    base = _double_integral(ctx, 16, 4)
+    for rows in (1, 7, 32, n):
+        with mock.patch.object(asymptotics, "_BLOCK_VALUES", rows * n):
+            assert _double_integral(ctx, 16, 4) == base
+
+
+def test_variance_on_fine_qd_grid():
+    # v = 1 - s/2 rounds to 1 at the smallest s of this grid; 1 - v = s/2 does not
+    result = md_asymptotic_variance(1.0, "qd", panels=512, nodes=8)
+    golden = SIGMA2_GOLDENS[("qd", 1.0)]
+    assert abs(result.sigma2 - golden) < 1e-13 * golden
+    assert result.rel_change < 1e-6

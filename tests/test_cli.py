@@ -245,6 +245,13 @@ def test_asymvar(capsys):
     assert pairs["kind"] == "qz"
 
 
+def test_asymvar_fine_qd_grid(capsys):
+    assert main(["asymvar", "--beta", "1", "--kind", "qd", "--panels", "512",
+                 "--nodes", "8"]) == 0
+    pairs = parse_pairs(capsys.readouterr().out)
+    assert float(pairs["sigma2"]) == pytest.approx(1.6625937556478971, rel=1e-10)
+
+
 def test_asymvar_nodes_above_table_exit_3(capsys):
     assert main(["asymvar", "--beta", "2", "--nodes", str(MAX_NODES + 1)]) == 3
     err = capsys.readouterr().err
