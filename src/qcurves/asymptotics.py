@@ -33,14 +33,13 @@ f_k(s) g_k(t) and each inner integral over s is a weighted row sum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import CurveKind, QuadratureSpec, gauss_legendre_grid
 from .errors import DomainError, NonConvergence
-from .weibull import _log_terms
+from .weibull import _check_positive, _log_terms
 
 __all__ = ["KernelContext", "kernel_ab", "kernel_R", "md_asymptotic_variance",
            "AsymptoticVariance"]
@@ -54,20 +53,15 @@ _BLOCK_VALUES = 8 * 1024
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Shape and curve kind of the model whose kernel is evaluated."""
+    """Shape and curve kind (a member or its name) of the model whose kernel
+    is evaluated."""
 
     beta: float
     kind: CurveKind
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(f"shape must be finite and positive, got {self.beta}")
-
-    def orders(self, t):
-        """Quantile orders (u_t, v_t) entering the curve at t."""
-        if self.kind is CurveKind.QZ:
-            return 0.5 * t, 0.5 * (1.0 + t)
-        return 0.5 * t, 1.0 - 0.5 * t
+        object.__setattr__(self, "kind", CurveKind(self.kind))
+        _check_positive(self.beta)
 
 
 def _check_interior(t: np.ndarray):
@@ -76,14 +70,14 @@ def _check_interior(t: np.ndarray):
 
 
 def _point_terms(ctx: KernelContext, t: np.ndarray):
-    """eta(t), a(t), b(t) and 1 - v_t at interior curve arguments t."""
-    lu, lv, one_minus_v = _log_terms(t, ctx.kind.value)
-    lr = np.log(lu / lv)
+    """eta(t), a(t), b(t), u_t and 1 - v_t at interior curve arguments t."""
+    u, _, one_minus_v = ctx.kind.orders(t)
+    lu, lv, lr = _log_terms(u, one_minus_v)
     e = np.exp(lr / ctx.beta)  # 1 - curve(t)
     eta = e * lr / ctx.beta**2
-    a = e / (ctx.beta * (1.0 - 0.5 * t) * lu)
+    a = e / (ctx.beta * (1.0 - u) * lu)
     b = e / (ctx.beta * one_minus_v * lv)
-    return eta, a, b, one_minus_v
+    return eta, a, b, u, one_minus_v
 
 
 def kernel_ab(ctx: KernelContext, t):
@@ -94,7 +88,7 @@ def kernel_ab(ctx: KernelContext, t):
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     _check_interior(t)
-    _, a, b, _ = _point_terms(ctx, t)
+    _, a, b, _, _ = _point_terms(ctx, t)
     return a, b
 
 
@@ -108,8 +102,8 @@ def kernel_R(ctx: KernelContext, s, t):
     t = np.asarray(t, dtype=float)
     a_s, b_s = kernel_ab(ctx, s)
     a_t, b_t = kernel_ab(ctx, t)
-    u_s, v_s = ctx.orders(np.atleast_1d(s))
-    u_t, v_t = ctx.orders(np.atleast_1d(t))
+    u_s, v_s, _ = ctx.kind.orders(np.atleast_1d(s))
+    u_t, v_t, _ = ctx.kind.orders(np.atleast_1d(t))
 
     def cov(x, y):
         return np.minimum(x, y) - x * y
@@ -152,16 +146,15 @@ def _double_integral(ctx: KernelContext, panels: int, nodes: int) -> float:
     for lo in range(0, tp.size, block):
         hi = min(lo + block, tp.size)
         s = np.multiply.outer(tp[lo:hi], tp)
-        eta, a, b, w = _point_terms(ctx, s)
+        eta, a, b, u, w = _point_terms(ctx, s)
         eta *= tw
         a *= eta
         b *= eta
-        sums[0, lo:hi] = (a * (0.5 * s)).sum(axis=1)
+        sums[0, lo:hi] = (a * u).sum(axis=1)
         sums[1, lo:hi] = (b * w).sum(axis=1)
         if qz:
             sums[2, lo:hi] = (b * (1.0 - w)).sum(axis=1)
-    eta_t, a_t, b_t, w_t = _point_terms(ctx, tp)
-    u_t = 0.5 * tp
+    eta_t, a_t, b_t, u_t, w_t = _point_terms(ctx, tp)
     row = sums[0] * (a_t * (1.0 - u_t) - b_t * w_t)
     if qz:
         row += sums[2] * b_t * w_t - sums[1] * a_t * u_t
@@ -191,7 +184,6 @@ def md_asymptotic_variance(beta: float, kind=CurveKind.QZ, panels: int = 64,
     the given resolution and confirmed at doubled panel count; the relative
     change must stay within ``check_tol`` when ``check`` is set.
     """
-    kind = CurveKind(getattr(kind, "value", kind))
     ctx = KernelContext(beta, kind)
     coarse = _double_integral(ctx, panels, nodes)
     fine = _double_integral(ctx, 2 * panels, nodes)
@@ -203,6 +195,6 @@ def md_asymptotic_variance(beta: float, kind=CurveKind.QZ, panels: int = 64,
     eta = _point_terms(ctx, points)[0]
     c_val = float((weights * eta * eta).sum())
     sigma2 = fine / (c_val * c_val)
-    return AsymptoticVariance(beta=beta, kind=kind, sigma2=sigma2,
+    return AsymptoticVariance(beta=beta, kind=ctx.kind, sigma2=sigma2,
                               double_integral=fine, eta_squared_integral=c_val,
                               rel_change=rel)

@@ -18,7 +18,7 @@ from .curves import CurveKind, QuadratureSpec, curve_grid, curve_index
 from .empirical_qf import SortedSample, empirical_qf, plotting_position_qf
 from .errors import DomainError, QcurvesError
 from .gof import ad_test
-from .md_estimation import MD_REFERENCES, MdConfig, md_fit
+from .md_estimation import _MD_METHODS, MdConfig, md_fit
 from .shape_estimators import SHAPE_METHODS, fit_shape
 from .simulation import (
     ESTIMATOR_ORDER,
@@ -28,8 +28,8 @@ from .simulation import (
 )
 from .weibull import WeibullParams, weibull_qf
 
-_MD_METHODS = {name: ref for ref, name in MD_REFERENCES.items()}
 _FIT_METHODS = tuple(SHAPE_METHODS) + tuple(_MD_METHODS)
+_KINDS = [kind.value for kind in CurveKind]
 
 
 def _read_data(path: str, column: str | None) -> np.ndarray:
@@ -88,8 +88,7 @@ def _cmd_fit(args) -> int:
     data = _read_data(args.data, args.column)
     sample = SortedSample.from_data(data)
     if args.method in _MD_METHODS:
-        config = MdConfig(curve=CurveKind(args.curve),
-                          reference=_MD_METHODS[args.method])
+        config = MdConfig(curve=args.curve, reference=_MD_METHODS[args.method])
         result = md_fit(sample, config)
     else:
         result = fit_shape(sample, args.method)
@@ -112,7 +111,7 @@ def _source_qf(args):
 
 def _cmd_curve(args) -> int:
     qf = _source_qf(args)
-    samples = curve_grid(qf, CurveKind(args.kind), args.grid)
+    samples = curve_grid(qf, args.kind, args.grid)
     sys.stdout.write(samples.to_csv())
     return 0
 
@@ -122,8 +121,7 @@ def _cmd_index(args) -> int:
     kinds = [CurveKind(args.kind)] if args.kind else list(CurveKind)
     pairs = []
     for kind in kinds:
-        name = "qzi" if kind is CurveKind.QZ else "qdi"
-        pairs.append((name, curve_index(qf, kind)))
+        pairs.append((kind.value + "i", curve_index(qf, kind)))
     _emit(sys.stdout, pairs)
     return 0
 
@@ -160,8 +158,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_asymvar(args) -> int:
-    result = md_asymptotic_variance(args.beta, CurveKind(args.kind),
-                                    panels=args.panels, nodes=args.nodes)
+    result = md_asymptotic_variance(args.beta, args.kind, panels=args.panels,
+                                    nodes=args.nodes)
     _emit(sys.stdout, [
         ("beta", result.beta), ("kind", result.kind.value),
         ("sigma2", result.sigma2),
@@ -202,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the Weibull shape to data")
     _add_data_args(p)
     p.add_argument("--method", default="ml", choices=sorted(_FIT_METHODS))
-    p.add_argument("--curve", default="qz", choices=["qz", "qd"],
+    p.add_argument("--curve", default="qz", choices=_KINDS,
                    help="curve matched by the minimum-distance methods")
     p.set_defaults(func=_cmd_fit)
 
@@ -215,12 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--qf", default="step", choices=["step", "hf", "wg"],
                        help="quantile function used for --data input")
         if name == "curve":
-            p.add_argument("--kind", default="qz", choices=["qz", "qd"])
+            p.add_argument("--kind", default="qz", choices=_KINDS)
             p.add_argument("--grid", type=int, default=200,
                            help="number of equal subdivisions of [0, 1]")
             p.set_defaults(func=_cmd_curve)
         else:
-            p.add_argument("--kind", default=None, choices=["qz", "qd"],
+            p.add_argument("--kind", default=None, choices=_KINDS,
                            help="one index only (default: both)")
             p.set_defaults(func=_cmd_index)
 
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asymvar", help="asymptotic variance of the minimum-distance shape")
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--kind", default="qz", choices=["qz", "qd"])
+    p.add_argument("--kind", default="qz", choices=_KINDS)
     p.add_argument("--panels", type=int, default=64)
     p.add_argument("--nodes", type=int, default=4)
     p.set_defaults(func=_cmd_asymvar)

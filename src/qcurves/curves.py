@@ -17,12 +17,18 @@ correctly rounded to double (``_gauss_legendre.py``, generated offline with
 mpmath by ``tools/gen_gauss_legendre.py``).  No eigen-solver runs at import
 or call time, so the indices are the same on every host whatever its LAPACK.
 Rules of 1 to 16 nodes per panel are supported.
+
+The curve kinds are defined here only: ``CurveKind`` owns the kind names,
+the quantile orders u, v and 1 - v and the endpoint values, and every curve
+evaluator of the package, data-based or closed-form, goes through
+``_curve_eval``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -44,15 +50,55 @@ __all__ = [
 
 
 class CurveKind(Enum):
+    """``CurveKind(x)`` takes a member, ``"qz"`` or ``"qd"``; else DomainError."""
+
     QZ = "qz"
     QD = "qd"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown curve kind {value!r}")
 
-def _kind_value(kind) -> str:
-    value = getattr(kind, "value", kind)
-    if value not in ("qz", "qd"):
-        raise DomainError(f"unknown curve kind {kind!r}")
-    return value
+    def orders(self, p):
+        """Quantile orders (u, v, 1 - v) of the curve at the array ``p``: u = p/2,
+        v = (1 + p)/2 for qZ and 1 - p/2 for qD.  Each is formed from u in one
+        step, bitwise equal to its formula in p; 1 - v directly, so it keeps
+        full precision where v rounds to 1 (for qD it is u itself)."""
+        u = 0.5 * p
+        if self is CurveKind.QZ:
+            return u, 0.5 + u, 0.5 - u
+        return u, 1.0 - u, u
+
+    @property
+    def ends(self):
+        """Curve values at p = 0 and p = 1."""
+        return (1.0, 1.0) if self is CurveKind.QZ else (1.0, 0.0)
+
+
+def _on_unit_interval(p, fn, what: str):
+    """``fn`` of the array of ``p``, a float for scalar ``p``; DomainError,
+    naming ``what`` p is, unless every p lies in [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    scalar = p.ndim == 0
+    p = np.atleast_1d(p)
+    if np.any((p < 0.0) | (p > 1.0) | np.isnan(p)):
+        raise DomainError(f"{what} must lie in [0, 1]")
+    out = fn(p)
+    return float(out[0]) if scalar else out
+
+
+def _curve_eval(p, inner, ends):
+    """A curve at p in [0, 1]: ``ends`` at p = 0 and 1, ``inner`` between."""
+
+    def values(p):
+        out = np.empty_like(p)
+        out[p == 0.0], out[p == 1.0] = ends
+        inside = (p > 0.0) & (p < 1.0)
+        if np.any(inside):
+            out[inside] = inner(p[inside])
+        return out
+
+    return _on_unit_interval(p, values, "curve argument")
 
 
 @dataclass(frozen=True)
@@ -61,13 +107,16 @@ class QuadratureSpec:
 
     The per-panel rule comes from a committed table of correctly rounded
     nodes and weights, exactly symmetric about the panel midpoint, so
-    ``nodes`` must lie in 1..16; DomainError otherwise.
+    ``nodes`` must lie in 1..16; DomainError otherwise, or when either
+    count is not an integer.
     """
 
     panels: int = 256
     nodes: int = 8
 
     def __post_init__(self):
+        if not all(isinstance(c, numbers.Integral) for c in (self.panels, self.nodes)):
+            raise DomainError("quadrature panels and nodes must be integers")
         if self.panels < 1:
             raise DomainError("quadrature needs at least one panel")
         if self.nodes not in RULES:
@@ -99,27 +148,17 @@ def curve_value(qf, kind, p):
     applied before the ratio formula.  Raises DegenerateQuantile when a
     denominator quantile is zero.
     """
-    kind = _kind_value(kind)
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    if np.any((p < 0.0) | (p > 1.0) | np.isnan(p)):
-        raise DomainError("curve argument must lie in [0, 1]")
-    out = np.empty_like(p)
-    out[p == 0.0] = 1.0
-    out[p == 1.0] = 1.0 if kind == "qz" else 0.0
-    inner = (p > 0.0) & (p < 1.0)
-    if np.any(inner):
-        pi = p[inner]
-        num = np.asarray(qf(0.5 * pi), dtype=float)
-        if kind == "qz":
-            den = np.asarray(qf(0.5 * (1.0 + pi)), dtype=float)
-        else:
-            den = np.asarray(qf(1.0 - 0.5 * pi), dtype=float)
+    kind = CurveKind(kind)
+
+    def ratio(p):
+        u, v, _ = kind.orders(p)
+        num = np.asarray(qf(u), dtype=float)
+        den = np.asarray(qf(v), dtype=float)
         if np.any(den == 0.0):
             raise DegenerateQuantile("denominator quantile is zero")
-        out[inner] = 1.0 - num / den
-    return float(out[0]) if scalar else out
+        return 1.0 - num / den
+
+    return _curve_eval(p, ratio, kind.ends)
 
 
 def curve_index(qf, kind, quadrature: QuadratureSpec = QuadratureSpec(),
@@ -148,11 +187,15 @@ def curve_index(qf, kind, quadrature: QuadratureSpec = QuadratureSpec(),
 
 @dataclass(frozen=True)
 class CurveSamples:
-    """Curve sampled on a grid; serializes to two-column CSV."""
+    """Curve sampled on a grid; serializes to two-column CSV.  ``kind`` may
+    be a CurveKind or its name; it is stored as the member."""
 
     p: np.ndarray
     values: np.ndarray
     kind: CurveKind
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", CurveKind(self.kind))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -168,7 +211,7 @@ class CurveSamples:
         if not rows or rows[0] != ["p", "value"]:
             raise DomainError("curve CSV must start with header p,value")
         data = np.array([[float(a), float(b)] for a, b in rows[1:]], dtype=float)
-        return cls(p=data[:, 0], values=data[:, 1], kind=CurveKind(_kind_value(kind)))
+        return cls(p=data[:, 0], values=data[:, 1], kind=kind)
 
 
 def curve_grid(qf, kind, grid_size: int = 200) -> CurveSamples:
@@ -176,4 +219,4 @@ def curve_grid(qf, kind, grid_size: int = 200) -> CurveSamples:
     if grid_size < 1:
         raise DomainError("grid size must be at least 1")
     p = np.linspace(0.0, 1.0, grid_size + 1)
-    return CurveSamples(p=p, values=curve_value(qf, kind, p), kind=CurveKind(_kind_value(kind)))
+    return CurveSamples(p=p, values=curve_value(qf, kind, p), kind=kind)

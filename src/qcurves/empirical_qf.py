@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curves import _on_unit_interval
 from .errors import DomainError
 
 __all__ = [
@@ -59,6 +60,11 @@ class SortedSample:
         return int(self.values.size)
 
 
+def _as_sorted_sample(data) -> SortedSample:
+    """``data`` itself if it is a SortedSample, else its SortedSample."""
+    return data if isinstance(data, SortedSample) else SortedSample.from_data(data)
+
+
 def plotting_positions(n: int, scheme: str = "hf") -> np.ndarray:
     """Plotting positions p_1 < ... < p_n for the given scheme."""
     if scheme not in _SCHEMES:
@@ -71,11 +77,6 @@ def plotting_positions(n: int, scheme: str = "hf") -> np.ndarray:
     return k / (n + 1.0)
 
 
-def _check_orders(p: np.ndarray):
-    if np.any((p < 0.0) | (p > 1.0) | np.isnan(p)):
-        raise DomainError("quantile order must lie in [0, 1]")
-
-
 def step_indices(n: int, q: np.ndarray) -> np.ndarray:
     """Order-statistic index (0-based) picked by the step quantile function at q."""
     idx = np.ceil(n * np.asarray(q, dtype=float)).astype(np.int64) - 1
@@ -86,9 +87,9 @@ def step_indices(n: int, q: np.ndarray) -> np.ndarray:
 def interp_plan(positions: np.ndarray, q: np.ndarray):
     """Gather plan (j0, j1, frac) for linear interpolation at orders q.
 
-    The evaluation rule shared by every call site is
-    ``(1 - frac) * values[j0] + frac * values[j1]``, which returns the node
-    value exactly when q hits a position and is constant beyond the ends.
+    ``_interpolate`` evaluates it as ``(1 - frac) * values[j0] + frac *
+    values[j1]``, which returns the node value exactly when q hits a
+    position and is constant beyond the ends.
     """
     q = np.asarray(q, dtype=float)
     j = np.searchsorted(positions, q, side="left")
@@ -101,6 +102,18 @@ def interp_plan(positions: np.ndarray, q: np.ndarray):
     return j0, j1, frac
 
 
+def _interpolate(x: np.ndarray, plan) -> np.ndarray:
+    """(1 - frac) * x[..., j0] + frac * x[..., j1] for ``interp_plan``'s
+    ``(j0, j1, frac)``, along the last axis, in one new C-ordered array."""
+    j0, j1, frac = plan
+    out = np.take(x, j0, axis=-1)
+    out *= 1.0 - frac
+    upper = np.take(x, j1, axis=-1)
+    upper *= frac
+    out += upper
+    return out
+
+
 @dataclass(frozen=True)
 class EmpiricalQF:
     """Step quantile function of a sorted sample; callable on scalars/arrays."""
@@ -108,13 +121,8 @@ class EmpiricalQF:
     sample: SortedSample
 
     def __call__(self, p):
-        p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        p = np.atleast_1d(p)
-        _check_orders(p)
-        n = self.sample.n
-        out = self.sample.values[step_indices(n, p)]
-        return float(out[0]) if scalar else out
+        values, n = self.sample.values, self.sample.n
+        return _on_unit_interval(p, lambda p: values[step_indices(n, p)], "quantile order")
 
 
 @dataclass(frozen=True)
@@ -129,14 +137,9 @@ class PlottingPositionQF:
         object.__setattr__(self, "positions", plotting_positions(self.sample.n, self.scheme))
 
     def __call__(self, p):
-        p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        p = np.atleast_1d(p)
-        _check_orders(p)
-        j0, j1, frac = interp_plan(self.positions, p)
-        values = self.sample.values
-        out = (1.0 - frac) * values[j0] + frac * values[j1]
-        return float(out[0]) if scalar else out
+        values, positions = self.sample.values, self.positions
+        return _on_unit_interval(p, lambda p: _interpolate(values, interp_plan(positions, p)),
+                                 "quantile order")
 
 
 def empirical_qf(sample: SortedSample) -> EmpiricalQF:

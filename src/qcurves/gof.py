@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical_qf import SortedSample, check_values
+from .empirical_qf import SortedSample, _as_sorted_sample, check_values
 from .errors import DomainError
 from .shape_estimators import _ROW_KERNELS, _profile_scale_rows, fit_shape, profile_scale
 from .weibull import WeibullParams, sample as weibull_sample
@@ -72,9 +72,9 @@ def _ad_rows(x_rows, beta, sigma, strict):
 
 
 def ad_statistic(sample: SortedSample, params: WeibullParams) -> float:
-    """Anderson-Darling distance between the sample and a fitted Weibull."""
+    """Anderson-Darling distance between a sample or raw data and a fitted Weibull."""
     beta, sigma = np.array([params.beta]), np.array([params.sigma])
-    return float(_ad_rows(sample.values[None, :], beta, sigma, True)[0])
+    return float(_ad_rows(_as_sorted_sample(sample).values[None, :], beta, sigma, True)[0])
 
 
 def _fit_both(sample: SortedSample, method: str) -> WeibullParams:
@@ -102,11 +102,12 @@ def ad_test(
 ) -> GofResult:
     """Parametric-bootstrap Anderson-Darling test of the Weibull null.
 
-    Shape (by ``method``) and profile scale are estimated on the data, then on
-    each of ``bootstrap_reps`` resamples drawn from the fitted distribution;
-    each resample is compared with its own refit.  Resamples are seeded by
-    (seed, replicate index), so the result is reproducible and independent of
-    evaluation order, and they are refitted in blocks of rows through the
+    ``sample`` is a SortedSample or raw data.  Shape (by ``method``) and
+    profile scale are estimated on the data, then on each of
+    ``bootstrap_reps`` resamples drawn from the fitted distribution; each
+    resample is compared with its own refit.  Resamples are seeded by
+    (seed, replicate index), so the result is reproducible and independent
+    of evaluation order, and they are refitted in blocks of rows through the
     method's row kernel.
 
     A refit fails when the method cannot fit the resample (say, a resample
@@ -118,6 +119,7 @@ def ad_test(
     """
     if bootstrap_reps < 1:
         raise DomainError("need at least one bootstrap replicate")
+    sample = _as_sorted_sample(sample)
     fitted = _fit_both(sample, method)
     observed = ad_statistic(sample, fitted)
     n = sample.n

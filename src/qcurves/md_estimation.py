@@ -26,14 +26,16 @@ from functools import lru_cache
 import numpy as np
 
 from .curves import CurveKind, QuadratureSpec, gauss_legendre_grid
-from .empirical_qf import SortedSample, interp_plan, plotting_positions, step_indices
+from .empirical_qf import (SortedSample, _as_sorted_sample, _interpolate, interp_plan,
+                          plotting_positions, step_indices)
 from .errors import BracketFailure, DegenerateQuantile, DomainError, QcurvesError, StartFailure
 from .shape_estimators import EstimateResult, SHAPE_METHODS, _ROW_KERNELS, lmoment_shape
-from .weibull import _log_ratio
+from .weibull import _check_positive, _log_ratio
 
 __all__ = ["MdConfig", "md_objective", "md_fit", "MD_REFERENCES"]
 
 MD_REFERENCES = {"empirical": "mde", "hf": "mdhf"}
+_MD_METHODS = {method: reference for reference, method in MD_REFERENCES.items()}
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = 1.0 - _INVPHI
@@ -41,7 +43,7 @@ _INVPHI2 = 1.0 - _INVPHI
 
 @dataclass(frozen=True)
 class MdConfig:
-    """Configuration for a minimum-distance fit."""
+    """Configuration for a minimum-distance fit; ``curve`` may be a kind name."""
 
     curve: CurveKind = CurveKind.QZ
     reference: str = "empirical"
@@ -52,6 +54,7 @@ class MdConfig:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
+        object.__setattr__(self, "curve", CurveKind(self.curve))
         if self.reference not in MD_REFERENCES:
             raise DomainError(f"reference must be one of {sorted(MD_REFERENCES)}")
         if not self.bracket_factor > 1.0:
@@ -78,20 +81,19 @@ def _cell_plan(n: int, reference: str, kind: CurveKind, quadrature: QuadratureSp
     ``reference`` is ``empirical`` (step quantile function) or a
     plotting-position scheme (``hf``, ``wg``) for the interpolated one.
     Returns (num, den, lr, weights): the gathers of the quantiles at the
-    orders p/2 and (1+p)/2 (qZ) or 1-p/2 (qD) of the quadrature points p,
+    curve's orders u and v (``CurveKind.orders``) of the quadrature points,
     each ``(idx,)`` for the step function or ``interp_plan``'s
     ``(j0, j1, frac)`` for an interpolant, then the model's log-ratio row
     (the curve at shape b is 1 - exp(lr/b)) and the quadrature weights.  All
     arrays are read-only.
     """
     points, weights = gauss_legendre_grid(quadrature)
-    orders = (0.5 * points,
-              0.5 * (1.0 + points) if kind is CurveKind.QZ else 1.0 - 0.5 * points)
+    orders = kind.orders(points)[:2]
     if reference == "empirical":
         gathers = [(step_indices(n, q),) for q in orders]
     else:
         gathers = [interp_plan(plotting_positions(n, reference), q) for q in orders]
-    lr = _log_ratio(points, kind.value)
+    lr = _log_ratio(points, kind)
     for arr in (lr, *gathers[0], *gathers[1]):
         arr.flags.writeable = False
     return (*gathers, lr, weights)
@@ -100,19 +102,13 @@ def _cell_plan(n: int, reference: str, kind: CurveKind, quadrature: QuadratureSp
 def _gather(x_rows: np.ndarray, plan: tuple) -> np.ndarray:
     """Quantiles of every row at a plan's orders, in one new C-ordered array.
 
-    The interpolant is (1 - frac) * x[j0] + frac * x[j1], as in
-    ``PlottingPositionQF``.  ``np.take`` returns C order where ``x[:, idx]``
-    leaves a transposed buffer, whose row sums would group differently from
-    those of a one-row call.
+    ``np.take`` returns C order where ``x[:, idx]`` leaves a transposed
+    buffer, whose row sums would group differently from those of a one-row
+    call.
     """
-    out = np.take(x_rows, plan[0], axis=1)
-    if len(plan) > 1:
-        _, j1, frac = plan
-        out *= 1.0 - frac
-        upper = np.take(x_rows, j1, axis=1)
-        upper *= frac
-        out += upper
-    return out
+    if len(plan) == 1:
+        return np.take(x_rows, plan[0], axis=1)
+    return _interpolate(x_rows, plan)
 
 
 def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
@@ -225,10 +221,8 @@ def _fit_terms(sample: SortedSample, config: MdConfig):
 
 def md_objective(sample: SortedSample, beta: float, config: MdConfig = MdConfig()) -> float:
     """Squared L2 distance between the reference and model curves at ``beta``."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"shape must be finite and positive, got {beta}")
-    if not isinstance(sample, SortedSample):
-        sample = SortedSample.from_data(sample)
+    _check_positive(beta)
+    sample = _as_sorted_sample(sample)
     ref, lr, weights = _fit_terms(sample, config)
     return float(_objective_closure(ref, lr, weights)(np.array([math.log(beta)]))[0])
 
@@ -384,8 +378,7 @@ def md_fit(sample: SortedSample, config: MdConfig = MdConfig()) -> EstimateResul
     shape; diagnostics carry the start and the achieved objective as the
     residual.
     """
-    if not isinstance(sample, SortedSample):
-        sample = SortedSample.from_data(sample)
+    sample = _as_sorted_sample(sample)
     beta0 = _start_beta(sample, config)
     ref, lr, weights = _fit_terms(sample, config)
     xmin, fmin, _, evals = _minimize_log(ref, lr, weights, np.log([beta0]), config,

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .empirical_qf import SortedSample, interp_plan, plotting_positions
+from .empirical_qf import (SortedSample, _as_sorted_sample, _interpolate, interp_plan,
+                          plotting_positions)
 from .errors import DegenerateSample, DomainError, NoBracket, NonConvergence
 
 __all__ = [
@@ -183,14 +184,9 @@ def _closed_form(bad, beta):
     return np.where(bad, np.nan, beta), 0, np.zeros(beta.shape)
 
 
-def _values(sample: SortedSample) -> np.ndarray:
-    if not isinstance(sample, SortedSample):
-        sample = SortedSample.from_data(sample)
-    return sample.values
-
-
 def _fit_one(method: str, sample: SortedSample) -> EstimateResult:
-    beta, iterations, residual = _ROW_KERNELS[method](_values(sample)[None, :], True)
+    x_rows = _as_sorted_sample(sample).values[None, :]
+    beta, iterations, residual = _ROW_KERNELS[method](x_rows, True)
     return EstimateResult(method, float(beta[0]), iterations, float(residual[0]))
 
 
@@ -330,8 +326,8 @@ def gini_shape(sample: SortedSample) -> EstimateResult:
 @_row_kernel("pe")
 def _pe_rows(x_rows, strict):
     bad = _screen(x_rows, strict, 2)
-    j0, j1, frac = interp_plan(plotting_positions(x_rows.shape[1], "hf"), _PE_ORDERS)
-    q1, q2 = ((1.0 - frac) * x_rows[:, j0] + frac * x_rows[:, j1]).T
+    plan = interp_plan(plotting_positions(x_rows.shape[1], "hf"), _PE_ORDERS)
+    q1, q2 = _interpolate(x_rows, plan).T
     bad |= _reject(strict, q1 == q2, DomainError,
                    "sample quantiles at orders 0.31 and 0.63 coincide")
     bad |= _reject(strict, q1 <= 0.0, DomainError, "quantile at order 0.31 must be positive")
@@ -462,7 +458,7 @@ def profile_scale(sample: SortedSample, beta: float) -> float:
     Computed on data rescaled by the sample maximum so x^beta cannot
     overflow for large shapes.
     """
-    x_rows = _values(sample)[None, :]
+    x_rows = _as_sorted_sample(sample).values[None, :]
     return float(_profile_scale_rows(x_rows, np.array([beta], dtype=float), True)[0])
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from ._version import __version__
 from .curves import CurveKind, QuadratureSpec
 from .errors import DomainError
-from .md_estimation import (MdConfig, MD_REFERENCES, _cell_plan, _minimize_log, _ref_rows,
+from .md_estimation import (MdConfig, _MD_METHODS, _cell_plan, _minimize_log, _ref_rows,
                             _start_rows)
 from .shape_estimators import SHAPE_METHODS, _ROW_KERNELS
 from .weibull import WeibullParams, sample as weibull_sample
@@ -61,9 +61,6 @@ METRICS = ("MISE_qZ", "MISE_qD", "MSE_qZI", "MSE_qDI", "BIAS_qZI", "BIAS_qDI")
 # Replications per work unit.  Chunk boundaries are a function of the
 # replication count only, never of the worker count.
 _CHUNK = 500
-
-_MD_KINDS = {name: ref for ref, name in MD_REFERENCES.items()}  # mde/mdhf -> reference
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -101,8 +98,8 @@ def _md_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
              quadrature: QuadratureSpec) -> np.ndarray:
     """Batched MD estimates; a row without a start or a reference is NaN."""
     config = MdConfig(curve=kind, reference=reference, quadrature=quadrature)
-    _, _, lr, weights = _cell_plan(x_rows.shape[1], reference, kind, quadrature)
-    ref = _ref_rows(x_rows, reference, kind, quadrature, strict=False)
+    _, _, lr, weights = _cell_plan(x_rows.shape[1], reference, config.curve, quadrature)
+    ref = _ref_rows(x_rows, reference, config.curve, quadrature, strict=False)
     start = _start_rows(x_rows)
     out = np.full(x_rows.shape[0], np.nan)
     ok = ~np.isnan(start) & ~np.isnan(ref[:, 0])
@@ -178,8 +175,8 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
             iz = _ref_rows(x_rows, "hf", CurveKind.QZ, config.quadrature, strict=False)
             id_ = _ref_rows(x_rows, "hf", CurveKind.QD, config.quadrature, strict=False)
         else:
-            if est in _MD_KINDS:
-                reference = _MD_KINDS[est]
+            if est in _MD_METHODS:
+                reference = _MD_METHODS[est]
                 bz = _md_rows(x_rows, reference, CurveKind.QZ, config.quadrature)
                 bd = _md_rows(x_rows, reference, CurveKind.QD, config.quadrature)
             else:
@@ -366,11 +363,13 @@ def replicate_estimates(estimator: str, beta: float, n: int, replications: int,
 
     Returns an array of length ``replications`` with NaN for failed fits.
     Valid for every shape estimator and for ``mde``/``mdhf`` (fitting the
-    given ``curve``); the plug-in ``hf`` curve has no shape estimate.
+    given ``curve``, a kind or its name); the plug-in ``hf`` curve has no
+    shape estimate.
     """
+    curve = CurveKind(curve)
     if estimator == "hf":
         raise DomainError("the hf curve estimator does not produce a shape estimate")
-    if estimator not in SHAPE_METHODS and estimator not in _MD_KINDS:
+    if estimator not in SHAPE_METHODS and estimator not in _MD_METHODS:
         raise DomainError(f"unknown estimator {estimator!r}")
     config = SimulationConfig(
         betas=(beta,), sizes=(n,), replications=replications,
@@ -378,8 +377,8 @@ def replicate_estimates(estimator: str, beta: float, n: int, replications: int,
     chunks = []
     for r0, r1 in _chunk_bounds(replications):
         x_rows = _draw_rows(config, 0, 0, r0, r1)
-        if estimator in _MD_KINDS:
-            chunks.append(_md_rows(x_rows, _MD_KINDS[estimator], curve, quadrature))
+        if estimator in _MD_METHODS:
+            chunks.append(_md_rows(x_rows, _MD_METHODS[estimator], curve, quadrature))
         else:
             chunks.append(_shape_rows(estimator, x_rows, {}))
     return np.concatenate(chunks)

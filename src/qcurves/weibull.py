@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import CurveKind, _curve_eval, _on_unit_interval
 from .errors import DomainError
 
 __all__ = [
@@ -39,6 +40,12 @@ __all__ = [
 ]
 
 
+def _check_positive(value: float, name: str = "shape"):
+    """Raise DomainError unless the parameter ``value`` is finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class WeibullParams:
     """Shape/scale parameter pair, validated on construction."""
@@ -47,10 +54,8 @@ class WeibullParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(f"shape must be finite and positive, got {self.beta}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"scale must be finite and positive, got {self.sigma}")
+        _check_positive(self.beta)
+        _check_positive(self.sigma, "scale")
 
 
 def _maybe_scalar(out: np.ndarray, scalar: bool):
@@ -90,15 +95,13 @@ def quantile(params: WeibullParams, p):
 
     ``p`` may be a scalar or array in [0, 1]; Q(1) is +inf.
     """
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    if np.any((p < 0.0) | (p > 1.0) | np.isnan(p)):
-        raise DomainError("quantile order must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
-        # -log1p(-p) keeps precision for small p and gives +inf at p=1
-        out = params.sigma * (-np.log1p(-p)) ** (1.0 / params.beta)
-    return _maybe_scalar(out, scalar)
+
+    def q(p):
+        with np.errstate(divide="ignore"):
+            # -log1p(-p) keeps precision for small p and gives +inf at p=1
+            return params.sigma * (-np.log1p(-p)) ** (1.0 / params.beta)
+
+    return _on_unit_interval(p, q, "quantile order")
 
 
 def quantile_density(params: WeibullParams, p):
@@ -133,38 +136,18 @@ def weibull_qf(params: WeibullParams):
     return qf
 
 
-def _log_terms(p: np.ndarray, kind: str):
-    """-log(1 - u), -log(1 - v) and 1 - v at the curve's orders, interior p.
-
-    u = p/2 for both curves and v = (1 + p)/2 (qZ) or 1 - p/2 (qD).  1 - v
-    is formed directly, so it keeps full precision where v rounds to 1.
-    r(p) is the ratio of the two logs.
-    """
-    one_minus_v = 0.5 * (1.0 - p) if kind == "qz" else 0.5 * p
-    return -np.log1p(-0.5 * p), -np.log(one_minus_v), one_minus_v
+def _log_terms(u: np.ndarray, one_minus_v: np.ndarray):
+    """-log(1 - u), -log(1 - v) and log r, at a curve's orders u and 1 - v
+    (from ``CurveKind.orders``); r is the ratio of the two logs."""
+    lu = -np.log1p(-u)
+    lv = -np.log(one_minus_v)
+    return lu, lv, np.log(lu / lv)
 
 
-def _log_ratio(p: np.ndarray, kind: str) -> np.ndarray:
+def _log_ratio(p: np.ndarray, kind: CurveKind) -> np.ndarray:
     """log of r(p) for interior p; r is the curve's bracketed log ratio."""
-    lu, lv, _ = _log_terms(p, kind)
-    return np.log(lu / lv)
-
-
-def _closed(beta: float, p, kind: str):
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"shape must be finite and positive, got {beta}")
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    if np.any((p < 0.0) | (p > 1.0) | np.isnan(p)):
-        raise DomainError("curve argument must lie in [0, 1]")
-    out = np.empty_like(p)
-    out[p == 0.0] = 1.0
-    out[p == 1.0] = 1.0 if kind == "qz" else 0.0
-    inner = (p > 0.0) & (p < 1.0)
-    if np.any(inner):
-        out[inner] = -np.expm1(_log_ratio(p[inner], kind) / beta)
-    return _maybe_scalar(out, scalar)
+    u, _, one_minus_v = kind.orders(p)
+    return _log_terms(u, one_minus_v)[2]
 
 
 def qz_closed(beta: float, p):
@@ -173,7 +156,7 @@ def qz_closed(beta: float, p):
     qZ(p) = 1 - [log(1-p/2) / log((1-p)/2)]**(1/beta) for p in (0, 1),
     with qZ(0) = qZ(1) = 1 by convention.  Scale free.
     """
-    return _closed(beta, p, "qz")
+    return closed_curve(beta, p, CurveKind.QZ)
 
 
 def qd_closed(beta: float, p):
@@ -182,21 +165,19 @@ def qd_closed(beta: float, p):
     qD(p) = 1 - [log(1-p/2) / log(p/2)]**(1/beta) for p in (0, 1), with
     qD(0) = 1 and qD(1) = 0 by convention.  Scale free.
     """
-    return _closed(beta, p, "qd")
+    return closed_curve(beta, p, CurveKind.QD)
 
 
 def closed_curve(beta: float, p, kind):
-    """Dispatch to :func:`qz_closed` or :func:`qd_closed` by curve kind."""
-    kind = getattr(kind, "value", kind)
-    if kind not in ("qz", "qd"):
-        raise DomainError(f"unknown curve kind {kind!r}")
-    return _closed(beta, p, kind)
+    """The closed-form curve of ``kind``: :func:`qz_closed` or :func:`qd_closed`."""
+    kind = CurveKind(kind)
+    _check_positive(beta)
+    return _curve_eval(p, lambda p: -np.expm1(_log_ratio(p, kind) / beta), kind.ends)
 
 
 def gini_weibull(beta: float) -> float:
     """Gini index of the Weibull model, 1 - 2**(-1/beta); scale free."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"shape must be finite and positive, got {beta}")
+    _check_positive(beta)
     return -math.expm1(-math.log(2.0) / beta)
 
 
@@ -207,19 +188,11 @@ def eta_weibull(beta: float, p, kind="qz"):
     with r the curve's bracketed log ratio.  Negative on (0, 1) for both
     curves (larger shape means a lower curve) and zero at the endpoints.
     """
-    kind = getattr(kind, "value", kind)
-    if kind not in ("qz", "qd"):
-        raise DomainError(f"unknown curve kind {kind!r}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"shape must be finite and positive, got {beta}")
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    if np.any((p < 0.0) | (p > 1.0) | np.isnan(p)):
-        raise DomainError("curve argument must lie in [0, 1]")
-    out = np.zeros_like(p)
-    inner = (p > 0.0) & (p < 1.0)
-    if np.any(inner):
-        lr = _log_ratio(p[inner], kind)
-        out[inner] = np.exp(lr / beta) * lr / beta**2
-    return _maybe_scalar(out, scalar)
+    kind = CurveKind(kind)
+    _check_positive(beta)
+
+    def eta(p):
+        lr = _log_ratio(p, kind)
+        return np.exp(lr / beta) * lr / beta**2
+
+    return _curve_eval(p, eta, (0.0, 0.0))

@@ -34,11 +34,9 @@ SIGMA2_GOLDENS = {
 def test_kernel_context_validation():
     with pytest.raises(DomainError):
         KernelContext(0.0, CurveKind.QZ)
-    ctx = KernelContext(2.0, CurveKind.QD)
-    u, v = ctx.orders(np.array([0.4]))
-    assert u[0] == 0.2 and v[0] == 0.8
-    u, v = KernelContext(2.0, CurveKind.QZ).orders(np.array([0.4]))
-    assert u[0] == 0.2 and v[0] == 0.7
+    with pytest.raises(DomainError):
+        KernelContext(1.0, "xx")
+    assert KernelContext(2.0, "qd").kind is CurveKind.QD
 
 
 def test_kernel_ab_golden():

@@ -1,5 +1,6 @@
 """Concentration curves and indices for arbitrary quantile functions."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -11,14 +12,23 @@ from qcurves import (
     DomainError,
     QuadratureSpec,
     SortedSample,
+    KernelContext,
+    MdConfig,
     WeibullParams,
     closed_curve,
     curve_grid,
     curve_index,
     curve_value,
     empirical_qf,
+    eta_weibull,
     gauss_legendre_grid,
+    kernel_R,
+    kernel_ab,
+    load_guinea_pigs,
+    md_asymptotic_variance,
+    md_fit,
     plotting_position_qf,
+    replicate_estimates,
     weibull_qf,
 )
 from qcurves._gauss_legendre import MAX_NODES, RULES
@@ -70,6 +80,75 @@ def test_quadrature_spec_validation():
     QuadratureSpec(panels=4, nodes=MAX_NODES)
     with pytest.raises(DomainError):
         QuadratureSpec(panels=4, nodes=MAX_NODES + 1)
+
+
+@pytest.mark.parametrize("panels,nodes", [(2.5, 4), (4.0, 4), (4, 4.0), (4, 2.5), ("4", 4)])
+def test_quadrature_spec_rejects_non_integer_counts(panels, nodes):
+    with pytest.raises(DomainError):
+        QuadratureSpec(panels=panels, nodes=nodes)
+    with pytest.raises(DomainError):
+        md_asymptotic_variance(1.0, "qz", panels=panels, nodes=nodes)
+    assert QuadratureSpec(np.int64(4), np.int64(4)) == QuadratureSpec(4, 4)
+
+
+def test_curve_kind_orders_and_ends():
+    p = np.array([0.4])
+    u, v, one_minus_v = CurveKind.QZ.orders(p)
+    assert (u[0], v[0], one_minus_v[0]) == (0.2, 0.7, 0.3)
+    u, v, one_minus_v = CurveKind.QD.orders(p)
+    assert (u[0], v[0], one_minus_v[0]) == (0.2, 0.8, 0.2)
+    assert CurveKind.QZ.ends == (1.0, 1.0) and CurveKind.QD.ends == (1.0, 0.0)
+    # 1 - v keeps its precision where v rounds to 1
+    tiny = np.array([1e-20])
+    assert CurveKind.QD.orders(tiny)[1][0] == 1.0
+    assert CurveKind.QD.orders(tiny)[2][0] == 5e-21
+
+
+_KIND_P = np.linspace(0.0, 1.0, 21)
+_KIND_T = np.linspace(0.05, 0.95, 7)
+_KIND_QF = weibull_qf(WeibullParams(1.5, 2.0))
+_KIND_DATA = load_guinea_pigs()["control"]
+
+# every public entry point that takes a curve kind, called with that kind
+KIND_ENTRY_POINTS = {
+    "curve_value": lambda kind: curve_value(_KIND_QF, kind, _KIND_P),
+    "curve_grid": lambda kind: curve_grid(_KIND_QF, kind, 20),
+    "curve_index": lambda kind: curve_index(_KIND_QF, kind, QuadratureSpec(8, 4)),
+    "CurveSamples": lambda kind: CurveSamples(_KIND_P, _KIND_P, kind),
+    "CurveSamples.from_csv": lambda kind: CurveSamples.from_csv("p,value\r\n0.5,0.25\r\n", kind),
+    "closed_curve": lambda kind: closed_curve(1.5, _KIND_P, kind),
+    "eta_weibull": lambda kind: eta_weibull(1.5, _KIND_P, kind),
+    "md_fit": lambda kind: md_fit(_KIND_DATA, MdConfig(curve=kind)),
+    "replicate_estimates": lambda kind: replicate_estimates("mde", 1.5, 20, 30, curve=kind),
+    "kernel_ab": lambda kind: kernel_ab(KernelContext(1.5, kind), _KIND_T),
+    "kernel_R": lambda kind: kernel_R(KernelContext(1.5, kind), _KIND_T[:, None], _KIND_T),
+    "md_asymptotic_variance": lambda kind: md_asymptotic_variance(1.5, kind, panels=8,
+                                                                  check=False),
+}
+
+
+def _bits(result):
+    """A result as nested tuples with every float array as its bytes."""
+    if dataclasses.is_dataclass(result):
+        return type(result).__name__, _bits(dataclasses.astuple(result))
+    if isinstance(result, tuple):
+        return tuple(_bits(item) for item in result)
+    if isinstance(result, (float, np.ndarray)):
+        return np.asarray(result, dtype=float).tobytes()
+    return result
+
+
+@pytest.mark.parametrize("entry", sorted(KIND_ENTRY_POINTS))
+def test_every_kind_entry_point_takes_names_and_members(entry):
+    call = KIND_ENTRY_POINTS[entry]
+    results = {}
+    for kind in CurveKind:
+        results[kind] = _bits(call(kind))
+        assert _bits(call(kind.value)) == results[kind]
+    assert results[CurveKind.QZ] != results[CurveKind.QD]
+    for bad in ("xx", "QZ", "", None, 0, CurveKind):
+        with pytest.raises(DomainError):
+            call(bad)
 
 
 def _nearest_double(mpmath, x) -> float:

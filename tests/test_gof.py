@@ -106,6 +106,18 @@ def test_ad_test_method_dispatch():
     assert result.beta_hat == fit_shape(sample, "mml").beta_hat
 
 
+def test_ad_test_and_statistic_accept_raw_data():
+    data = load_guinea_pigs()["treated"]
+    sample = SortedSample.from_data(data)
+    expected = ad_test(sample, bootstrap_reps=49, seed=4)
+    for raw in (list(data), data[::-1].copy()):
+        assert ad_test(raw, bootstrap_reps=49, seed=4) == expected
+        params = WeibullParams(1.8, 100.0)
+        assert ad_statistic(raw, params) == ad_statistic(sample, params)
+    with pytest.raises(DomainError):
+        ad_test([1.0, -2.0, 3.0], bootstrap_reps=9)
+
+
 def test_ad_test_validates_reps():
     sample = weib_sorted(2.0, 20, 7)
     with pytest.raises(DomainError):
