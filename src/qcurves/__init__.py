@@ -10,147 +10,16 @@ goodness-of-fit test.  The ``qcurves`` console script exposes the main
 operations.
 """
 
-from ._version import __version__
-from .asymptotics import AsymptoticVariance, KernelContext, kernel_R, kernel_ab, md_asymptotic_variance
-from .curves import (
-    CurveKind,
-    CurveSamples,
-    QuadratureSpec,
-    curve_grid,
-    curve_index,
-    curve_value,
-    gauss_legendre_grid,
-)
-from .datasets import load_guinea_pigs
-from .empirical_qf import (
-    EmpiricalQF,
-    PlottingPositionQF,
-    SortedSample,
-    empirical_qf,
-    plotting_position_qf,
-    plotting_positions,
-)
-from .errors import (
-    BracketFailure,
-    DegenerateQuantile,
-    DegenerateSample,
-    DomainError,
-    NoBracket,
-    NonConvergence,
-    QcurvesError,
-    StartFailure,
-)
-from .gof import GofResult, ad_statistic, ad_test
-from .md_estimation import MD_REFERENCES, MdConfig, md_fit, md_objective
-from .shape_estimators import (
-    BCML_FACTOR,
-    EstimateResult,
-    SHAPE_METHODS,
-    bcml_shape,
-    fit_shape,
-    gini_shape,
-    lmoment_shape,
-    ls_shape,
-    ml_shape,
-    mml_shape,
-    moment_shape,
-    pe_shape,
-    profile_scale,
-    tmml_shape,
-    wls_shape,
-)
-from .simulation import (
-    ESTIMATOR_ORDER,
-    METRICS,
-    SimulationConfig,
-    SimulationReport,
-    render_tables,
-    replicate_estimates,
-    run_simulation,
-)
-from .weibull import (
-    WeibullParams,
-    cdf,
-    closed_curve,
-    eta_weibull,
-    gini_weibull,
-    pdf,
-    qd_closed,
-    quantile,
-    quantile_density,
-    qz_closed,
-    sample,
-    weibull_qf,
-)
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "AsymptoticVariance",
-    "KernelContext",
-    "kernel_R",
-    "kernel_ab",
-    "md_asymptotic_variance",
-    "CurveKind",
-    "CurveSamples",
-    "QuadratureSpec",
-    "curve_grid",
-    "curve_index",
-    "curve_value",
-    "gauss_legendre_grid",
-    "load_guinea_pigs",
-    "EmpiricalQF",
-    "PlottingPositionQF",
-    "SortedSample",
-    "empirical_qf",
-    "plotting_position_qf",
-    "plotting_positions",
-    "BracketFailure",
-    "DegenerateQuantile",
-    "DegenerateSample",
-    "DomainError",
-    "NoBracket",
-    "NonConvergence",
-    "QcurvesError",
-    "StartFailure",
-    "GofResult",
-    "ad_statistic",
-    "ad_test",
-    "MD_REFERENCES",
-    "MdConfig",
-    "md_fit",
-    "md_objective",
-    "BCML_FACTOR",
-    "EstimateResult",
-    "SHAPE_METHODS",
-    "bcml_shape",
-    "fit_shape",
-    "gini_shape",
-    "lmoment_shape",
-    "ls_shape",
-    "ml_shape",
-    "mml_shape",
-    "moment_shape",
-    "pe_shape",
-    "profile_scale",
-    "tmml_shape",
-    "wls_shape",
-    "ESTIMATOR_ORDER",
-    "METRICS",
-    "SimulationConfig",
-    "SimulationReport",
-    "render_tables",
-    "replicate_estimates",
-    "run_simulation",
-    "WeibullParams",
-    "cdf",
-    "closed_curve",
-    "eta_weibull",
-    "gini_weibull",
-    "pdf",
-    "qd_closed",
-    "quantile",
-    "quantile_density",
-    "qz_closed",
-    "sample",
-    "weibull_qf",
-]
+from ._version import __version__
+
+# Each module's ``__all__`` is the one list of its public names; the package
+# exports their union.  Every module is imported before any name is bound,
+# so the ``empirical_qf`` function, not its module, ends up under that name.
+_MODULES = [import_module(f"{__name__}.{name}") for name in (
+    "asymptotics", "curves", "datasets", "empirical_qf", "errors", "gof",
+    "md_estimation", "shape_estimators", "simulation", "weibull")]
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]
+globals().update((name, getattr(module, name)) for module in _MODULES for name in module.__all__)
+del _MODULES, import_module

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import io
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -36,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._gauss_legendre import MAX_NODES, RULES
-from .errors import DegenerateQuantile, DomainError, NonConvergence
+from .errors import DegenerateQuantile, DomainError, NonConvergence, _check_count
 
 __all__ = [
     "CurveKind",
@@ -115,11 +114,8 @@ class QuadratureSpec:
     nodes: int = 8
 
     def __post_init__(self):
-        if not all(isinstance(c, numbers.Integral) for c in (self.panels, self.nodes)):
-            raise DomainError("quadrature panels and nodes must be integers")
-        if self.panels < 1:
-            raise DomainError("quadrature needs at least one panel")
-        if self.nodes not in RULES:
+        _check_count(self.panels, 1, "quadrature panels")
+        if _check_count(self.nodes, 1, "quadrature nodes") not in RULES:
             raise DomainError(
                 f"quadrature supports 1 to {MAX_NODES} nodes per panel, got {self.nodes!r}")
 
@@ -216,7 +212,6 @@ class CurveSamples:
 
 def curve_grid(qf, kind, grid_size: int = 200) -> CurveSamples:
     """Sample the curve on ``grid_size + 1`` equally spaced points incl. endpoints."""
-    if grid_size < 1:
-        raise DomainError("grid size must be at least 1")
+    _check_count(grid_size, 1, "grid size")
     p = np.linspace(0.0, 1.0, grid_size + 1)
     return CurveSamples(p=p, values=curve_value(qf, kind, p), kind=kind)

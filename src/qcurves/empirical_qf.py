@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import _on_unit_interval
-from .errors import DomainError
+from .errors import DomainError, _check_count
 
 __all__ = [
     "SortedSample",
@@ -69,8 +69,7 @@ def plotting_positions(n: int, scheme: str = "hf") -> np.ndarray:
     """Plotting positions p_1 < ... < p_n for the given scheme."""
     if scheme not in _SCHEMES:
         raise DomainError(f"unknown plotting-position scheme {scheme!r}")
-    if n < 1:
-        raise DomainError("need at least one observation")
+    _check_count(n, 1, "number of observations")
     k = np.arange(1, n + 1, dtype=float)
     if scheme == "hf":
         return (k - 1.0 / 3.0) / (n + 1.0 / 3.0)

@@ -1,8 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the count check.
 
 All numerical / estimation failures raise subclasses of :class:`QcurvesError`
 so callers (and the CLI) can distinguish them from programming errors.
 """
+
+import numbers
+
+__all__ = [
+    "QcurvesError",
+    "DomainError",
+    "DegenerateSample",
+    "DegenerateQuantile",
+    "NoBracket",
+    "NonConvergence",
+    "StartFailure",
+    "BracketFailure",
+]
 
 
 class QcurvesError(Exception):
@@ -35,3 +48,11 @@ class StartFailure(QcurvesError):
 
 class BracketFailure(QcurvesError):
     """A minimizer's bracket could not be expanded to contain the minimum."""
+
+
+def _check_count(value, minimum: int, name: str) -> int:
+    """``value`` as an int; DomainError unless it is an integer, not a bool,
+    of at least ``minimum``.  Counts, sizes and seeds all pass through here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise DomainError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)

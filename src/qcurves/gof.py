@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical_qf import SortedSample, _as_sorted_sample, check_values
-from .errors import DomainError
+from .errors import DomainError, _check_count
 from .shape_estimators import _ROW_KERNELS, _profile_scale_rows, fit_shape, profile_scale
 from .weibull import WeibullParams, sample as weibull_sample
 
@@ -117,8 +117,8 @@ def ad_test(
     observed one, exceedances / (bootstrap_reps - failed_refits).  If every
     refit fails, DomainError is raised.
     """
-    if bootstrap_reps < 1:
-        raise DomainError("need at least one bootstrap replicate")
+    _check_count(bootstrap_reps, 1, "bootstrap replicates")
+    _check_count(seed, 0, "seed")
     sample = _as_sorted_sample(sample)
     fitted = _fit_both(sample, method)
     observed = ad_statistic(sample, fitted)

@@ -7,12 +7,17 @@ objective is smooth: a safeguarded Newton iteration from a starting
 estimate, with analytic first and second derivatives, finishes most fits in
 a few passes.  A fit that Newton cannot finish safely falls back to a
 golden-section search inside a multiplicative bracket around the start,
-expanding the bracket when the minimum lands on an edge.  The scalar fit
-and the batched study rows share the reference rows (``_ref_rows``, from
-one cached gather plan per sample size, reference and curve), the default
-start (``_start_rows``) and one minimizer, which evaluates rows in
-cache-sized blocks on the fixed quadrature grid, so fits are deterministic
-and a batched fit of one sample equals its scalar fit bitwise.
+expanding the bracket when the minimum lands on an edge.
+
+There is one implementation, the row function ``_md_rows``: sorted samples,
+one per row, go through the start (``_start_rows``), the reference rows
+(``_ref_rows``, from one cached gather plan per sample size, reference and
+curve) and one minimizer, which evaluates rows in cache-sized blocks on the
+fixed quadrature grid.  A row it cannot fit is NaN, or with ``strict``
+raises the typed error.  ``md_fit`` is its one-row strict call and the
+Monte Carlo study calls it on chunks of replicates, so fits are
+deterministic and a batched fit of one sample equals its scalar fit by
+construction.
 
 Method identifiers: ``mde`` (step reference), ``mdhf`` (interpolated).
 """
@@ -28,8 +33,9 @@ import numpy as np
 from .curves import CurveKind, QuadratureSpec, gauss_legendre_grid
 from .empirical_qf import (SortedSample, _as_sorted_sample, _interpolate, interp_plan,
                           plotting_positions, step_indices)
-from .errors import BracketFailure, DegenerateQuantile, DomainError, QcurvesError, StartFailure
-from .shape_estimators import EstimateResult, SHAPE_METHODS, _ROW_KERNELS, lmoment_shape
+from .errors import (BracketFailure, DegenerateQuantile, DomainError, QcurvesError, StartFailure,
+                     _check_count)
+from .shape_estimators import EstimateResult, SHAPE_METHODS, _ROW_KERNELS
 from .weibull import _check_positive, _log_ratio
 
 __all__ = ["MdConfig", "md_objective", "md_fit", "MD_REFERENCES"]
@@ -61,8 +67,7 @@ class MdConfig:
             raise DomainError("bracket factor must exceed 1")
         if not 0.0 < self.tol < 1.0:
             raise DomainError("tolerance must lie in (0, 1)")
-        if self.max_expansions < 0:
-            raise DomainError("max_expansions must be nonnegative")
+        _check_count(self.max_expansions, 0, "max_expansions")
         if self.start_method is not None and self.start_method not in SHAPE_METHODS:
             raise DomainError(f"unknown start method {self.start_method!r}")
 
@@ -211,19 +216,13 @@ def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
     return f, -2.0 * g, 2.0 * h
 
 
-def _fit_terms(sample: SortedSample, config: MdConfig):
-    """The one-row reference of ``sample`` and the model row and weights of its plan."""
-    _, _, lr, weights = _cell_plan(sample.n, config.reference, config.curve, config.quadrature)
-    ref = _ref_rows(sample.values[None, :], config.reference, config.curve,
-                    config.quadrature, strict=True)
-    return ref, lr, weights
-
-
 def md_objective(sample: SortedSample, beta: float, config: MdConfig = MdConfig()) -> float:
     """Squared L2 distance between the reference and model curves at ``beta``."""
     _check_positive(beta)
-    sample = _as_sorted_sample(sample)
-    ref, lr, weights = _fit_terms(sample, config)
+    x_rows = _as_sorted_sample(sample).values[None, :]
+    _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve,
+                                   config.quadrature)
+    ref = _ref_rows(x_rows, config.reference, config.curve, config.quadrature, strict=True)
     return float(_objective_closure(ref, lr, weights)(np.array([math.log(beta)]))[0])
 
 
@@ -345,30 +344,58 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
     return xmin, fmin, pending, evals
 
 
-def _start_rows(x_rows: np.ndarray) -> np.ndarray:
-    """Default start of each row: the pe estimate, else the lm estimate.
+def _start_rows(x_rows: np.ndarray, method: str | None, strict: bool) -> np.ndarray:
+    """Starting shape of each row: the ``method`` estimate, or by default the
+    pe estimate, else the lm estimate.
 
-    A row where neither gives a finite positive shape is NaN.
+    A row without a start is NaN (by default, a row where neither pe nor lm
+    gives a finite positive shape).  With ``strict`` it raises StartFailure
+    with the reason the start method failed or, by default, the reason lm
+    failed on the first such row.
     """
+    if method is not None:
+        try:
+            return _ROW_KERNELS[method](x_rows, strict)[0]
+        except QcurvesError as exc:
+            raise StartFailure(f"start method {method!r} failed: {exc}") from exc
     pe = _ROW_KERNELS["pe"](x_rows, False)[0]
     start = np.where(np.isfinite(pe), pe, _ROW_KERNELS["lm"](x_rows, False)[0])
-    return np.where(np.isfinite(start) & (start > 0.0), start, np.nan)
-
-
-def _start_beta(sample: SortedSample, config: MdConfig) -> float:
-    if config.start_method is not None:
+    bad = ~(np.isfinite(start) & (start > 0.0))
+    if strict and bad.any():
+        k = int(np.argmax(bad))
         try:
-            return SHAPE_METHODS[config.start_method](sample).beta_hat
-        except QcurvesError as exc:
-            raise StartFailure(f"start method {config.start_method!r} failed: {exc}") from exc
-    start = float(_start_rows(sample.values[None, :])[0])
-    if math.isnan(start):
-        try:
-            lmoment_shape(sample)  # raises with the reason lm failed
+            _ROW_KERNELS["lm"](x_rows[k:k + 1], True)  # raises with the reason lm failed
         except QcurvesError as exc:
             raise StartFailure(f"default starts pe and lm both failed: {exc}") from exc
         raise StartFailure("default starts pe and lm both failed")
-    return start
+    return np.where(bad, np.nan, start)
+
+
+def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
+    """MD fits of sorted rows, one sample per row, under ``config``.
+
+    Returns (shapes, evaluations, objectives, starts): per-row shapes,
+    achieved objectives and starting shapes, and the minimizer's evaluation
+    count for the whole call.  A row without a start or a reference, or
+    whose minimum stays pinned to the bracket edge, has a NaN shape and
+    objective; with ``strict`` it raises the typed error instead, the start
+    checked before the reference and the reference before the minimizer.
+    A one-row call is ``md_fit``.
+    """
+    starts = _start_rows(x_rows, config.start_method, strict)
+    ref = _ref_rows(x_rows, config.reference, config.curve, config.quadrature, strict)
+    _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve,
+                                   config.quadrature)
+    shapes = np.full(starts.shape, np.nan)
+    objectives = np.full(starts.shape, np.nan)
+    ok = ~np.isnan(starts) & ~np.isnan(ref[:, 0])
+    evals = 0
+    if np.any(ok):
+        log_beta, fmin, _, evals = _minimize_log(
+            ref if ok.all() else ref[ok], lr, weights, np.log(starts[ok]), config, strict)
+        shapes[ok] = np.exp(log_beta)
+        objectives[ok] = fmin
+    return shapes, evals, objectives, starts
 
 
 def md_fit(sample: SortedSample, config: MdConfig = MdConfig()) -> EstimateResult:
@@ -378,10 +405,7 @@ def md_fit(sample: SortedSample, config: MdConfig = MdConfig()) -> EstimateResul
     shape; diagnostics carry the start and the achieved objective as the
     residual.
     """
-    sample = _as_sorted_sample(sample)
-    beta0 = _start_beta(sample, config)
-    ref, lr, weights = _fit_terms(sample, config)
-    xmin, fmin, _, evals = _minimize_log(ref, lr, weights, np.log([beta0]), config,
-                                         strict=True)
-    return EstimateResult(config.method, float(np.exp(xmin[0])), iterations=evals,
-                          residual=float(fmin[0]), start=beta0)
+    shapes, evals, objectives, starts = _md_rows(
+        _as_sorted_sample(sample).values[None, :], config, True)
+    return EstimateResult(config.method, float(shapes[0]), iterations=evals,
+                          residual=float(objectives[0]), start=float(starts[0]))

@@ -31,8 +31,6 @@ from .errors import DegenerateSample, DomainError, NoBracket, NonConvergence
 
 __all__ = [
     "EstimateResult",
-    "BRACKET_LO",
-    "BRACKET_HI",
     "BCML_FACTOR",
     "ml_shape",
     "mml_shape",

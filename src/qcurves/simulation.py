@@ -11,12 +11,14 @@ not depend on the worker count, and per-replication results are reduced in
 replication order, so a report is bit-for-bit identical for any ``workers``
 setting.
 
-The study computes no estimate of its own.  Shape estimates come from the
-row kernels of ``shape_estimators``, whose one-row calls are the scalar
-fits, and MD estimates from the reference rows, the default start and the
-minimizer that ``md_fit`` uses, so a batched fit of one sample equals the
-scalar fit of that sample.  The ``hf`` plug-in curves are reference rows
-too, from the same gather plans.
+The study computes no estimate of its own.  ``_shape_rows`` is its one
+estimator dispatch, for the study and ``replicate_estimates`` alike: shape
+estimates come from the row kernels of ``shape_estimators`` and MD
+estimates from ``md_estimation._md_rows``, whose one-row calls are the
+scalar fits (``fit_shape``, ``md_fit``), so a batched fit of one sample
+equals the scalar fit of that sample.  The ``hf`` plug-in curves are
+reference rows too, from the same gather plans, and every model curve,
+fitted or true, comes from ``_curve_rows``.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ import numpy as np
 
 from ._version import __version__
 from .curves import CurveKind, QuadratureSpec
-from .errors import DomainError
-from .md_estimation import (MdConfig, _MD_METHODS, _cell_plan, _minimize_log, _ref_rows,
-                            _start_rows)
+from .errors import DomainError, _check_count
+from .md_estimation import MdConfig, _MD_METHODS, _cell_plan, _md_rows, _ref_rows
 from .shape_estimators import SHAPE_METHODS, _ROW_KERNELS
 from .weibull import WeibullParams, sample as weibull_sample
 
@@ -76,16 +77,15 @@ class SimulationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_check_count(n, 2, "sample size")
+                                                for n in self.sizes))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        for name, minimum in (("replications", 1), ("workers", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), minimum, name))
         if not self.betas or any(not (b > 0.0) for b in self.betas):
             raise DomainError("shape values must be positive")
-        if not self.sizes or any(n < 2 for n in self.sizes):
-            raise DomainError("sample sizes must be at least 2")
-        if self.replications < 1:
-            raise DomainError("need at least one replication")
-        if self.workers < 1:
-            raise DomainError("worker count must be at least 1")
+        if not self.sizes:
+            raise DomainError("need at least one sample size")
         if not self.estimators:
             raise DomainError("need at least one estimator")
         for est in self.estimators:
@@ -94,29 +94,18 @@ class SimulationConfig:
                     f"unknown estimator {est!r}; valid: {', '.join(ESTIMATOR_ORDER)}")
 
 
-def _md_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
-             quadrature: QuadratureSpec) -> np.ndarray:
-    """Batched MD estimates; a row without a start or a reference is NaN."""
-    config = MdConfig(curve=kind, reference=reference, quadrature=quadrature)
-    _, _, lr, weights = _cell_plan(x_rows.shape[1], reference, config.curve, quadrature)
-    ref = _ref_rows(x_rows, reference, config.curve, quadrature, strict=False)
-    start = _start_rows(x_rows)
-    out = np.full(x_rows.shape[0], np.nan)
-    ok = ~np.isnan(start) & ~np.isnan(ref[:, 0])
-    if not np.any(ok):
-        return out
-    log_beta, _, _, _ = _minimize_log(ref if ok.all() else ref[ok], lr, weights,
-                                      np.log(start[ok]), config, strict=False)
-    out[ok] = np.exp(log_beta)
-    return out
+def _shape_rows(est: str, x_rows: np.ndarray, cache: dict, kind: CurveKind,
+                quadrature: QuadratureSpec) -> np.ndarray:
+    """Batched shape estimates of one estimator; NaN marks a failed fit.
 
-
-def _shape_rows(est: str, x_rows: np.ndarray, cache: dict) -> np.ndarray:
-    """Batched shape estimates for one method; NaN marks a failed fit.
-
-    ``cache`` keeps the kernel outputs of one chunk, so bcml scales the
-    chunk's ml roots instead of solving again.
+    ``mde``/``mdhf`` fit the ``kind`` curve on ``quadrature`` through the MD
+    row function; every other estimator ignores both and runs its row
+    kernel.  ``cache`` keeps the kernel outputs of one chunk, so bcml
+    scales the chunk's ml roots instead of solving again.
     """
+    if est in _MD_METHODS:
+        config = MdConfig(curve=kind, reference=_MD_METHODS[est], quadrature=quadrature)
+        return _md_rows(x_rows, config, False)[0]
     if est == "bcml" and "ml" not in cache:
         cache["ml"] = _ROW_KERNELS["ml"](x_rows, False)
     if est not in cache:
@@ -156,8 +145,7 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
     # every plan of a curve and grid carries the same lr and weights
     _, _, lr_qz, w = _cell_plan(n, "empirical", CurveKind.QZ, config.quadrature)
     _, _, lr_qd, _ = _cell_plan(n, "empirical", CurveKind.QD, config.quadrature)
-    true_z = -np.expm1(lr_qz / beta)
-    true_d = -np.expm1(lr_qd / beta)
+    true_z, true_d = (_curve_rows(np.array([beta]), lr)[0] for lr in (lr_qz, lr_qd))
     true_zi = float((w * true_z).sum())
     true_di = float((w * true_d).sum())
 
@@ -175,12 +163,8 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
             iz = _ref_rows(x_rows, "hf", CurveKind.QZ, config.quadrature, strict=False)
             id_ = _ref_rows(x_rows, "hf", CurveKind.QD, config.quadrature, strict=False)
         else:
-            if est in _MD_METHODS:
-                reference = _MD_METHODS[est]
-                bz = _md_rows(x_rows, reference, CurveKind.QZ, config.quadrature)
-                bd = _md_rows(x_rows, reference, CurveKind.QD, config.quadrature)
-            else:
-                bz = bd = _shape_rows(est, x_rows, cache)
+            bz = _shape_rows(est, x_rows, cache, CurveKind.QZ, config.quadrature)
+            bd = _shape_rows(est, x_rows, cache, CurveKind.QD, config.quadrature)
             cz = iz = _curve_rows(bz, lr_qz)
             cd = id_ = _curve_rows(bd, lr_qd)
         ise = []
@@ -376,11 +360,8 @@ def replicate_estimates(estimator: str, beta: float, n: int, replications: int,
         estimators=(estimator,), master_seed=master_seed, quadrature=quadrature)
     chunks = []
     for r0, r1 in _chunk_bounds(replications):
-        x_rows = _draw_rows(config, 0, 0, r0, r1)
-        if estimator in _MD_METHODS:
-            chunks.append(_md_rows(x_rows, _MD_METHODS[estimator], curve, quadrature))
-        else:
-            chunks.append(_shape_rows(estimator, x_rows, {}))
+        chunks.append(_shape_rows(estimator, _draw_rows(config, 0, 0, r0, r1), {}, curve,
+                                  quadrature))
     return np.concatenate(chunks)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveKind, _curve_eval, _on_unit_interval
-from .errors import DomainError
+from .errors import DomainError, _check_count
 
 __all__ = [
     "WeibullParams",
@@ -121,9 +121,7 @@ def quantile_density(params: WeibullParams, p):
 
 def sample(params: WeibullParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` variates by inverse transform of uniforms from ``rng``."""
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
-    u = rng.random(n)
+    u = rng.random(_check_count(n, 1, "sample size"))
     return params.sigma * (-np.log1p(-u)) ** (1.0 / params.beta)
 
 

@@ -293,6 +293,14 @@ def test_gof_all_refits_failing_exit_3(data_file, capsys):
     assert err.startswith("error: no bootstrap refit succeeded") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "gof"])
+def test_negative_seed_exit_3(command, data_file, capsys):
+    extra = ["--reps", "5"] if command == "simulate" else ["--data", data_file([1, 2, 3, 4.0])]
+    assert main([command, *extra, "--seed", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+
+
 def test_whitespace_separated_file(data_file, capsys):
     path = data_file(None, text="1.0 2.0 3.0\n4.0 5.0\n")
     assert main(["fit", "--data", path, "--method", "lm"]) == 0

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcurves.md_estimation as md_estimation
-import qcurves.simulation as simulation
 from qcurves import (
     BracketFailure,
     CurveKind,
@@ -25,8 +24,7 @@ from qcurves import (
     md_objective,
     plotting_position_qf,
 )
-from qcurves.md_estimation import _ref_rows
-from qcurves.simulation import _md_rows
+from qcurves.md_estimation import _md_rows, _ref_rows
 from qcurves.weibull import sample as weibull_sample
 from tests.conftest import weib_sorted
 
@@ -187,9 +185,9 @@ def test_fit_does_not_depend_on_block_size():
     base = md_fit(s, config)
     with mock.patch.object(md_estimation, "_BLOCK_ROWS", 3):
         blocked = md_fit(s, config)
-        rows3 = _md_rows(x_rows, "hf", CurveKind.QZ, config.quadrature)
+        rows3 = _md_rows(x_rows, config, False)[0]
     assert (blocked.beta_hat, blocked.residual) == (base.beta_hat, base.residual)
-    rows = _md_rows(x_rows, "hf", CurveKind.QZ, config.quadrature)
+    rows = _md_rows(x_rows, config, False)[0]
     assert np.array_equal(rows3, rows)
     assert rows[0] == base.beta_hat
 
@@ -222,8 +220,9 @@ def test_zero_denominator_row_is_quiet_nan_batched(reference, kind):
     # a RuntimeWarning leaking from the gather would fail under the suite's
     # warning filter; the row has a start, so only its reference keeps it
     # out of the minimizer
-    with mock.patch.object(simulation, "_minimize_log", side_effect=AssertionError):
-        rows = _md_rows(ZERO_DENOMINATOR_ROW, reference, kind, MdConfig().quadrature)
+    config = MdConfig(curve=kind, reference=reference)
+    with mock.patch.object(md_estimation, "_minimize_log", side_effect=AssertionError):
+        rows = _md_rows(ZERO_DENOMINATOR_ROW, config, False)[0]
     assert np.isnan(rows).all()
 
 
@@ -252,7 +251,7 @@ def test_md_rows_match_md_fit_on_ties_zeros_and_any_scale(base, e):
     x_rows = base * 10.0 ** e
     for reference, kind in MD_CASES:
         config = MdConfig(curve=kind, reference=reference)
-        batch = _md_rows(x_rows, reference, kind, config.quadrature)
+        batch = _md_rows(x_rows, config, False)[0]
         for k, row in enumerate(x_rows):
             try:
                 fit = md_fit(SortedSample(row), config)

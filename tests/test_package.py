@@ -1,0 +1,77 @@
+"""Package-wide contracts: the exported names and the typed count checks."""
+
+import numpy as np
+import pytest
+
+import qcurves
+from qcurves import errors
+from qcurves import (
+    DomainError,
+    MdConfig,
+    QuadratureSpec,
+    SimulationConfig,
+    SortedSample,
+    WeibullParams,
+    ad_test,
+    curve_grid,
+    empirical_qf,
+    plotting_positions,
+    replicate_estimates,
+    sample,
+)
+
+EXPORTS = {
+    "__version__", "AsymptoticVariance", "KernelContext", "kernel_R", "kernel_ab",
+    "md_asymptotic_variance", "CurveKind", "CurveSamples", "QuadratureSpec", "curve_grid",
+    "curve_index", "curve_value", "gauss_legendre_grid", "load_guinea_pigs", "EmpiricalQF",
+    "PlottingPositionQF", "SortedSample", "empirical_qf", "plotting_position_qf",
+    "plotting_positions", "BracketFailure", "DegenerateQuantile", "DegenerateSample",
+    "DomainError", "NoBracket", "NonConvergence", "QcurvesError", "StartFailure", "GofResult",
+    "ad_statistic", "ad_test", "MD_REFERENCES", "MdConfig", "md_fit", "md_objective",
+    "BCML_FACTOR", "EstimateResult", "SHAPE_METHODS", "bcml_shape", "fit_shape", "gini_shape",
+    "lmoment_shape", "ls_shape", "ml_shape", "mml_shape", "moment_shape", "pe_shape",
+    "profile_scale", "tmml_shape", "wls_shape", "ESTIMATOR_ORDER", "METRICS",
+    "SimulationConfig", "SimulationReport", "render_tables", "replicate_estimates",
+    "run_simulation", "WeibullParams", "cdf", "closed_curve", "eta_weibull", "gini_weibull",
+    "pdf", "qd_closed", "quantile", "quantile_density", "qz_closed", "sample", "weibull_qf",
+}
+
+
+def test_package_exports_the_modules_public_names():
+    assert len(qcurves.__all__) == len(EXPORTS)
+    assert set(qcurves.__all__) == EXPORTS
+    assert all(hasattr(qcurves, name) for name in EXPORTS)
+    assert callable(qcurves.empirical_qf)  # the function, not its module
+    assert set(errors.__all__) == {name for name, value in vars(errors).items()
+                                   if isinstance(value, type) and issubclass(value, Exception)}
+
+
+_X = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+
+# (call taking the count, its minimum)
+COUNT_CALLS = {
+    "curve_grid": (lambda v: curve_grid(empirical_qf(SortedSample(_X)), "qz", v), 1),
+    "replications": (lambda v: SimulationConfig(replications=v), 1),
+    "sizes": (lambda v: SimulationConfig(sizes=(v,)), 2),
+    "workers": (lambda v: SimulationConfig(workers=v), 1),
+    "master_seed": (lambda v: SimulationConfig(master_seed=v), 0),
+    "replicate_estimates": (lambda v: replicate_estimates("ml", 1.0, 20, v), 1),
+    "bootstrap_reps": (lambda v: ad_test(_X, bootstrap_reps=v), 1),
+    "gof_seed": (lambda v: ad_test(_X, bootstrap_reps=1, seed=v), 0),
+    "sample": (lambda v: sample(WeibullParams(1.0), v, np.random.default_rng(0)), 1),
+    "plotting_positions": (plotting_positions, 1),
+    "panels": (lambda v: QuadratureSpec(v, 4), 1),
+    "nodes": (lambda v: QuadratureSpec(4, v), 1),
+    "max_expansions": (lambda v: MdConfig(max_expansions=v), 0),
+}
+
+
+@pytest.mark.parametrize("call,minimum", list(COUNT_CALLS.values()), ids=list(COUNT_CALLS))
+def test_counts_and_seeds_must_be_integers_at_their_minimum(call, minimum):
+    # a float, a bool or a value below the minimum is a DomainError, never
+    # an untyped TypeError from numpy or a silent truncation
+    for bad in (minimum - 1, minimum + 0.5, float(minimum), True, "2"):
+        with pytest.raises(DomainError):
+            call(bad)
+    call(minimum)
+    call(np.int64(minimum))

@@ -28,9 +28,9 @@ from qcurves.simulation import (
     _aggregate,
     _chunk_bounds,
     _draw_rows,
-    _md_rows,
     _shape_rows,
 )
+from qcurves.md_estimation import _md_rows
 from qcurves.weibull import sample as weibull_sample
 from tests.conftest import weib_sorted
 
@@ -92,7 +92,7 @@ def test_draw_rows_seeding_is_per_replication():
 def test_batched_shape_estimates_match_scalar_bitwise(est):
     rng = np.random.default_rng(5)
     x_rows = np.sort(weibull_sample(WeibullParams(2.0, 1.0), 8 * 30, rng).reshape(8, 30), axis=1)
-    batch = _shape_rows(est, x_rows, {})
+    batch = _shape_rows(est, x_rows, {}, CurveKind.QZ, QuadratureSpec())
     for k in range(8):
         scalar = fit_shape(SortedSample(x_rows[k]), est).beta_hat
         assert batch[k] == scalar
@@ -104,11 +104,56 @@ def test_batched_md_estimates_match_scalar_bitwise(reference, kind):
     rng = np.random.default_rng(6)
     x_rows = np.sort(weibull_sample(WeibullParams(2.0, 1.0), 8 * 30, rng).reshape(8, 30), axis=1)
     quad = QuadratureSpec()
-    batch = _md_rows(x_rows, reference, kind, quad)
+    est = "mde" if reference == "empirical" else "mdhf"
+    batch = _shape_rows(est, x_rows, {}, kind, quad)
     config = MdConfig(curve=kind, reference=reference, quadrature=quad)
     for k in range(8):
         scalar = md_fit(SortedSample(x_rows[k]), config).beta_hat
         assert batch[k] == scalar
+
+
+# the bracket settings make some of the rows below fail with BracketFailure
+@pytest.mark.parametrize("config", [
+    MdConfig(start_method="ml"), MdConfig(start_method="ls"), MdConfig(start_method="pe"),
+    MdConfig(bracket_factor=1.05, max_expansions=1), MdConfig(tol=1e-3),
+], ids=["start-ml", "start-ls", "start-pe", "bracket", "tol"])
+def test_batched_md_settings_match_scalar_bitwise(config):
+    x_rows = np.vstack([weib_sorted(2.0, 10, seed=k).values for k in range(12)])
+    shapes, _, objectives, starts = _md_rows(x_rows, config, False)
+    failed = 0
+    for k in range(12):
+        try:
+            fit = md_fit(SortedSample(x_rows[k]), config)
+        except QcurvesError:
+            failed += 1
+            assert np.isnan(shapes[k]) and np.isnan(objectives[k])
+            continue
+        assert (shapes[k], objectives[k], starts[k]) == (fit.beta_hat, fit.residual, fit.start)
+    assert (0 < failed < 12) if config.max_expansions == 1 else failed == 0
+
+
+# rows that every configuration below fits
+_GOOD_ROWS = [weib_sorted(2.0, 10, seed=k).values for k in range(2, 6)]
+
+
+@pytest.mark.parametrize("config,bad_rows", [
+    (MdConfig(), [np.full(10, 1.7)]),  # neither pe nor lm gives a start
+    # lm fails on both rows, for a different reason on each
+    (MdConfig(), [np.eye(10)[-1], np.full(10, 1.7)]),
+    (MdConfig(start_method="ls"), [np.full(10, 1.7)]),
+    (MdConfig(), [np.array([0, 0, 0, 0, 0, 0, 1, 2, 3, 4.0])]),  # zero denominator
+    (MdConfig(start_method="ls", bracket_factor=1.05, max_expansions=1),
+     [weib_sorted(2.0, 10, seed=0).values]),
+], ids=["start", "start-first-row", "start-ls", "reference", "bracket"])
+def test_strict_md_rows_raise_as_md_fit_on_first_failing_row(config, bad_rows):
+    x_rows = np.vstack(_GOOD_ROWS + bad_rows)
+    shapes = _md_rows(x_rows, config, False)[0]
+    assert np.isnan(shapes).tolist() == [False] * 4 + [True] * len(bad_rows)
+    with pytest.raises(QcurvesError) as scalar:
+        md_fit(SortedSample(x_rows[4]), config)
+    with pytest.raises(QcurvesError) as batch:
+        _md_rows(x_rows, config, True)
+    assert (type(batch.value), str(batch.value)) == (type(scalar.value), str(scalar.value))
 
 
 def test_worker_count_bit_identity():
@@ -237,7 +282,7 @@ def test_batched_and_scalar_fail_on_the_same_rows():
     rows[7] *= 1.7e308 / rows[7][-1]
     x_rows = np.vstack(rows)
     for est in SHAPE_ESTS:
-        batch = _shape_rows(est, x_rows, {})
+        batch = _shape_rows(est, x_rows, {}, CurveKind.QZ, QuadratureSpec())
         assert np.all(np.isfinite(batch[[0, 5, 6, 7]])), est
         for k in range(len(rows)):
             try:
@@ -248,7 +293,7 @@ def test_batched_and_scalar_fail_on_the_same_rows():
                 assert np.isnan(batch[k]), (est, k, batch[k])
             else:
                 assert batch[k] == scalar, (est, k)
-    assert np.all(np.isnan(_shape_rows("ml", x_rows[1:5], {})))
+    assert np.all(np.isnan(_shape_rows("ml", x_rows[1:5], {}, CurveKind.QZ, QuadratureSpec())))
 
 
 def test_report_json_has_no_environment_fields():
