@@ -50,6 +50,10 @@ __all__ = ["KernelContext", "kernel_ab", "kernel_R", "md_asymptotic_variance",
 # in again block after block, which cost up to twice the time.
 _BLOCK_VALUES = 8 * 1024
 
+# Largest relative change of A under panel doubling that md_asymptotic_variance
+# accepts.
+_DOUBLING_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class KernelContext:
@@ -176,19 +180,19 @@ class AsymptoticVariance:
 
 
 def md_asymptotic_variance(beta: float, kind=CurveKind.QZ, panels: int = 64,
-                           nodes: int = 4, check: bool = True,
-                           check_tol: float = 1e-6) -> AsymptoticVariance:
+                           nodes: int = 4) -> AsymptoticVariance:
     """Asymptotic variance A/C**2 of the minimum-distance shape estimator.
 
     ``A`` is computed by triangle-split tensor Gauss-Legendre quadrature at
-    the given resolution and confirmed at doubled panel count; the relative
-    change must stay within ``check_tol`` when ``check`` is set.
+    ``panels`` x ``nodes`` and at doubled panel count, and the finer value
+    is used.  NonConvergence is raised when the two differ by more than
+    ``_DOUBLING_RTOL`` relative.
     """
     ctx = KernelContext(beta, kind)
     coarse = _double_integral(ctx, panels, nodes)
     fine = _double_integral(ctx, 2 * panels, nodes)
     rel = abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
-    if check and rel > check_tol:
+    if rel > _DOUBLING_RTOL:
         raise NonConvergence(
             f"double quadrature changed by {rel:.3e} under panel doubling")
     points, weights = gauss_legendre_grid(QuadratureSpec())

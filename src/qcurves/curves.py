@@ -74,16 +74,23 @@ class CurveKind(Enum):
         return (1.0, 1.0) if self is CurveKind.QZ else (1.0, 0.0)
 
 
+def _elementwise(x, fn, bad, message: str):
+    """``fn`` of the float array of ``x``, a float for scalar ``x``;
+    DomainError with ``message`` where ``bad`` of that array holds anywhere."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    if np.any(bad(x)):
+        raise DomainError(message)
+    out = fn(x)
+    return float(out[0]) if scalar else out
+
+
 def _on_unit_interval(p, fn, what: str):
     """``fn`` of the array of ``p``, a float for scalar ``p``; DomainError,
     naming ``what`` p is, unless every p lies in [0, 1]."""
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    if np.any((p < 0.0) | (p > 1.0) | np.isnan(p)):
-        raise DomainError(f"{what} must lie in [0, 1]")
-    out = fn(p)
-    return float(out[0]) if scalar else out
+    return _elementwise(p, fn, lambda p: (p < 0.0) | (p > 1.0) | np.isnan(p),
+                        f"{what} must lie in [0, 1]")
 
 
 def _curve_eval(p, inner, ends):
@@ -206,8 +213,16 @@ class CurveSamples:
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["p", "value"]:
             raise DomainError("curve CSV must start with header p,value")
-        data = np.array([[float(a), float(b)] for a, b in rows[1:]], dtype=float)
-        return cls(p=data[:, 0], values=data[:, 1], kind=kind)
+        data = []
+        for line, row in enumerate(rows[1:], start=2):
+            try:
+                pi, vi = row
+                data.append((float(pi), float(vi)))
+            except ValueError:
+                raise DomainError(
+                    f"curve CSV row {line} must hold two numbers p,value, got {row}") from None
+        p, values = np.array(data, dtype=float).reshape(-1, 2).T
+        return cls(p=p, values=values, kind=kind)
 
 
 def curve_grid(qf, kind, grid_size: int = 200) -> CurveSamples:

@@ -7,7 +7,10 @@ objective is smooth: a safeguarded Newton iteration from a starting
 estimate, with analytic first and second derivatives, finishes most fits in
 a few passes.  A fit that Newton cannot finish safely falls back to a
 golden-section search inside a multiplicative bracket around the start,
-expanding the bracket when the minimum lands on an edge.
+expanding the bracket when the minimum lands on an edge.  The start (pe,
+falling back to lm), the bracket factor, the tolerance and the expansion
+count are fixed: a configuration names only the curve, the reference and
+the quadrature grid.
 
 There is one implementation, the row function ``_md_rows``: sorted samples,
 one per row, go through the start (``_start_rows``), the reference rows
@@ -33,9 +36,8 @@ import numpy as np
 from .curves import CurveKind, QuadratureSpec, gauss_legendre_grid
 from .empirical_qf import (SortedSample, _as_sorted_sample, _interpolate, interp_plan,
                           plotting_positions, step_indices)
-from .errors import (BracketFailure, DegenerateQuantile, DomainError, QcurvesError, StartFailure,
-                     _check_count)
-from .shape_estimators import EstimateResult, SHAPE_METHODS, _ROW_KERNELS
+from .errors import BracketFailure, DegenerateQuantile, DomainError, QcurvesError, StartFailure
+from .shape_estimators import EstimateResult, _ROW_KERNELS
 from .weibull import _check_positive, _log_ratio
 
 __all__ = ["MdConfig", "md_objective", "md_fit", "MD_REFERENCES"]
@@ -46,30 +48,29 @@ _MD_METHODS = {method: reference for reference, method in MD_REFERENCES.items()}
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = 1.0 - _INVPHI
 
+# The minimizer's fixed settings (see _minimize_log): the first bracket's
+# factor about the start, the tolerance on log-shape and the bracket
+# expansions allowed.
+_BRACKET_FACTOR = 5.0
+_TOL = 1e-8
+_MAX_EXPANSIONS = 3
+
 
 @dataclass(frozen=True)
 class MdConfig:
-    """Configuration for a minimum-distance fit; ``curve`` may be a kind name."""
+    """What a minimum-distance fit matches: the ``curve`` (a kind or its
+    name), the ``reference`` quantile function (``empirical`` step or
+    ``hf``) and the ``quadrature`` grid of the L2 distance.  The minimizer's
+    start, bracket and tolerance are fixed (see the module docstring)."""
 
     curve: CurveKind = CurveKind.QZ
     reference: str = "empirical"
-    start_method: str | None = None  # None: pe, falling back to lm
-    bracket_factor: float = 5.0
-    tol: float = 1e-8  # absolute tolerance on log-shape
-    max_expansions: int = 3
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         object.__setattr__(self, "curve", CurveKind(self.curve))
         if self.reference not in MD_REFERENCES:
             raise DomainError(f"reference must be one of {sorted(MD_REFERENCES)}")
-        if not self.bracket_factor > 1.0:
-            raise DomainError("bracket factor must exceed 1")
-        if not 0.0 < self.tol < 1.0:
-            raise DomainError("tolerance must lie in (0, 1)")
-        _check_count(self.max_expansions, 0, "max_expansions")
-        if self.start_method is not None and self.start_method not in SHAPE_METHODS:
-            raise DomainError(f"unknown start method {self.start_method!r}")
 
     @property
     def method(self) -> str:
@@ -262,18 +263,18 @@ def _golden(f, lo: np.ndarray, hi: np.ndarray, tol: float):
 
 
 def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
-                  log_start: np.ndarray, config: MdConfig, strict: bool):
+                  log_start: np.ndarray, strict: bool):
     """Minimize the objective of every row of ``ref`` over log-shape.
 
     Each row starts with Newton's method from its ``log_start``.  The row
-    leaves Newton converged once a step is shorter than ``config.tol``.  It
+    leaves Newton converged once a step is shorter than ``_TOL``.  It
     leaves for the golden search instead when its curvature is not
     positive, its objective rises from one pass to the next, its next
-    iterate leaves the first bracket ``log_start -+ log(bracket_factor)``,
+    iterate leaves the first bracket ``log_start -+ log(_BRACKET_FACTOR)``,
     or it is still moving after ``_NEWTON_PASSES`` passes.  The golden
     search starts on that first bracket and, while its minimum sits on the
     bracket edge, re-centres and doubles the bracket up to
-    ``config.max_expansions`` times.  Rows drop out as they converge, so
+    ``_MAX_EXPANSIONS`` times.  Rows drop out as they converge, so
     every row's result depends on that row alone.  No row ends worse than
     its start: where the start's objective is not above the minimum found,
     the start is returned.
@@ -283,7 +284,7 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
     ``strict`` such a row raises BracketFailure instead.  ``evaluations``
     counts Newton passes plus golden objective evaluations.
     """
-    log_factor = math.log(config.bracket_factor)
+    log_factor = math.log(_BRACKET_FACTOR)
     lo = log_start - log_factor
     hi = log_start + log_factor
     xmin = np.full_like(log_start, np.nan)
@@ -304,7 +305,7 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
         with np.errstate(divide="ignore", invalid="ignore"):
             step = -g / h
         ok = (h > 0.0) & (f <= f_prev)
-        done = ok & (np.abs(step) < config.tol)
+        done = ok & (np.abs(step) < _TOL)
         xmin[rows[done]] = x[done]
         fmin[rows[done]] = f[done]
         x_next = x + step
@@ -313,13 +314,13 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
         rows, x, f_prev = rows[go], x_next[go], f[go]
     pending[rows] = True
 
-    edge_tol = max(10.0 * config.tol, 1e-6)
-    for _ in range(config.max_expansions + 1):
+    edge_tol = max(10.0 * _TOL, 1e-6)
+    for _ in range(_MAX_EXPANSIONS + 1):
         idx = np.nonzero(pending)[0]
         if idx.size == 0:
             break
         obj = _objective_closure(ref[idx], lr, weights)
-        sub_x, sub_f, ev = _golden(obj, lo[idx], hi[idx], config.tol)
+        sub_x, sub_f, ev = _golden(obj, lo[idx], hi[idx], _TOL)
         evals += ev
         pinned = np.minimum(sub_x - lo[idx], hi[idx] - sub_x) < edge_tol
         xmin[idx] = sub_x
@@ -335,7 +336,7 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
         if strict:
             raise BracketFailure(
                 "minimum still pinned to the bracket edge after "
-                f"{config.max_expansions} expansions")
+                f"{_MAX_EXPANSIONS} expansions")
         xmin[pending] = np.nan
         fmin[pending] = np.nan
     start_wins = f_start <= fmin
@@ -344,20 +345,13 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
     return xmin, fmin, pending, evals
 
 
-def _start_rows(x_rows: np.ndarray, method: str | None, strict: bool) -> np.ndarray:
-    """Starting shape of each row: the ``method`` estimate, or by default the
-    pe estimate, else the lm estimate.
+def _start_rows(x_rows: np.ndarray, strict: bool) -> np.ndarray:
+    """Starting shape of each row: the pe estimate, else the lm estimate.
 
-    A row without a start is NaN (by default, a row where neither pe nor lm
-    gives a finite positive shape).  With ``strict`` it raises StartFailure
-    with the reason the start method failed or, by default, the reason lm
-    failed on the first such row.
+    A row where neither gives a finite positive shape is NaN; with
+    ``strict`` it raises StartFailure with the reason lm failed on the first
+    such row.
     """
-    if method is not None:
-        try:
-            return _ROW_KERNELS[method](x_rows, strict)[0]
-        except QcurvesError as exc:
-            raise StartFailure(f"start method {method!r} failed: {exc}") from exc
     pe = _ROW_KERNELS["pe"](x_rows, False)[0]
     start = np.where(np.isfinite(pe), pe, _ROW_KERNELS["lm"](x_rows, False)[0])
     bad = ~(np.isfinite(start) & (start > 0.0))
@@ -382,7 +376,7 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     checked before the reference and the reference before the minimizer.
     A one-row call is ``md_fit``.
     """
-    starts = _start_rows(x_rows, config.start_method, strict)
+    starts = _start_rows(x_rows, strict)
     ref = _ref_rows(x_rows, config.reference, config.curve, config.quadrature, strict)
     _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve,
                                    config.quadrature)
@@ -392,7 +386,7 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     evals = 0
     if np.any(ok):
         log_beta, fmin, _, evals = _minimize_log(
-            ref if ok.all() else ref[ok], lr, weights, np.log(starts[ok]), config, strict)
+            ref if ok.all() else ref[ok], lr, weights, np.log(starts[ok]), strict)
         shapes[ok] = np.exp(log_beta)
         objectives[ok] = fmin
     return shapes, evals, objectives, starts

@@ -60,6 +60,10 @@ _LOG2 = math.log(2.0)
 _PE_ORDERS = np.array([0.31, 0.63])
 _PE_NUM = math.log(-math.log1p(-0.63)) - math.log(-math.log1p(-0.31))
 
+# Bracket width at which the root finder settles a root, and its pass cap.
+_XTOL = 1e-12
+_MAXITER = 200
+
 
 @dataclass(frozen=True)
 class EstimateResult:
@@ -72,7 +76,7 @@ class EstimateResult:
     start: float | None = None
 
 
-def _bracketed_root(f, rows, strict, xtol=1e-12, maxiter=200):
+def _bracketed_root(f, rows, strict):
     """Vectorized Illinois root finder on the bracket [BRACKET_LO, BRACKET_HI].
 
     ``f`` maps a 1-d array of ``rows`` candidates to their residuals.  Rows
@@ -97,7 +101,7 @@ def _bracketed_root(f, rows, strict, xtol=1e-12, maxiter=200):
         active &= ~no_bracket
     side = np.zeros(rows, dtype=np.int8)  # -1: lower end moved last, +1: upper
     iterations = 0
-    for it in range(maxiter):
+    for it in range(_MAXITER):
         if not np.any(active):
             break
         iterations = it + 1
@@ -120,14 +124,14 @@ def _bracketed_root(f, rows, strict, xtol=1e-12, maxiter=200):
         fb[upper] = fx[upper]
         fa[halve_a] *= 0.5
         side[upper] = 1
-        tight = active & (np.abs(b - a) < xtol + 4.0 * np.finfo(float).eps * np.abs(b))
+        tight = active & (np.abs(b - a) < _XTOL + 4.0 * np.finfo(float).eps * np.abs(b))
         settled = exact | tight
         root[settled] = x[settled]
         residual[settled] = np.abs(fx[settled])
         active &= ~tight
     if np.any(active):
         if strict:
-            raise NonConvergence(f"root finder hit the {maxiter}-iteration cap")
+            raise NonConvergence(f"root finder hit the {_MAXITER}-iteration cap")
         # leave unconverged entries NaN
     return root, iterations, residual
 

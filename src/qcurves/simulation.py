@@ -39,7 +39,7 @@ from .curves import CurveKind, QuadratureSpec
 from .errors import DomainError, _check_count
 from .md_estimation import MdConfig, _MD_METHODS, _cell_plan, _md_rows, _ref_rows
 from .shape_estimators import SHAPE_METHODS, _ROW_KERNELS
-from .weibull import WeibullParams, sample as weibull_sample
+from .weibull import WeibullParams, _check_positive, sample as weibull_sample
 
 __all__ = [
     "SimulationConfig",
@@ -76,14 +76,14 @@ class SimulationConfig:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        object.__setattr__(self, "betas", tuple(_check_positive(float(b)) for b in self.betas))
         object.__setattr__(self, "sizes", tuple(_check_count(n, 2, "sample size")
                                                 for n in self.sizes))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         for name, minimum in (("replications", 1), ("workers", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _check_count(getattr(self, name), minimum, name))
-        if not self.betas or any(not (b > 0.0) for b in self.betas):
-            raise DomainError("shape values must be positive")
+        if not self.betas:
+            raise DomainError("need at least one shape value")
         if not self.sizes:
             raise DomainError("need at least one sample size")
         if not self.estimators:

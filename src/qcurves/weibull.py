@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveKind, _curve_eval, _on_unit_interval
+from .curves import CurveKind, _curve_eval, _elementwise, _on_unit_interval
 from .errors import DomainError, _check_count
 
 __all__ = [
@@ -40,10 +40,11 @@ __all__ = [
 ]
 
 
-def _check_positive(value: float, name: str = "shape"):
-    """Raise DomainError unless the parameter ``value`` is finite and positive."""
+def _check_positive(value: float, name: str = "shape") -> float:
+    """The parameter ``value``; DomainError unless it is finite and positive."""
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -58,36 +59,43 @@ class WeibullParams:
         _check_positive(self.sigma, "scale")
 
 
-def _maybe_scalar(out: np.ndarray, scalar: bool):
-    return float(out.reshape(())[()]) if scalar else out
-
-
 def pdf(params: WeibullParams, x):
-    """Density of the Weibull distribution; zero for negative arguments."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    z = x[pos] / params.sigma
-    zb = z**params.beta
-    out[pos] = (params.beta / params.sigma) * zb / z * np.exp(-zb)
-    if params.beta < 1.0:
-        out[x == 0.0] = np.inf
-    elif params.beta == 1.0:
-        out[x == 0.0] = 1.0 / params.sigma
-    return _maybe_scalar(out, scalar)
+    """Density of the Weibull distribution; zero for negative arguments and
+    at +inf.  DomainError for NaN."""
+
+    def density(x):
+        out = np.zeros_like(x)
+        pos = x > 0.0
+        # an overflow rounds the density to inf near 0 (beta < 1), and where
+        # z**beta overflows the density rounds to zero
+        with np.errstate(over="ignore"):
+            z = x[pos] / params.sigma
+            zb = z**params.beta
+            keep = zb < np.inf
+            pos[pos] = keep
+            z, zb = z[keep], zb[keep]
+            out[pos] = (params.beta / params.sigma) * zb / z * np.exp(-zb)
+        if params.beta < 1.0:
+            out[x == 0.0] = np.inf
+        elif params.beta == 1.0:
+            out[x == 0.0] = 1.0 / params.sigma
+        return out
+
+    return _elementwise(x, density, np.isnan, "density argument must not be NaN")
 
 
 def cdf(params: WeibullParams, x):
-    """Distribution function F(x) = 1 - exp(-(x/sigma)**beta)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = -np.expm1(-((x[pos] / params.sigma) ** params.beta))
-    return _maybe_scalar(out, scalar)
+    """Distribution function F(x) = 1 - exp(-(x/sigma)**beta).  DomainError
+    for NaN."""
+
+    def dist(x):
+        out = np.zeros_like(x)
+        pos = x > 0.0
+        with np.errstate(over="ignore"):  # an overflow to inf gives F = 1
+            out[pos] = -np.expm1(-((x[pos] / params.sigma) ** params.beta))
+        return out
+
+    return _elementwise(x, dist, np.isnan, "distribution function argument must not be NaN")
 
 
 def quantile(params: WeibullParams, p):
@@ -109,14 +117,13 @@ def quantile_density(params: WeibullParams, p):
 
     Defined for p in (0, 1).
     """
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    if np.any((p <= 0.0) | (p >= 1.0) | np.isnan(p)):
-        raise DomainError("quantile density needs p in the open interval (0, 1)")
-    u = -np.log1p(-p)
-    out = (params.sigma / params.beta) * u ** (1.0 / params.beta - 1.0) / (1.0 - p)
-    return _maybe_scalar(out, scalar)
+
+    def density(p):
+        u = -np.log1p(-p)
+        return (params.sigma / params.beta) * u ** (1.0 / params.beta - 1.0) / (1.0 - p)
+
+    return _elementwise(p, density, lambda p: (p <= 0.0) | (p >= 1.0) | np.isnan(p),
+                        "quantile density needs p in the open interval (0, 1)")
 
 
 def sample(params: WeibullParams, n: int, rng: np.random.Generator) -> np.ndarray:

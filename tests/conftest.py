@@ -1,11 +1,14 @@
 """Shared pytest wiring: acceptance summary block printed after the run."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import qcurves.md_estimation as md_estimation
 from qcurves import SortedSample, WeibullParams
+from qcurves.shape_estimators import _ROW_KERNELS
 from qcurves.weibull import sample as weibull_sample
 
 CRITERION_LABELS = {
@@ -25,6 +28,17 @@ def weib_sorted(beta, n, seed, scale=1.0):
     """Sorted Weibull sample with a fixed seed, as a SortedSample."""
     rng = np.random.default_rng(seed)
     return SortedSample.from_data(weibull_sample(WeibullParams(beta, scale), n, rng))
+
+
+def md_start_from(method):
+    """Patch the MD start to the plain ``method`` estimate of each row."""
+    return mock.patch.object(md_estimation, "_start_rows",
+                             lambda x_rows, strict: _ROW_KERNELS[method](x_rows, strict)[0])
+
+
+def md_narrow_bracket(expansions):
+    """Patch the MD bracket factor to 1.05 and its expansion count to ``expansions``."""
+    return mock.patch.multiple(md_estimation, _BRACKET_FACTOR=1.05, _MAX_EXPANSIONS=expansions)
 
 
 @pytest.fixture

@@ -128,10 +128,13 @@ def test_variance_accepts_enum_and_string():
 
 
 def test_variance_convergence_check_raises_on_coarse_grid():
-    with pytest.raises(NonConvergence):
-        md_asymptotic_variance(2.0, "qz", panels=2, nodes=2, check_tol=1e-10)
-    result = md_asymptotic_variance(2.0, "qz", panels=2, nodes=2, check=False)
-    assert result.rel_change > 1e-10  # reported, not enforced
+    # A changes by 1.8e-2 (2 x 2) and 1.2e-6 (8 x 4) under panel doubling
+    for panels, nodes in ((2, 2), (8, 4)):
+        with pytest.raises(NonConvergence, match="under panel doubling"):
+            md_asymptotic_variance(2.0, "qz", panels=panels, nodes=nodes)
+    with mock.patch.object(asymptotics, "_DOUBLING_RTOL", 1.0):
+        result = md_asymptotic_variance(2.0, "qz", panels=8, nodes=4)
+    assert result.rel_change > 1e-6  # the change is reported as computed
 
 
 def _tensor_double_integral(ctx, panels, nodes):

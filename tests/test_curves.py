@@ -122,8 +122,7 @@ KIND_ENTRY_POINTS = {
     "replicate_estimates": lambda kind: replicate_estimates("mde", 1.5, 20, 30, curve=kind),
     "kernel_ab": lambda kind: kernel_ab(KernelContext(1.5, kind), _KIND_T),
     "kernel_R": lambda kind: kernel_R(KernelContext(1.5, kind), _KIND_T[:, None], _KIND_T),
-    "md_asymptotic_variance": lambda kind: md_asymptotic_variance(1.5, kind, panels=8,
-                                                                  check=False),
+    "md_asymptotic_variance": lambda kind: md_asymptotic_variance(1.5, kind, panels=16),
 }
 
 
@@ -295,6 +294,16 @@ def test_curve_samples_csv_round_trip():
     assert np.array_equal(back.p, samples.p)
     assert np.array_equal(back.values, samples.values)
     assert back.kind == samples.kind
+
+
+@pytest.mark.parametrize("text,message", [
+    ("p,value\n0.5,0.1,9\n", "row 2 must hold two numbers"),
+    ("p,value\n0.5\n", "row 2 must hold two numbers"),
+    ("p,value\n0,1\nx,1\n", "row 3 must hold two numbers"),
+])
+def test_curve_samples_from_csv_rejects_malformed_rows(text, message):
+    with pytest.raises(DomainError, match=message):
+        CurveSamples.from_csv(text, "qz")
 
 
 def test_curve_grid_shape_and_range():

@@ -19,6 +19,7 @@ from qcurves import (
     WeibullParams,
     curve_value,
     empirical_qf,
+    fit_shape,
     gauss_legendre_grid,
     md_fit,
     md_objective,
@@ -26,20 +27,12 @@ from qcurves import (
 )
 from qcurves.md_estimation import _md_rows, _ref_rows
 from qcurves.weibull import sample as weibull_sample
-from tests.conftest import weib_sorted
+from tests.conftest import md_narrow_bracket, md_start_from, weib_sorted
 
 
 def test_config_validation():
     with pytest.raises(DomainError):
         MdConfig(reference="step")
-    with pytest.raises(DomainError):
-        MdConfig(bracket_factor=1.0)
-    with pytest.raises(DomainError):
-        MdConfig(tol=0.0)
-    with pytest.raises(DomainError):
-        MdConfig(max_expansions=-1)
-    with pytest.raises(DomainError):
-        MdConfig(start_method="mde")
     assert MdConfig(reference="empirical").method == "mde"
     assert MdConfig(reference="hf").method == "mdhf"
 
@@ -102,16 +95,16 @@ def test_md_scale_invariance_dyadic_exact():
     # trajectory are bitwise unchanged; the default pe start takes log
     # differences and is only invariant to optimizer tolerance
     s = weib_sorted(1.5, 60, seed=8)
-    config = MdConfig(reference="hf", start_method="lm")
-    base = md_fit(s, config).beta_hat
-    for c in (0.25, 4.0, 1024.0):
-        scaled = SortedSample.from_data(s.values * c)
-        assert md_fit(scaled, config).beta_hat == base
-    loose = MdConfig(reference="hf")
-    base_pe = md_fit(s, loose).beta_hat
+    config = MdConfig(reference="hf")
+    with md_start_from("lm"):
+        base = md_fit(s, config).beta_hat
+        for c in (0.25, 4.0, 1024.0):
+            scaled = SortedSample.from_data(s.values * c)
+            assert md_fit(scaled, config).beta_hat == base
+    base_pe = md_fit(s, config).beta_hat
     for c in (0.25, 1024.0):
         scaled = SortedSample.from_data(s.values * c)
-        assert abs(md_fit(scaled, loose).beta_hat - base_pe) < 1e-7
+        assert abs(md_fit(scaled, config).beta_hat - base_pe) < 1e-7
 
 
 def test_md_scale_invariance_generic():
@@ -123,18 +116,21 @@ def test_md_scale_invariance_generic():
         assert abs(md_fit(scaled, config).beta_hat - base) < 1e-6
 
 
-def test_md_fit_explicit_start_method():
+def test_md_fit_start_is_pe_else_lm():
     s = weib_sorted(2.0, 60, seed=10)
-    fit = md_fit(s, MdConfig(start_method="ml"))
-    from qcurves import fit_shape
-    assert fit.start == fit_shape(s, "ml").beta_hat
+    assert md_fit(s).start == fit_shape(s, "pe").beta_hat
+    tied = SortedSample.from_data([1, 2, 2, 2, 2, 2, 2, 2, 2, 3.0])
+    with pytest.raises(DomainError, match="coincide"):
+        fit_shape(tied, "pe")
+    assert md_fit(tied).start == fit_shape(tied, "lm").beta_hat
 
 
 def test_md_fit_recovers_from_far_start():
     # the edge-triggered bracket expansion reaches a minimum far from the start
     s = weib_sorted(2.0, 200, seed=11)
     near = md_fit(s, MdConfig())
-    far = md_fit(s, MdConfig(start_method="ml", bracket_factor=1.05, max_expansions=8))
+    with md_start_from("ml"), md_narrow_bracket(8):
+        far = md_fit(s, MdConfig())
     assert abs(far.beta_hat - near.beta_hat) < 0.05
 
 
@@ -165,8 +161,9 @@ def test_far_start_converges_through_golden_fallback():
         golden_calls.append(args)
         return golden(*args)
 
-    with mock.patch.object(md_estimation, "_golden", counted):
-        far = md_fit(s, MdConfig(start_method="ls", bracket_factor=1.05, max_expansions=8))
+    with mock.patch.object(md_estimation, "_golden", counted), md_start_from("ls"), \
+            md_narrow_bracket(8):
+        far = md_fit(s, MdConfig())
     assert len(golden_calls) > 1  # the first bracket and at least one expansion
     assert abs(math.log(far.beta_hat / near.beta_hat)) < 1e-7
     assert far.residual == md_objective(s, far.beta_hat, MdConfig())
@@ -174,8 +171,9 @@ def test_far_start_converges_through_golden_fallback():
 
 def test_bracket_failure_when_expansions_run_out():
     s = weib_sorted(2.0, 200, seed=13)
-    with pytest.raises(BracketFailure):
-        md_fit(s, MdConfig(start_method="ls", bracket_factor=1.05, max_expansions=1))
+    with md_start_from("ls"), md_narrow_bracket(1), pytest.raises(
+            BracketFailure, match="after 1 expansions"):
+        md_fit(s, MdConfig())
 
 
 def test_fit_does_not_depend_on_block_size():
@@ -260,7 +258,21 @@ def test_md_rows_match_md_fit_on_ties_zeros_and_any_scale(base, e):
                 continue
             assert batch[k] == fit.beta_hat
             unscaled = md_fit(SortedSample(base[k]), config)
-            assert abs(math.log(fit.beta_hat / unscaled.beta_hat)) <= 10 * config.tol
+            assert abs(math.log(fit.beta_hat / unscaled.beta_hat)) <= 10 * md_estimation._TOL
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "golden-search precision floor: both fits end in _golden after 2 expansions at "
+    "beta ~ 7.6e-5, where F ~ 9.2e-4 and F'' ~ 9.5e-6 place the minimum only to about "
+    "sqrt(2 eps F / F'') ~ 2e-7 in log-shape by comparing values of F"))
+def test_md_fit_scale_invariance_below_golden_floor():
+    # a row found by test_md_rows_match_md_fit_on_ties_zeros_and_any_scale;
+    # the scaled fits differ by 1.9e-7 in log-shape
+    base = np.array([0.0, 0.0, 5.0, 94.9969411910629, 95.26256522239757, 95.96014453832503])
+    config = MdConfig(curve="qd", reference="empirical")
+    fit = md_fit(SortedSample(base * 10.0 ** 2.0), config)
+    unscaled = md_fit(SortedSample(base), config)
+    assert abs(math.log(fit.beta_hat / unscaled.beta_hat)) <= 10 * md_estimation._TOL
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,6 @@ import qcurves
 from qcurves import errors
 from qcurves import (
     DomainError,
-    MdConfig,
     QuadratureSpec,
     SimulationConfig,
     SortedSample,
@@ -62,7 +61,6 @@ COUNT_CALLS = {
     "plotting_positions": (plotting_positions, 1),
     "panels": (lambda v: QuadratureSpec(v, 4), 1),
     "nodes": (lambda v: QuadratureSpec(4, v), 1),
-    "max_expansions": (lambda v: MdConfig(max_expansions=v), 0),
 }
 
 

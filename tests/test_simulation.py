@@ -1,8 +1,12 @@
 """Monte Carlo study harness: determinism, batching, aggregation, reports."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import qcurves.md_estimation as md_estimation
 from qcurves import (
     CurveKind,
     DomainError,
@@ -32,7 +36,7 @@ from qcurves.simulation import (
 )
 from qcurves.md_estimation import _md_rows
 from qcurves.weibull import sample as weibull_sample
-from tests.conftest import weib_sorted
+from tests.conftest import md_narrow_bracket, md_start_from, weib_sorted
 
 SHAPE_ESTS = tuple(e for e in ESTIMATOR_ORDER if e not in ("hf", "mde", "mdhf"))
 
@@ -51,6 +55,9 @@ def test_config_validation():
         small_config(replications=0)
     with pytest.raises(DomainError):
         small_config(betas=())
+    for beta in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="shape must be finite and positive"):
+            small_config(betas=(1.0, beta))
     with pytest.raises(DomainError):
         small_config(sizes=(1,))
     with pytest.raises(DomainError):
@@ -112,47 +119,53 @@ def test_batched_md_estimates_match_scalar_bitwise(reference, kind):
         assert batch[k] == scalar
 
 
-# the bracket settings make some of the rows below fail with BracketFailure
-@pytest.mark.parametrize("config", [
-    MdConfig(start_method="ml"), MdConfig(start_method="ls"), MdConfig(start_method="pe"),
-    MdConfig(bracket_factor=1.05, max_expansions=1), MdConfig(tol=1e-3),
+# the narrow bracket makes some of the rows below fail with BracketFailure
+@pytest.mark.parametrize("patch", [
+    md_start_from("ml"), md_start_from("ls"), md_start_from("pe"), md_narrow_bracket(1),
+    mock.patch.object(md_estimation, "_TOL", 1e-3),
 ], ids=["start-ml", "start-ls", "start-pe", "bracket", "tol"])
-def test_batched_md_settings_match_scalar_bitwise(config):
+def test_batched_md_settings_match_scalar_bitwise(patch):
     x_rows = np.vstack([weib_sorted(2.0, 10, seed=k).values for k in range(12)])
-    shapes, _, objectives, starts = _md_rows(x_rows, config, False)
+    config = MdConfig()
     failed = 0
-    for k in range(12):
-        try:
-            fit = md_fit(SortedSample(x_rows[k]), config)
-        except QcurvesError:
-            failed += 1
-            assert np.isnan(shapes[k]) and np.isnan(objectives[k])
-            continue
-        assert (shapes[k], objectives[k], starts[k]) == (fit.beta_hat, fit.residual, fit.start)
-    assert (0 < failed < 12) if config.max_expansions == 1 else failed == 0
+    with patch:
+        shapes, _, objectives, starts = _md_rows(x_rows, config, False)
+        for k in range(12):
+            try:
+                fit = md_fit(SortedSample(x_rows[k]), config)
+            except QcurvesError:
+                failed += 1
+                assert np.isnan(shapes[k]) and np.isnan(objectives[k])
+                continue
+            assert (shapes[k], objectives[k], starts[k]) == (fit.beta_hat, fit.residual, fit.start)
+        narrow = md_estimation._MAX_EXPANSIONS == 1
+    assert (0 < failed < 12) if narrow else failed == 0
 
 
 # rows that every configuration below fits
 _GOOD_ROWS = [weib_sorted(2.0, 10, seed=k).values for k in range(2, 6)]
 
 
-@pytest.mark.parametrize("config,bad_rows", [
-    (MdConfig(), [np.full(10, 1.7)]),  # neither pe nor lm gives a start
+@pytest.mark.parametrize("patches,bad_rows", [
+    ((), [np.full(10, 1.7)]),  # neither pe nor lm gives a start
     # lm fails on both rows, for a different reason on each
-    (MdConfig(), [np.eye(10)[-1], np.full(10, 1.7)]),
-    (MdConfig(start_method="ls"), [np.full(10, 1.7)]),
-    (MdConfig(), [np.array([0, 0, 0, 0, 0, 0, 1, 2, 3, 4.0])]),  # zero denominator
-    (MdConfig(start_method="ls", bracket_factor=1.05, max_expansions=1),
-     [weib_sorted(2.0, 10, seed=0).values]),
+    ((), [np.eye(10)[-1], np.full(10, 1.7)]),
+    ((md_start_from("ls"),), [np.full(10, 1.7)]),
+    ((), [np.array([0, 0, 0, 0, 0, 0, 1, 2, 3, 4.0])]),  # zero denominator
+    ((md_start_from("ls"), md_narrow_bracket(1)), [weib_sorted(2.0, 10, seed=0).values]),
 ], ids=["start", "start-first-row", "start-ls", "reference", "bracket"])
-def test_strict_md_rows_raise_as_md_fit_on_first_failing_row(config, bad_rows):
+def test_strict_md_rows_raise_as_md_fit_on_first_failing_row(patches, bad_rows):
     x_rows = np.vstack(_GOOD_ROWS + bad_rows)
-    shapes = _md_rows(x_rows, config, False)[0]
+    config = MdConfig()
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        shapes = _md_rows(x_rows, config, False)[0]
+        with pytest.raises(QcurvesError) as scalar:
+            md_fit(SortedSample(x_rows[4]), config)
+        with pytest.raises(QcurvesError) as batch:
+            _md_rows(x_rows, config, True)
     assert np.isnan(shapes).tolist() == [False] * 4 + [True] * len(bad_rows)
-    with pytest.raises(QcurvesError) as scalar:
-        md_fit(SortedSample(x_rows[4]), config)
-    with pytest.raises(QcurvesError) as batch:
-        _md_rows(x_rows, config, True)
     assert (type(batch.value), str(batch.value)) == (type(scalar.value), str(scalar.value))
 
 

@@ -57,6 +57,33 @@ def test_cdf_matches_scipy():
                        rtol=1e-12)
 
 
+@pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize("fn,x,expected", [
+    (pdf, np.nan, None), (pdf, -np.inf, 0.0), (pdf, 0.0, 0.0), (pdf, np.inf, 0.0),
+    (pdf, 1e300, 0.0),
+    (cdf, np.nan, None), (cdf, -np.inf, 0.0), (cdf, 0.0, 0.0), (cdf, np.inf, 1.0),
+    (cdf, 1e300, 1.0),
+])
+def test_pdf_and_cdf_edge_values(fn, x, expected, as_array):
+    # the suite turns numpy's RuntimeWarnings into errors, so an inf/inf or
+    # an overflow inside the density fails here too
+    params = WeibullParams(2.0)
+    arg = np.array([0.5, x]) if as_array else x
+    if expected is None:
+        with pytest.raises(DomainError, match="must not be NaN"):
+            fn(params, arg)
+        return
+    got = fn(params, arg)
+    if as_array:
+        assert np.array_equal(got, [fn(params, 0.5), expected])
+    else:
+        assert type(got) is float and got == expected
+
+
+def test_pdf_rounds_to_inf_near_zero_below_shape_one():
+    assert pdf(WeibullParams(0.01), 5e-324) == np.inf
+
+
 def test_pdf_integrates_to_cdf():
     # away from the x=0 singularity of the beta<1 density
     params = WeibullParams(0.7, 1.0)
