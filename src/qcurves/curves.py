@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._gauss_legendre import MAX_NODES, RULES
-from .errors import DegenerateQuantile, DomainError, NonConvergence, _check_count
+from .errors import DegenerateQuantile, DomainError, _check_count
 
 __all__ = [
     "CurveKind",
@@ -164,28 +165,11 @@ def curve_value(qf, kind, p):
     return _curve_eval(p, ratio, kind.ends)
 
 
-def curve_index(qf, kind, quadrature: QuadratureSpec = QuadratureSpec(),
-                check: bool = False, check_tol: float = 1e-8) -> float:
-    """Integral of the curve over [0, 1] by composite Gauss-Legendre.
-
-    With ``check=True`` the integral is recomputed with doubled panels and
-    NonConvergence is raised if the two disagree by more than ``check_tol``
-    (useful for smooth parametric curves; data-based curves are piecewise
-    and should be integrated on the fixed grid without the check).
-    """
+def curve_index(qf, kind, quadrature: QuadratureSpec = QuadratureSpec()) -> float:
+    """Integral of the curve over [0, 1] by composite Gauss-Legendre."""
     points, weights = gauss_legendre_grid(quadrature)
     # elementwise product + pairwise sum keeps the reduction order fixed
-    value = float((weights * curve_value(qf, kind, points)).sum())
-    if check:
-        fine = QuadratureSpec(2 * quadrature.panels, quadrature.nodes)
-        fp, fw = gauss_legendre_grid(fine)
-        refined = float((fw * curve_value(qf, kind, fp)).sum())
-        if abs(refined - value) > check_tol:
-            raise NonConvergence(
-                f"quadrature disagreement {abs(refined - value):.3e} "
-                f"exceeds {check_tol:.1e}")
-        value = refined
-    return value
+    return float((weights * curve_value(qf, kind, points)).sum())
 
 
 @dataclass(frozen=True)
@@ -216,11 +200,14 @@ class CurveSamples:
         data = []
         for line, row in enumerate(rows[1:], start=2):
             try:
-                pi, vi = row
-                data.append((float(pi), float(vi)))
+                pi, vi = (float(v) for v in row)
             except ValueError:
                 raise DomainError(
                     f"curve CSV row {line} must hold two numbers p,value, got {row}") from None
+            if not (0.0 <= pi <= 1.0 and math.isfinite(vi)):
+                raise DomainError(
+                    f"curve CSV row {line} must hold p in [0, 1] and a finite value, got {row}")
+            data.append((pi, vi))
         p, values = np.array(data, dtype=float).reshape(-1, 2).T
         return cls(p=p, values=values, kind=kind)
 

@@ -2,9 +2,10 @@
 
 All estimators are scale invariant and return only the shape; when a scale
 is needed downstream it is recovered as (mean(x**b))**(1/b) for the fitted
-shape b.  Likelihood-type equations are solved with a bracketed
-secant/bisection (Illinois) root finder on a fixed shape bracket so results
-are deterministic.
+shape b.  The ml, mml, bcml and me shape equations are solved by one root
+finder on the fixed shape bracket [1e-3, 1e3]: Newton steps in log-shape
+from b = 1, kept inside each row's sign-change bracket by bisection, so
+results are deterministic.
 
 Each estimator has one implementation, a row kernel in ``_ROW_KERNELS``
 called as ``kernel(x_rows, strict)``.  It maps sorted samples, one per row,
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from .empirical_qf import (SortedSample, _as_sorted_sample, _interpolate, interp_plan,
                           plotting_positions)
@@ -51,6 +52,8 @@ __all__ = [
 # unresolvable (NoBracket) rather than extrapolated.
 BRACKET_LO = 1e-3
 BRACKET_HI = 1e3
+_LOG_LO = math.log(BRACKET_LO)
+_LOG_HI = math.log(BRACKET_HI)
 
 # Multiplicative bias correction for the ML shape at sample size n.
 BCML_FACTOR = 1.3795
@@ -60,9 +63,12 @@ _LOG2 = math.log(2.0)
 _PE_ORDERS = np.array([0.31, 0.63])
 _PE_NUM = math.log(-math.log1p(-0.63)) - math.log(-math.log1p(-0.31))
 
-# Bracket width at which the root finder settles a root, and its pass cap.
+# Step (and bracket width) in b at which the root finder settles a root, and
+# its pass cap.
 _XTOL = 1e-12
 _MAXITER = 200
+# A log-shape step below this that fails to halve marks the rounding floor.
+_STALL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,58 +83,60 @@ class EstimateResult:
 
 
 def _bracketed_root(f, rows, strict):
-    """Vectorized Illinois root finder on the bracket [BRACKET_LO, BRACKET_HI].
+    """Vectorized safeguarded Newton root finder in log-shape on the bracket
+    [BRACKET_LO, BRACKET_HI].
 
-    ``f`` maps a 1-d array of ``rows`` candidates to their residuals.  Rows
-    whose bracket shows no sign change raise NoBracket (strict) or come back
-    NaN.  Returns (roots, iterations, |f(roots)|), the residual being that of
-    the evaluation that settled each root.  Runs inside a kernel's errstate.
+    ``f`` maps a 1-d array of ``rows`` shapes b to their residuals and the
+    residuals' derivatives with respect to log b.  Rows whose bracket shows no
+    sign change raise NoBracket (strict) or come back NaN.  Every other row
+    starts at b = 1, the log-midpoint of the bracket, and takes Newton steps
+    in log b inside its sign-change bracket, bisecting that bracket (in log b)
+    when a step would leave it.  A row settles at its evaluated point once the
+    next step or its bracket is below the tolerance in b, or once a step below
+    ``_STALL_STEP`` no longer halves, which means the residual has reached its
+    rounding floor.  Returns (roots, passes, |f(roots)|).  Runs inside a
+    kernel's errstate.
     """
-    a = np.full(rows, BRACKET_LO)
-    b = np.full(rows, BRACKET_HI)
-    fa = f(a)
-    fb = f(b)
+    f_lo = f(np.full(rows, BRACKET_LO))[0]
+    f_hi = f(np.full(rows, BRACKET_HI))[0]
     root = np.full(rows, np.nan)
-    root[fa == 0.0] = a[fa == 0.0]
-    root[fb == 0.0] = b[fb == 0.0]
+    root[f_lo == 0.0] = BRACKET_LO
+    root[f_hi == 0.0] = BRACKET_HI
     residual = np.where(np.isnan(root), np.nan, 0.0)
     active = np.isnan(root)
     # a NaN end value (a residual undefined for these data) is no sign change
-    no_bracket = active & ~(np.sign(fa) * np.sign(fb) < 0.0)
+    no_bracket = active & ~(np.sign(f_lo) * np.sign(f_hi) < 0.0)
     if np.any(no_bracket):
         if strict:
             raise NoBracket(f"no sign change on [{BRACKET_LO:g}, {BRACKET_HI:g}]")
         active &= ~no_bracket
-    side = np.zeros(rows, dtype=np.int8)  # -1: lower end moved last, +1: upper
+    # the log-shape ends of each bracket where the residual is negative / positive
+    t_neg = np.where(f_lo < 0.0, _LOG_LO, _LOG_HI)
+    t_pos = np.where(f_lo < 0.0, _LOG_HI, _LOG_LO)
+    t = np.zeros(rows)
+    last_step = np.full(rows, np.inf)
     iterations = 0
     for it in range(_MAXITER):
         if not np.any(active):
             break
         iterations = it + 1
-        x = (a * fb - b * fa) / (fb - fa)
-        inside = np.isfinite(x) & (x > np.minimum(a, b)) & (x < np.maximum(a, b))
-        x = np.where(inside, x, 0.5 * (a + b))
-        x = np.where(active, x, a)
-        fx = f(x)
-        exact = active & (fx == 0.0)
-        active &= ~exact
-        lower = active & (np.sign(fx) == np.sign(fa))
-        upper = active & ~lower
-        halve_b = lower & (side == -1)
-        halve_a = upper & (side == 1)
-        a[lower] = x[lower]
-        fa[lower] = fx[lower]
-        fb[halve_b] *= 0.5
-        side[lower] = -1
-        b[upper] = x[upper]
-        fb[upper] = fx[upper]
-        fa[halve_a] *= 0.5
-        side[upper] = 1
-        tight = active & (np.abs(b - a) < _XTOL + 4.0 * np.finfo(float).eps * np.abs(b))
-        settled = exact | tight
-        root[settled] = x[settled]
+        b = np.exp(t)
+        fx, dfx = f(b)
+        delta = fx / dfx
+        step = np.abs(delta)
+        negative = fx < 0.0
+        t_neg = np.where(negative, t, t_neg)
+        t_pos = np.where(negative, t_pos, t)
+        tol = _XTOL + 4.0 * np.finfo(float).eps * b
+        settled = active & ((fx == 0.0) | (b * step < tol) | (b * np.abs(t_pos - t_neg) < tol)
+                            | ((step < _STALL_STEP) & (step > 0.5 * last_step)))
+        root[settled] = b[settled]
         residual[settled] = np.abs(fx[settled])
-        active &= ~tight
+        active &= ~settled
+        newton = t - delta
+        inside = (newton - t_neg) * (newton - t_pos) < 0.0
+        t = np.where(active, np.where(inside, newton, 0.5 * (t_neg + t_pos)), t)
+        last_step = step
     if np.any(active):
         if strict:
             raise NonConvergence(f"root finder hit the {_MAXITER}-iteration cap")
@@ -206,8 +214,14 @@ def _profile_rows(x_rows, strict, modified):
     mean_ly = ly.mean(axis=1)
 
     def g(beta):
+        # the residual and its log-shape derivative -shift/b - b Var_w(log y)
         w = np.exp(beta[:, None] * ly)
-        return shift / beta + mean_ly - (w * ly).sum(axis=1) / w.sum(axis=1)
+        total = w.sum(axis=1)
+        w *= ly
+        m1 = w.sum(axis=1) / total
+        w *= ly
+        var = w.sum(axis=1) / total - m1 * m1
+        return shift / beta + mean_ly - m1, -shift / beta - beta * var
 
     beta, iterations, residual = _bracketed_root(g, len(x_rows), strict)
     return np.where(bad, np.nan, beta), iterations, residual
@@ -259,7 +273,9 @@ def _moment_rows(x_rows, strict):
     target = np.log1p(((y - m1[:, None]) ** 2).mean(axis=1) / m1**2)
 
     def h(beta):
-        return gammaln(1.0 + 2.0 / beta) - 2.0 * gammaln(1.0 + 1.0 / beta) - target
+        # the residual and its log-shape derivative -(2/b)(psi(1+2/b) - psi(1+1/b))
+        return (gammaln(1.0 + 2.0 / beta) - 2.0 * gammaln(1.0 + 1.0 / beta) - target,
+                -2.0 / beta * (digamma(1.0 + 2.0 / beta) - digamma(1.0 + 1.0 / beta)))
 
     beta, iterations, residual = _bracketed_root(h, len(x_rows), strict)
     return np.where(bad, np.nan, beta), iterations, residual

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,6 +65,16 @@ METRICS = ("MISE_qZ", "MISE_qD", "MSE_qZI", "MSE_qDI", "BIAS_qZI", "BIAS_qDI")
 # replication count only, never of the worker count.
 _CHUNK = 500
 
+
+def _entries(config, name: str) -> tuple:
+    """The field ``name`` of ``config`` as a tuple; DomainError naming the field
+    unless it is a collection other than a string."""
+    value = getattr(config, name)
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise DomainError(f"{name} must be a tuple or list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Grid, estimator set, and seeding for one simulation run."""
@@ -76,10 +88,14 @@ class SimulationConfig:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(_check_positive(float(b)) for b in self.betas))
+        betas = _entries(self, "betas")
+        for b in betas:
+            if isinstance(b, bool) or not isinstance(b, numbers.Real):
+                raise DomainError(f"betas must hold numbers, got {b!r}")
+        object.__setattr__(self, "betas", tuple(_check_positive(float(b)) for b in betas))
         object.__setattr__(self, "sizes", tuple(_check_count(n, 2, "sample size")
-                                                for n in self.sizes))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+                                                for n in _entries(self, "sizes")))
+        object.__setattr__(self, "estimators", _entries(self, "estimators"))
         for name, minimum in (("replications", 1), ("workers", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _check_count(getattr(self, name), minimum, name))
         if not self.betas:

@@ -261,21 +261,21 @@ def test_curve_index_scale_free():
         assert abs(curve_index(qf, "qz") - curve_index(weibull_qf(WeibullParams(1.7, 1.0)), "qz")) < 1e-13
 
 
+def _doubling_gap(qf, kind):
+    """|index on the default grid - index with its panels doubled|."""
+    fine = QuadratureSpec(2 * QuadratureSpec().panels, QuadratureSpec().nodes)
+    return abs(curve_index(qf, kind, fine) - curve_index(qf, kind))
+
+
 def test_curve_index_refinement_check():
     # qd approaches its p=0 endpoint polynomially: panel doubling agrees to 1e-8
-    qf = weibull_qf(WeibullParams(1.0, 1.0))
-    plain = curve_index(qf, "qd")
-    checked = curve_index(qf, "qd", check=True)
-    assert abs(plain - checked) < 1e-8
+    assert _doubling_gap(weibull_qf(WeibullParams(1.0, 1.0)), "qd") < 1e-8
 
 
 def test_curve_index_refinement_check_flags_log_singular_end():
-    # qz approaches its p=1 endpoint only logarithmically; the doubling
-    # check is designed to flag the resulting slow quadrature convergence
-    from qcurves import NonConvergence
-    qf = weibull_qf(WeibullParams(3.0, 1.0))
-    with pytest.raises(NonConvergence):
-        curve_index(qf, "qz", check=True)
+    # qz approaches its p=1 endpoint only logarithmically, so panel doubling
+    # still moves the index by more than 1e-8
+    assert _doubling_gap(weibull_qf(WeibullParams(3.0, 1.0)), "qz") > 1e-8
 
 
 def test_curve_index_empirical_converges():
@@ -300,6 +300,10 @@ def test_curve_samples_csv_round_trip():
     ("p,value\n0.5,0.1,9\n", "row 2 must hold two numbers"),
     ("p,value\n0.5\n", "row 2 must hold two numbers"),
     ("p,value\n0,1\nx,1\n", "row 3 must hold two numbers"),
+    ("p,value\n1.5,nan\n", "row 2 must hold p in \\[0, 1\\] and a finite value"),
+    ("p,value\n0,1\n-0.5,0.5\n", "row 3 must hold p in"),
+    ("p,value\n0.5,inf\n", "row 2 must hold p in"),
+    ("p,value\nnan,0.5\n", "row 2 must hold p in"),
 ])
 def test_curve_samples_from_csv_rejects_malformed_rows(text, message):
     with pytest.raises(DomainError, match=message):

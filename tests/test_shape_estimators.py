@@ -1,7 +1,11 @@
 """Shape estimators: ML family, moment-type, regression-type, percentile."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import gammaln
 
 from qcurves import (
     BCML_FACTOR,
@@ -13,7 +17,7 @@ from qcurves import (
     fit_shape,
     profile_scale,
 )
-from qcurves.shape_estimators import _ROW_KERNELS
+from qcurves.shape_estimators import _ROW_KERNELS, _bracketed_root
 from qcurves.simulation import replicate_estimates
 from tests.conftest import weib_sorted
 
@@ -99,15 +103,94 @@ def test_scale_invariance(method):
 
 
 def test_moment_shape_scale_invariant_across_float_range():
+    # me and the likelihood family work on x / max(x), so their shapes hold
+    # from 1e-300 to 1e300, and a batch of the scaled rows equals their scalar fits
     s = weib_sorted(1.5, 80, seed=9)
-    base = fit_shape(s, "me").beta_hat
     scales = 10.0 ** np.arange(-300, 301, 25)
     x_rows = np.vstack([s.values * c for c in scales])
-    batch = _ROW_KERNELS["me"](x_rows, False)[0]
-    for k, c in enumerate(scales):
-        scaled = fit_shape(SortedSample.from_data(x_rows[k]), "me").beta_hat
-        assert abs(scaled - base) < 1e-12 * base, c
-        assert batch[k] == scaled, c
+    for method in ("me", "ml", "mml", "bcml"):
+        base = fit_shape(s, method).beta_hat
+        batch = _ROW_KERNELS[method](x_rows, False)[0]
+        for k, c in enumerate(scales):
+            scaled = fit_shape(SortedSample.from_data(x_rows[k]), method).beta_hat
+            assert abs(scaled - base) < 1e-12 * base, (method, c)
+            assert batch[k] == scaled, (method, c)
+
+
+def scalar_residual(method, x):
+    """The shape equation of ``method`` on the sample ``x``, written out
+    independently of the row kernels."""
+    y = x / x.max()
+    if method == "me":
+        target = np.log1p(y.var() / y.mean() ** 2)
+        return lambda b: gammaln(1.0 + 2.0 / b) - 2.0 * gammaln(1.0 + 1.0 / b) - target
+    shift = 1.0 if method == "ml" else (len(x) - 1.0) / len(x)
+    return lambda b: profile_equation(x, b, shift)
+
+
+@pytest.mark.parametrize("method", ("ml", "mml", "me"))
+def test_roots_match_brentq(method):
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 5, 10, 30, 100, 1000):
+        for beta in (0.5, 1.0, 2.0, 3.0):
+            for _ in range(5):
+                x = np.sort(rng.weibull(beta, n))
+                f = scalar_residual(method, x)
+                if np.sign(f(1e-3)) == np.sign(f(1e3)):
+                    continue
+                expected = brentq(f, 1e-3, 1e3, xtol=1e-15, rtol=1e-15, maxiter=500)
+                got = fit_shape(SortedSample.from_data(x), method).beta_hat
+                assert abs(got - expected) < 1e-10 * expected, (n, beta, x)
+
+
+@pytest.mark.parametrize("method", ("ml", "me"))
+def test_no_bracket_exactly_when_the_ends_share_a_sign(method):
+    # two-point samples {1, r}: the shape passes 1e3 as r nears 1
+    ratios = np.concatenate([1.0 + 10.0 ** np.linspace(-8.0, 0.0, 61),
+                             10.0 ** np.linspace(0.5, 300.0, 60)])
+    raised = []
+    for r in ratios:
+        x = np.array([1.0, r])
+        f = scalar_residual(method, x)
+        same_sign = np.sign(f(1e-3)) == np.sign(f(1e3))
+        try:
+            fit_shape(SortedSample.from_data(x), method)
+        except NoBracket:
+            raised.append(r)
+            assert same_sign, r
+        else:
+            assert not same_sign, r
+    assert 0 < len(raised) < len(ratios)  # the sweep reaches both sides
+
+
+@pytest.mark.parametrize("c", [-8.0, math.log(1e-3), -3.0, 0.0, 0.5, 6.9, math.log(1e3), 7.0])
+def test_bracketed_root_on_a_linear_residual(c):
+    # f(b) = c - log b has its root at e**c; an end whose residual is exactly
+    # zero is the root, and a root off [1e-3, 1e3] is NoBracket
+    def f(b):
+        return c - np.log(b), np.full(b.shape, -1.0)
+
+    if not math.log(1e-3) <= c <= math.log(1e3):
+        with pytest.raises(NoBracket):
+            _bracketed_root(f, 1, True)
+        assert np.isnan(_bracketed_root(f, 1, False)[0][0])
+        return
+    root, passes, residual = _bracketed_root(f, 1, True)
+    assert abs(root[0] - math.exp(c)) < 1e-12 * math.exp(c)
+    assert residual[0] == abs(f(root)[0][0])
+    assert passes <= 3
+
+
+def test_root_passes_stay_few():
+    # deterministic work count: a likelihood or moment fit on n >= 10 takes at
+    # most 12 Newton passes, where the bracketed secant took 25-30
+    rng = np.random.default_rng(23)
+    for n in (10, 30, 100, 1000):
+        for beta in (0.5, 1.0, 2.0, 3.0):
+            for _ in range(10):
+                s = SortedSample.from_data(rng.weibull(beta, n))
+                for method in ("ml", "me"):
+                    assert fit_shape(s, method).iterations <= 12, (method, n, beta)
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)

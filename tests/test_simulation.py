@@ -62,6 +62,12 @@ def test_config_validation():
         small_config(sizes=(1,))
     with pytest.raises(DomainError):
         small_config(workers=0)
+    # the wrong type of field is a DomainError naming it, never a ValueError,
+    # a TypeError or a string split into one-letter estimators
+    for field, value in (("betas", ("x",)), ("betas", 2.0), ("sizes", 30),
+                         ("estimators", "ml")):
+        with pytest.raises(DomainError, match=field):
+            small_config(**{field: value})
 
 
 def test_estimator_order_is_complete():
