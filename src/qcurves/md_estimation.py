@@ -156,6 +156,11 @@ def _row_blocks(rows: int):
         yield b0, min(b0 + _BLOCK_ROWS, rows)
 
 
+def _block_buffers(count: int, rows: int, nodes: int) -> np.ndarray:
+    """``count`` reusable temporaries for the blocks of ``rows`` rows of ``nodes`` values."""
+    return np.empty((count, min(_BLOCK_ROWS, rows), nodes))
+
+
 def _objective_closure(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray):
     """Batched objective: rows of ``ref`` against model curves 1-exp(lr/b).
 
@@ -166,7 +171,7 @@ def _objective_closure(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray):
     def f(log_beta: np.ndarray) -> np.ndarray:
         beta = np.exp(log_beta)
         out = np.empty(beta.shape)
-        buf = np.empty((min(_BLOCK_ROWS, beta.size), lr.size))
+        buf = _block_buffers(1, beta.size, lr.size)[0]
         for b0, b1 in _row_blocks(beta.size):
             diff = buf[: b1 - b0]
             np.divide(lr, beta[b0:b1, None], out=diff)
@@ -191,7 +196,7 @@ def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
     """
     beta = np.exp(log_beta)
     f, g, h = np.empty((3, rows.size))
-    u_buf, r_buf, mp_buf, t_buf = np.empty((4, min(_BLOCK_ROWS, rows.size), lr.size))
+    u_buf, r_buf, mp_buf, t_buf = _block_buffers(4, rows.size, lr.size)
     for b0, b1 in _row_blocks(rows.size):
         k = b1 - b0
         u, r, mp, t = u_buf[:k], r_buf[:k], mp_buf[:k], t_buf[:k]
@@ -365,7 +370,8 @@ def _start_rows(x_rows: np.ndarray, strict: bool) -> np.ndarray:
     return np.where(bad, np.nan, start)
 
 
-def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
+def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool,
+             ref: np.ndarray | None = None):
     """MD fits of sorted rows, one sample per row, under ``config``.
 
     Returns (shapes, evaluations, objectives, starts): per-row shapes,
@@ -374,10 +380,13 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     whose minimum stays pinned to the bracket edge, has a NaN shape and
     objective; with ``strict`` it raises the typed error instead, the start
     checked before the reference and the reference before the minimizer.
-    A one-row call is ``md_fit``.
+    ``ref`` is the rows' reference curves when the caller already holds
+    them, as built by non-strict ``_ref_rows`` for ``config``; by default
+    they are built here.  A one-row call is ``md_fit``.
     """
     starts = _start_rows(x_rows, strict)
-    ref = _ref_rows(x_rows, config.reference, config.curve, config.quadrature, strict)
+    if ref is None:
+        ref = _ref_rows(x_rows, config.reference, config.curve, config.quadrature, strict)
     _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve,
                                    config.quadrature)
     shapes = np.full(starts.shape, np.nan)

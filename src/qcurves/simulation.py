@@ -19,6 +19,15 @@ scalar fits (``fit_shape``, ``md_fit``), so a batched fit of one sample
 equals the scalar fit of that sample.  The ``hf`` plug-in curves are
 reference rows too, from the same gather plans, and every model curve,
 fitted or true, comes from ``_curve_rows``.
+
+The stage after the fits (model curves, ISE and index errors) runs in
+blocks of ``md_estimation._BLOCK_ROWS`` rows.  A block's curves are built
+in a reused buffer and reduced while they are in cache, so the tail holds
+no chunk-sized curve matrix (500 rows x 2048 nodes is 8 MB; a block is
+512 KB).  Each row is reduced on its own along the node axis, so no result
+depends on the block size.  One store of reference rows per chunk, keyed
+by (reference, kind), lets the ``hf`` row hand its ``hf`` reference rows
+to a later ``mdhf`` fit, which would otherwise build them again.
 """
 
 from __future__ import annotations
@@ -39,7 +48,8 @@ import numpy as np
 from ._version import __version__
 from .curves import CurveKind, QuadratureSpec
 from .errors import DomainError, _check_count
-from .md_estimation import MdConfig, _MD_METHODS, _cell_plan, _md_rows, _ref_rows
+from .md_estimation import (MdConfig, _MD_METHODS, _block_buffers, _cell_plan, _md_rows,
+                            _ref_rows, _row_blocks)
 from .shape_estimators import SHAPE_METHODS, _ROW_KERNELS
 from .weibull import WeibullParams, _check_positive, sample as weibull_sample
 
@@ -117,11 +127,14 @@ def _shape_rows(est: str, x_rows: np.ndarray, cache: dict, kind: CurveKind,
     ``mde``/``mdhf`` fit the ``kind`` curve on ``quadrature`` through the MD
     row function; every other estimator ignores both and runs its row
     kernel.  ``cache`` keeps the kernel outputs of one chunk, so bcml
-    scales the chunk's ml roots instead of solving again.
+    scales the chunk's ml roots instead of solving again.  It also stores
+    reference rows under (reference, kind): an MD fit takes its reference
+    rows from there when the chunk's ``hf`` row left them.
     """
     if est in _MD_METHODS:
         config = MdConfig(curve=kind, reference=_MD_METHODS[est], quadrature=quadrature)
-        return _md_rows(x_rows, config, False)[0]
+        ref = cache.pop((config.reference, kind), None)
+        return _md_rows(x_rows, config, False, ref)[0]
     if est == "bcml" and "ml" not in cache:
         cache["ml"] = _ROW_KERNELS["ml"](x_rows, False)
     if est not in cache:
@@ -142,10 +155,11 @@ def _draw_rows(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int):
     return x_rows
 
 
-def _curve_rows(beta_rows: np.ndarray, lr: np.ndarray) -> np.ndarray:
-    """Model curves 1 - exp(lr/b) of every row's shape, built in one buffer."""
+def _curve_rows(beta_rows: np.ndarray, lr: np.ndarray, out=None) -> np.ndarray:
+    """Model curves 1 - exp(lr/b) of every row's shape, built in ``out``
+    (a new array by default)."""
     with np.errstate(invalid="ignore"):
-        out = np.divide(lr, beta_rows[:, None])
+        out = np.divide(lr, beta_rows[:, None], out=out)
         np.expm1(out, out=out)
     return np.negative(out, out=out)
 
@@ -155,43 +169,56 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
 
     Returns {estimator: array of shape (r1 - r0, 4)} with columns
     (ise_qz, ise_qd, err_qzi, err_qdi); failed fits are NaN rows.
+
+    After each fit, the curves are built and reduced block by block in two
+    reused buffers (see the module docstring).  The ``hf`` row leaves its
+    ``hf`` reference rows in the chunk's ``cache`` when ``mdhf`` follows
+    it, and the ``mdhf`` fit takes them from there.
     """
     beta = config.betas[ib]
     n = config.sizes[jn]
-    # every plan of a curve and grid carries the same lr and weights
-    _, _, lr_qz, w = _cell_plan(n, "empirical", CurveKind.QZ, config.quadrature)
-    _, _, lr_qd, _ = _cell_plan(n, "empirical", CurveKind.QD, config.quadrature)
-    true_z, true_d = (_curve_rows(np.array([beta]), lr)[0] for lr in (lr_qz, lr_qd))
-    true_zi = float((w * true_z).sum())
-    true_di = float((w * true_d).sum())
+    quadrature = config.quadrature
+    truths = []  # (kind, lr, true curve, true index) per curve
+    for kind in (CurveKind.QZ, CurveKind.QD):
+        # every plan of a curve and grid carries the same lr and weights
+        _, _, lr, w = _cell_plan(n, "empirical", kind, quadrature)
+        truth = _curve_rows(np.array([beta]), lr)[0]
+        truths.append((kind, lr, truth, float((w * truth).sum())))
 
     x_rows = _draw_rows(config, ib, jn, r0, r1)
+    rows = x_rows.shape[0]
+    model, scratch = _block_buffers(2, rows, w.size)
     cache: dict = {}
     out = {}
-    for est in config.estimators:
-        # each branch gives the qZ/qD curve rows for the ISE and for the index error
-        if est == "hf":
-            # nonparametric plug-in row: curve error from the k/(n+1)
-            # interpolation, index error from the (k-1/3)/(n+1/3) one;
-            # the two benchmark conventions this row reproduces differ
-            cz = _ref_rows(x_rows, "wg", CurveKind.QZ, config.quadrature, strict=False)
-            cd = _ref_rows(x_rows, "wg", CurveKind.QD, config.quadrature, strict=False)
-            iz = _ref_rows(x_rows, "hf", CurveKind.QZ, config.quadrature, strict=False)
-            id_ = _ref_rows(x_rows, "hf", CurveKind.QD, config.quadrature, strict=False)
-        else:
-            bz = _shape_rows(est, x_rows, cache, CurveKind.QZ, config.quadrature)
-            bd = _shape_rows(est, x_rows, cache, CurveKind.QD, config.quadrature)
-            cz = iz = _curve_rows(bz, lr_qz)
-            cd = id_ = _curve_rows(bd, lr_qd)
-        ise = []
-        for curves, truth in ((cz, true_z), (cd, true_d)):
-            sq = curves - truth  # squared and weighted in place: one large temporary
-            sq *= sq
-            sq *= w
-            ise.append(sq.sum(axis=1))
-        err_zi = (iz * w).sum(axis=1) - true_zi
-        err_di = (id_ * w).sum(axis=1) - true_di
-        out[est] = np.column_stack([*ise, err_zi, err_di])
+    for i, est in enumerate(config.estimators):
+        errors = np.empty((rows, 4))
+        for col, (kind, lr, truth, true_index) in enumerate(truths):
+            if est == "hf":
+                # nonparametric plug-in row: curve error from the k/(n+1)
+                # interpolation, index error from the (k-1/3)/(n+1/3) one;
+                # the two benchmark conventions this row reproduces differ
+                curve_rows = _ref_rows(x_rows, "wg", kind, quadrature, strict=False)
+                index_rows = _ref_rows(x_rows, "hf", kind, quadrature, strict=False)
+                if "mdhf" in config.estimators[i:]:
+                    cache[("hf", kind)] = index_rows
+            else:
+                shapes = _shape_rows(est, x_rows, cache, kind, quadrature)
+            for b0, b1 in _row_blocks(rows):
+                k = b1 - b0
+                if est == "hf":
+                    curves, index_curves = curve_rows[b0:b1], index_rows[b0:b1]
+                else:
+                    curves = index_curves = _curve_rows(shapes[b0:b1], lr, model[:k])
+                sq = scratch[:k]  # squared and weighted in place
+                np.subtract(curves, truth, out=sq)
+                sq *= sq
+                sq *= w
+                sq.sum(axis=1, out=errors[b0:b1, col])
+                np.multiply(index_curves, w, out=sq)
+                sq.sum(axis=1, out=errors[b0:b1, col + 2])
+            errors[:, col + 2] -= true_index
+            curve_rows = index_rows = None  # free the chunk-sized hf matrices
+        out[est] = errors
     return out
 
 

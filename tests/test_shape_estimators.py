@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
@@ -12,6 +13,7 @@ from qcurves import (
     DegenerateSample,
     DomainError,
     NoBracket,
+    QcurvesError,
     SHAPE_METHODS,
     SortedSample,
     fit_shape,
@@ -115,6 +117,41 @@ def test_moment_shape_scale_invariant_across_float_range():
             scaled = fit_shape(SortedSample.from_data(x_rows[k]), method).beta_hat
             assert abs(scaled - base) < 1e-12 * base, (method, c)
             assert batch[k] == scaled, (method, c)
+
+
+# nonnegative values with many zeros and ties, on a 0.01 grid: distinct
+# values differ by at least 1e-4 relative, so no scale rounds two together
+_grid_values = st.one_of(st.integers(0, 5).map(float),
+                         st.integers(1, 10**4).map(lambda k: k / 100))
+
+
+@st.composite
+def _sorted_rows(draw, rows=3):
+    n = draw(st.integers(2, 40))
+    row = st.lists(_grid_values, min_size=n, max_size=n).map(sorted)
+    return np.array([draw(row) for _ in range(rows)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=_sorted_rows(), e=st.floats(-300, 300))
+@example(base=np.array([[0.0, 3.0], [3.0, 3.0], [1.0, 2.0]]), e=-300.0)
+@example(base=np.array([[0.0, 3.0], [3.0, 3.0], [1.0, 2.0]]), e=300.0)
+def test_every_method_scale_invariant_on_ties_zeros_and_any_scale(base, e):
+    # every value stays a normal float from 1e-302 to 1e302
+    x_rows = base * 10.0 ** e
+    for method in ALL_METHODS:
+        batch = _ROW_KERNELS[method](x_rows, False)[0]
+        unscaled = _ROW_KERNELS[method](base, False)[0]
+        assert np.array_equal(np.isnan(batch), np.isnan(unscaled)), method
+        for k, row in enumerate(x_rows):
+            try:
+                scalar = fit_shape(SortedSample(row), method).beta_hat
+            except QcurvesError:
+                assert np.isnan(batch[k]), method
+                continue
+            assert batch[k] == scalar, method
+            # rounding the scaled values moves pe, the worst, by up to 7e-13
+            assert abs(scalar - unscaled[k]) <= 1e-10 * unscaled[k], method
 
 
 def scalar_residual(method, x):

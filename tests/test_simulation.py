@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qcurves.md_estimation as md_estimation
+import qcurves.simulation as simulation
 from qcurves import (
     CurveKind,
     DomainError,
@@ -33,6 +34,7 @@ from qcurves.simulation import (
     _chunk_bounds,
     _draw_rows,
     _shape_rows,
+    _simulate_chunk,
 )
 from qcurves.md_estimation import _md_rows
 from qcurves.weibull import sample as weibull_sample
@@ -188,6 +190,47 @@ def test_partial_chunk_equals_contiguous():
     config = small_config(betas=(2.0,), estimators=("ml",), replications=600)
     again = small_config(betas=(2.0,), estimators=("ml",), replications=600)
     assert run_simulation(config).to_json() == run_simulation(again).to_json()
+
+
+def test_report_does_not_depend_on_block_size():
+    # n=2 gives failed rows, and 37 rows end in a partial block at either size
+    config = small_config(betas=(0.5, 2.0), sizes=(2, 30), replications=37,
+                          estimators=("hf", "mde", "mdhf", "ml"), master_seed=41)
+    base = run_simulation(config)
+    assert any(rec["failures"] for rec in base.records)
+    for block_rows in (3, 1000):
+        with mock.patch.object(md_estimation, "_BLOCK_ROWS", block_rows):
+            blocked = run_simulation(config)
+        assert blocked.to_json() + blocked.to_csv() == base.to_json() + base.to_csv()
+
+
+def test_chunk_builds_hf_reference_rows_once_for_hf_and_mdhf():
+    config = small_config(betas=(1.5,), estimators=SimulationConfig().estimators,
+                          replications=40, master_seed=11)
+    fits = {}
+
+    def md_rows_spy(x_rows, md_config, strict, ref=None):
+        out = _md_rows(x_rows, md_config, strict, ref)
+        fits[(md_config.reference, md_config.curve)] = (ref is not None, out[0])
+        return out
+
+    ref_rows = md_estimation._ref_rows
+    with mock.patch.object(simulation, "_ref_rows", side_effect=ref_rows) as sim_refs, \
+            mock.patch.object(md_estimation, "_ref_rows", side_effect=ref_rows) as md_refs, \
+            mock.patch.object(simulation, "_md_rows", md_rows_spy):
+        _simulate_chunk(config, 0, 0, 0, 40)
+    # wg and hf for the hf row, empirical for mde, none for mdhf; qZ and qD each
+    assert sim_refs.call_count + md_refs.call_count == 6
+    x_rows = _draw_rows(config, 0, 0, 0, 40)
+    for kind in (CurveKind.QZ, CurveKind.QD):
+        assert not fits[("empirical", kind)][0]
+        shared, shapes = fits[("hf", kind)]
+        assert shared
+        assert np.array_equal(shapes, replicate_estimates(
+            "mdhf", 1.5, 30, 40, master_seed=11, curve=kind), equal_nan=True)
+        md_config = MdConfig(curve=kind, reference="hf")
+        for k in range(0, 40, 7):
+            assert shapes[k] == md_fit(SortedSample(x_rows[k]), md_config).beta_hat
 
 
 def test_report_cell_matches_public_recomputation():
