@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveKind, QuadratureSpec, gauss_legendre_grid
+from .curves import GRID, CurveKind, QuadratureSpec, gauss_legendre_grid
 from .errors import DomainError, NonConvergence
 from .weibull import _check_positive, _log_terms
 
@@ -195,7 +195,7 @@ def md_asymptotic_variance(beta: float, kind=CurveKind.QZ, panels: int = 64,
     if rel > _DOUBLING_RTOL:
         raise NonConvergence(
             f"double quadrature changed by {rel:.3e} under panel doubling")
-    points, weights = gauss_legendre_grid(QuadratureSpec())
+    points, weights = gauss_legendre_grid(GRID)
     eta = _point_terms(ctx, points)[0]
     c_val = float((weights * eta * eta).sum())
     sigma2 = fine / (c_val * c_val)

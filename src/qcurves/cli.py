@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .asymptotics import md_asymptotic_variance
-from .curves import CurveKind, QuadratureSpec, curve_grid, curve_index
+from .curves import CurveKind, curve_grid, curve_index
 from .empirical_qf import SortedSample, empirical_qf, plotting_position_qf
 from .errors import DomainError, QcurvesError
 from .gof import ad_test
@@ -148,7 +148,7 @@ def _cmd_simulate(args) -> int:
     elif args.format == "csv":
         text = report.to_csv()
     else:
-        text = render_tables(report, scale=args.scale, fmt="markdown")
+        text = render_tables(report, scale=args.scale)
     if args.output:
         with open(args.output, "w", newline="") as fh:
             fh.write(text)

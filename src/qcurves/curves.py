@@ -9,8 +9,9 @@ for p in (0, 1), with the conventions qZ(0) = qZ(1) = qD(0) = 1 and
 qD(1) = 0.  Both take values in [0, 1] whenever q is nonnegative and
 nondecreasing, and both vanish identically for a degenerate (constant)
 distribution.  The summary index of a curve is its integral over [0, 1],
-computed with composite Gauss-Legendre quadrature on a fixed grid so that
-repeated runs are bit-identical.
+computed with composite Gauss-Legendre quadrature on one fixed grid
+(``GRID``, 256 panels of 8 nodes, also the grid of the MD distance and of
+the study) so that repeated runs are bit-identical.
 
 The grid is built from committed Gauss-Legendre nodes and weights, each
 correctly rounded to double (``_gauss_legendre.py``, generated offline with
@@ -77,13 +78,20 @@ class CurveKind(Enum):
 
 def _elementwise(x, fn, bad, message: str):
     """``fn`` of the float array of ``x``, a float for scalar ``x``;
-    DomainError with ``message`` where ``bad`` of that array holds anywhere."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(bad(x)):
+    DomainError with ``message`` where ``bad`` of that array holds anywhere,
+    and DomainError when ``x`` holds booleans or anything but real numbers."""
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind not in "iufO":  # an object array converts element by element
+            raise TypeError
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise DomainError(f"expected real numbers, got {x!r}") from None
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if np.any(bad(arr)):
         raise DomainError(message)
-    out = fn(x)
+    out = fn(arr)
     return float(out[0]) if scalar else out
 
 
@@ -140,7 +148,11 @@ def _grid(panels: int, nodes: int):
     return points, weights
 
 
-def gauss_legendre_grid(spec: QuadratureSpec = QuadratureSpec()):
+# The one grid of every curve index and MD distance: 256 panels of 8 nodes.
+GRID = QuadratureSpec()
+
+
+def gauss_legendre_grid(spec: QuadratureSpec = GRID):
     """Quadrature points and weights on [0, 1]; cached, read-only arrays."""
     return _grid(spec.panels, spec.nodes)
 
@@ -165,9 +177,9 @@ def curve_value(qf, kind, p):
     return _curve_eval(p, ratio, kind.ends)
 
 
-def curve_index(qf, kind, quadrature: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of the curve over [0, 1] by composite Gauss-Legendre."""
-    points, weights = gauss_legendre_grid(quadrature)
+def curve_index(qf, kind) -> float:
+    """Integral of the curve over [0, 1] by composite Gauss-Legendre on ``GRID``."""
+    points, weights = gauss_legendre_grid(GRID)
     # elementwise product + pairwise sum keeps the reduction order fixed
     return float((weights * curve_value(qf, kind, points)).sum())
 

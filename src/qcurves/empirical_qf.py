@@ -86,12 +86,12 @@ def step_indices(n: int, q: np.ndarray) -> np.ndarray:
 def interp_plan(positions: np.ndarray, q: np.ndarray):
     """Gather plan (j0, j1, frac) for linear interpolation at orders q.
 
-    ``_interpolate`` evaluates it as ``(1 - frac) * values[j0] + frac *
-    values[j1]``, which returns the node value exactly when q hits a
-    position and is constant beyond the ends.
+    An order that hits a position gets that node as j0 and frac 0, so
+    ``_interpolate`` returns the node value exactly there; the plan is
+    constant beyond the ends.
     """
     q = np.asarray(q, dtype=float)
-    j = np.searchsorted(positions, q, side="left")
+    j = np.searchsorted(positions, q, side="right")
     j0 = np.clip(j - 1, 0, positions.size - 1)
     j1 = np.clip(j, 0, positions.size - 1)
     gap = positions[j1] - positions[j0]
@@ -102,14 +102,15 @@ def interp_plan(positions: np.ndarray, q: np.ndarray):
 
 
 def _interpolate(x: np.ndarray, plan) -> np.ndarray:
-    """(1 - frac) * x[..., j0] + frac * x[..., j1] for ``interp_plan``'s
-    ``(j0, j1, frac)``, along the last axis, in one new C-ordered array."""
+    """x0 + frac * (x1 - x0), with x0 = x[..., j0] and x1 = x[..., j1], for
+    ``interp_plan``'s ``(j0, j1, frac)``, along the last axis, in one new
+    C-ordered array.  Between tied values it is exactly their value."""
     j0, j1, frac = plan
     out = np.take(x, j0, axis=-1)
-    out *= 1.0 - frac
-    upper = np.take(x, j1, axis=-1)
-    upper *= frac
-    out += upper
+    step = np.take(x, j1, axis=-1)
+    step -= out
+    step *= frac
+    out += step
     return out
 
 

@@ -9,8 +9,9 @@ a few passes.  A fit that Newton cannot finish safely falls back to a
 golden-section search inside a multiplicative bracket around the start,
 expanding the bracket when the minimum lands on an edge.  The start (pe,
 falling back to lm), the bracket factor, the tolerance and the expansion
-count are fixed: a configuration names only the curve, the reference and
-the quadrature grid.
+count are fixed, and the L2 distance is integrated on the package's one
+grid (``curves.GRID``, 256 panels of 8 nodes): a configuration names only
+the curve and the reference.
 
 There is one implementation, the row function ``_md_rows``: sorted samples,
 one per row, go through the start (``_start_rows``), the reference rows
@@ -28,12 +29,12 @@ Method identifiers: ``mde`` (step reference), ``mdhf`` (interpolated).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .curves import CurveKind, QuadratureSpec, gauss_legendre_grid
+from .curves import GRID, CurveKind, gauss_legendre_grid
 from .empirical_qf import (SortedSample, _as_sorted_sample, _interpolate, interp_plan,
                           plotting_positions, step_indices)
 from .errors import BracketFailure, DegenerateQuantile, DomainError, QcurvesError, StartFailure
@@ -59,13 +60,12 @@ _MAX_EXPANSIONS = 3
 @dataclass(frozen=True)
 class MdConfig:
     """What a minimum-distance fit matches: the ``curve`` (a kind or its
-    name), the ``reference`` quantile function (``empirical`` step or
-    ``hf``) and the ``quadrature`` grid of the L2 distance.  The minimizer's
-    start, bracket and tolerance are fixed (see the module docstring)."""
+    name) and the ``reference`` quantile function (``empirical`` step or
+    ``hf``).  The minimizer's start, bracket and tolerance and the
+    quadrature grid are fixed (see the module docstring)."""
 
     curve: CurveKind = CurveKind.QZ
     reference: str = "empirical"
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         object.__setattr__(self, "curve", CurveKind(self.curve))
@@ -77,23 +77,23 @@ class MdConfig:
         return MD_REFERENCES[self.reference]
 
 
-# A plan holds about 100 KB at the default 2048 nodes.  A study needs up to
+# A plan holds about 100 KB at the grid's 2048 nodes.  A study needs up to
 # six per sample size and ``md_fit`` one per configuration and sample size,
 # so the cache is bounded.
 @lru_cache(maxsize=64)
-def _cell_plan(n: int, reference: str, kind: CurveKind, quadrature: QuadratureSpec):
+def _cell_plan(n: int, reference: str, kind: CurveKind):
     """Gather plan of one reference curve for sorted rows of ``n`` values.
 
     ``reference`` is ``empirical`` (step quantile function) or a
     plotting-position scheme (``hf``, ``wg``) for the interpolated one.
     Returns (num, den, lr, weights): the gathers of the quantiles at the
-    curve's orders u and v (``CurveKind.orders``) of the quadrature points,
+    curve's orders u and v (``CurveKind.orders``) of the ``GRID`` points,
     each ``(idx,)`` for the step function or ``interp_plan``'s
     ``(j0, j1, frac)`` for an interpolant, then the model's log-ratio row
     (the curve at shape b is 1 - exp(lr/b)) and the quadrature weights.  All
     arrays are read-only.
     """
-    points, weights = gauss_legendre_grid(quadrature)
+    points, weights = gauss_legendre_grid(GRID)
     orders = kind.orders(points)[:2]
     if reference == "empirical":
         gathers = [(step_indices(n, q),) for q in orders]
@@ -118,7 +118,7 @@ def _gather(x_rows: np.ndarray, plan: tuple) -> np.ndarray:
 
 
 def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
-              quadrature: QuadratureSpec, strict: bool) -> np.ndarray:
+              strict: bool) -> np.ndarray:
     """Reference curve 1 - q(num)/q(den) of every sorted row on the grid.
 
     A row whose denominator quantile is zero somewhere raises
@@ -126,7 +126,7 @@ def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
     without a warning.  A one-row call is the reference of ``md_fit`` and
     equals ``curve_value`` of the matching quantile function bitwise.
     """
-    num, den, _, _ = _cell_plan(x_rows.shape[1], reference, kind, quadrature)
+    num, den, _, _ = _cell_plan(x_rows.shape[1], reference, kind)
     den_rows = _gather(x_rows, den)
     zero = den_rows.min(axis=1) == 0.0
     if strict and zero.any():
@@ -139,7 +139,7 @@ def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
     return out
 
 
-# Rows per evaluation block.  At the default 2048 nodes a block temporary is
+# Rows per evaluation block.  At the grid's 2048 nodes a block temporary is
 # 32 x 2048 x 8 B = 512 KB, so the four a Newton pass needs stay in a 2 MB
 # per-core L2 cache, where a whole 500-row chunk (8 MB) would not; 32 rows
 # ran faster than 64 or more and no slower than 16.  Every row is reduced on
@@ -226,9 +226,8 @@ def md_objective(sample: SortedSample, beta: float, config: MdConfig = MdConfig(
     """Squared L2 distance between the reference and model curves at ``beta``."""
     _check_positive(beta)
     x_rows = _as_sorted_sample(sample).values[None, :]
-    _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve,
-                                   config.quadrature)
-    ref = _ref_rows(x_rows, config.reference, config.curve, config.quadrature, strict=True)
+    _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve)
+    ref = _ref_rows(x_rows, config.reference, config.curve, strict=True)
     return float(_objective_closure(ref, lr, weights)(np.array([math.log(beta)]))[0])
 
 
@@ -386,9 +385,8 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool,
     """
     starts = _start_rows(x_rows, strict)
     if ref is None:
-        ref = _ref_rows(x_rows, config.reference, config.curve, config.quadrature, strict)
-    _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve,
-                                   config.quadrature)
+        ref = _ref_rows(x_rows, config.reference, config.curve, strict)
+    _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve)
     shapes = np.full(starts.shape, np.nan)
     objectives = np.full(starts.shape, np.nan)
     ok = ~np.isnan(starts) & ~np.isnan(ref[:, 0])

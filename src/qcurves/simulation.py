@@ -37,7 +37,7 @@ import math
 import numbers
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from io import StringIO
 
@@ -46,7 +46,7 @@ import csv
 import numpy as np
 
 from ._version import __version__
-from .curves import CurveKind, QuadratureSpec
+from .curves import GRID, CurveKind
 from .errors import DomainError, _check_count
 from .md_estimation import (MdConfig, _MD_METHODS, _block_buffers, _cell_plan, _md_rows,
                             _ref_rows, _row_blocks)
@@ -95,7 +95,6 @@ class SimulationConfig:
     estimators: tuple = ("hf", "mde", "mdhf", "ml", "mml", "bcml")
     master_seed: int = 20260822
     workers: int = 1
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         betas = _entries(self, "betas")
@@ -118,21 +117,26 @@ class SimulationConfig:
             if est not in ESTIMATOR_ORDER:
                 raise DomainError(
                     f"unknown estimator {est!r}; valid: {', '.join(ESTIMATOR_ORDER)}")
+        # a repeated value would run a second cell or fit that the report's
+        # lookups and tables cannot tell from the first
+        for name in ("betas", "sizes", "estimators"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise DomainError(f"{name} must not repeat a value, got {values!r}")
 
 
-def _shape_rows(est: str, x_rows: np.ndarray, cache: dict, kind: CurveKind,
-                quadrature: QuadratureSpec) -> np.ndarray:
+def _shape_rows(est: str, x_rows: np.ndarray, cache: dict, kind: CurveKind) -> np.ndarray:
     """Batched shape estimates of one estimator; NaN marks a failed fit.
 
-    ``mde``/``mdhf`` fit the ``kind`` curve on ``quadrature`` through the MD
-    row function; every other estimator ignores both and runs its row
-    kernel.  ``cache`` keeps the kernel outputs of one chunk, so bcml
-    scales the chunk's ml roots instead of solving again.  It also stores
-    reference rows under (reference, kind): an MD fit takes its reference
-    rows from there when the chunk's ``hf`` row left them.
+    ``mde``/``mdhf`` fit the ``kind`` curve through the MD row function;
+    every other estimator ignores ``kind`` and runs its row kernel.
+    ``cache`` keeps the kernel outputs of one chunk, so bcml scales the
+    chunk's ml roots instead of solving again.  It also stores reference
+    rows under (reference, kind): an MD fit takes its reference rows from
+    there when the chunk's ``hf`` row left them.
     """
     if est in _MD_METHODS:
-        config = MdConfig(curve=kind, reference=_MD_METHODS[est], quadrature=quadrature)
+        config = MdConfig(curve=kind, reference=_MD_METHODS[est])
         ref = cache.pop((config.reference, kind), None)
         return _md_rows(x_rows, config, False, ref)[0]
     if est == "bcml" and "ml" not in cache:
@@ -177,11 +181,10 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
     """
     beta = config.betas[ib]
     n = config.sizes[jn]
-    quadrature = config.quadrature
     truths = []  # (kind, lr, true curve, true index) per curve
     for kind in (CurveKind.QZ, CurveKind.QD):
-        # every plan of a curve and grid carries the same lr and weights
-        _, _, lr, w = _cell_plan(n, "empirical", kind, quadrature)
+        # every plan of a curve carries the same lr and weights
+        _, _, lr, w = _cell_plan(n, "empirical", kind)
         truth = _curve_rows(np.array([beta]), lr)[0]
         truths.append((kind, lr, truth, float((w * truth).sum())))
 
@@ -197,12 +200,12 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
                 # nonparametric plug-in row: curve error from the k/(n+1)
                 # interpolation, index error from the (k-1/3)/(n+1/3) one;
                 # the two benchmark conventions this row reproduces differ
-                curve_rows = _ref_rows(x_rows, "wg", kind, quadrature, strict=False)
-                index_rows = _ref_rows(x_rows, "hf", kind, quadrature, strict=False)
+                curve_rows = _ref_rows(x_rows, "wg", kind, strict=False)
+                index_rows = _ref_rows(x_rows, "hf", kind, strict=False)
                 if "mdhf" in config.estimators[i:]:
                     cache[("hf", kind)] = index_rows
             else:
-                shapes = _shape_rows(est, x_rows, cache, kind, quadrature)
+                shapes = _shape_rows(est, x_rows, cache, kind)
             for b0, b1 in _row_blocks(rows):
                 k = b1 - b0
                 if est == "hf":
@@ -375,8 +378,8 @@ def run_simulation(config: SimulationConfig = SimulationConfig()) -> SimulationR
         replications=config.replications,
         estimators=config.estimators,
         master_seed=config.master_seed,
-        quadrature_panels=config.quadrature.panels,
-        quadrature_nodes=config.quadrature.nodes,
+        quadrature_panels=GRID.panels,
+        quadrature_nodes=GRID.nodes,
         version=__version__,
         records=tuple(records),
     )
@@ -384,7 +387,6 @@ def run_simulation(config: SimulationConfig = SimulationConfig()) -> SimulationR
 
 def replicate_estimates(estimator: str, beta: float, n: int, replications: int,
                         master_seed: int = 20260822,
-                        quadrature: QuadratureSpec = QuadratureSpec(),
                         curve: CurveKind = CurveKind.QZ) -> np.ndarray:
     """Per-replication shape estimates under the same seeding as the study.
 
@@ -400,11 +402,10 @@ def replicate_estimates(estimator: str, beta: float, n: int, replications: int,
         raise DomainError(f"unknown estimator {estimator!r}")
     config = SimulationConfig(
         betas=(beta,), sizes=(n,), replications=replications,
-        estimators=(estimator,), master_seed=master_seed, quadrature=quadrature)
+        estimators=(estimator,), master_seed=master_seed)
     chunks = []
     for r0, r1 in _chunk_bounds(replications):
-        chunks.append(_shape_rows(estimator, _draw_rows(config, 0, 0, r0, r1), {}, curve,
-                                  quadrature))
+        chunks.append(_shape_rows(estimator, _draw_rows(config, 0, 0, r0, r1), {}, curve))
     return np.concatenate(chunks)
 
 
@@ -412,34 +413,14 @@ def _column_label(n: int, beta: float) -> str:
     return f"n={n}, b={beta:g}"
 
 
-def render_tables(report: SimulationReport, scale: float = 1000.0,
-                  fmt: str = "markdown") -> str:
-    """Render the report as per-metric tables with values times ``scale``.
-
-    ``markdown`` gives one pipe table per metric; ``csv`` gives one long
-    RFC-4180 table.  Cells from estimator/cell pairs with more than 1%
-    failed replications are marked (``*`` in markdown, flagged column in
-    csv).
+def render_tables(report: SimulationReport, scale: float = 1000.0) -> str:
+    """Render the report as one markdown pipe table per metric, with values
+    times ``scale``.  Cells from estimator/cell pairs with more than 1%
+    failed replications are marked ``*``; ``SimulationReport.to_csv`` is the
+    report's CSV form.
     """
-    if fmt not in ("markdown", "csv"):
-        raise DomainError("format must be 'markdown' or 'csv'")
     order = [e for e in ESTIMATOR_ORDER if e in report.estimators]
     cells = [(n, beta) for n in report.sizes for beta in report.betas]
-    if fmt == "csv":
-        buf = StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["metric", "estimator", "n", "beta", "value", "se", "flagged"])
-        for metric in METRICS:
-            for est in order:
-                for n, beta in cells:
-                    rec = report._find(est, metric, n, beta)
-                    writer.writerow([
-                        metric, est, n, f"{beta:g}",
-                        f"{rec['value'] * scale:.3f}", f"{rec['se'] * scale:.3f}",
-                        int(rec["flagged"]),
-                    ])
-        return buf.getvalue()
-
     lines = []
     any_flag = False
     for metric in METRICS:

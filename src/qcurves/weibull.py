@@ -17,6 +17,7 @@ with curve value 1 - r(p)**(1/beta) inside (0, 1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,11 @@ __all__ = [
 
 
 def _check_positive(value: float, name: str = "shape") -> float:
-    """The parameter ``value``; DomainError unless it is finite and positive."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and positive, got {value}")
+    """The parameter ``value``; DomainError unless it is a finite positive
+    real number (NumPy scalars included), not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0.0)):
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
     return value
 
 

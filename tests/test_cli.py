@@ -209,6 +209,13 @@ def test_unknown_estimator_exit_3(capsys):
     assert "zzz" in capsys.readouterr().err
 
 
+def test_simulate_repeated_betas_exit_3(capsys):
+    code = main(["simulate", "--betas", "1,1", "--sizes", "30", "--reps", "5",
+                 "--estimators", "ml"])
+    assert code == 3
+    assert "betas must not repeat a value" in capsys.readouterr().err
+
+
 def test_simulate_json_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["simulate", "--betas", "1,2", "--sizes", "30", "--reps", "20",

@@ -113,7 +113,7 @@ _KIND_DATA = load_guinea_pigs()["control"]
 KIND_ENTRY_POINTS = {
     "curve_value": lambda kind: curve_value(_KIND_QF, kind, _KIND_P),
     "curve_grid": lambda kind: curve_grid(_KIND_QF, kind, 20),
-    "curve_index": lambda kind: curve_index(_KIND_QF, kind, QuadratureSpec(8, 4)),
+    "curve_index": lambda kind: curve_index(_KIND_QF, kind),
     "CurveSamples": lambda kind: CurveSamples(_KIND_P, _KIND_P, kind),
     "CurveSamples.from_csv": lambda kind: CurveSamples.from_csv("p,value\r\n0.5,0.25\r\n", kind),
     "closed_curve": lambda kind: closed_curve(1.5, _KIND_P, kind),
@@ -262,9 +262,10 @@ def test_curve_index_scale_free():
 
 
 def _doubling_gap(qf, kind):
-    """|index on the default grid - index with its panels doubled|."""
-    fine = QuadratureSpec(2 * QuadratureSpec().panels, QuadratureSpec().nodes)
-    return abs(curve_index(qf, kind, fine) - curve_index(qf, kind))
+    """|index on the package grid - the same integral with its 256 panels doubled|."""
+    points, weights = gauss_legendre_grid(QuadratureSpec(512, 8))
+    fine = float((weights * curve_value(qf, kind, points)).sum())
+    return abs(fine - curve_index(qf, kind))
 
 
 def test_curve_index_refinement_check():

@@ -25,6 +25,7 @@ from qcurves import (
     md_objective,
     plotting_position_qf,
 )
+from qcurves.curves import GRID
 from qcurves.md_estimation import _md_rows, _ref_rows
 from qcurves.weibull import sample as weibull_sample
 from tests.conftest import md_narrow_bracket, md_start_from, weib_sorted
@@ -284,18 +285,32 @@ def test_reference_rows_lie_in_unit_interval(x_row, e, reference, kind):
     sample = SortedSample(x_row[0])
     qf = empirical_qf(sample) if reference == "empirical" else plotting_position_qf(
         sample, reference)
-    quad = MdConfig().quadrature
-    points, _ = gauss_legendre_grid(quad)
+    points, _ = gauss_legendre_grid(GRID)
     try:
         expected = curve_value(qf, kind, points)
     except DegenerateQuantile:
         with pytest.raises(DegenerateQuantile):
-            _ref_rows(x_row, reference, kind, quad, strict=True)
+            _ref_rows(x_row, reference, kind, strict=True)
         return
-    ref = _ref_rows(x_row, reference, kind, quad, strict=True)
+    ref = _ref_rows(x_row, reference, kind, strict=True)
     assert np.array_equal(ref[0], expected)
     # the step reference divides two order statistics; an interpolant
-    # rounds (1 - f) * x + f * x, so on tied values it can land a few ulp
-    # from x and the curve a few ulp below 0
+    # x0 + f * (x1 - x0) is exact on tied values, but where the orders fall
+    # in different segments the rounded x1 - x0 is not shown to keep the
+    # numerator at or below the denominator, so a few ulp below 0 are allowed
     low = 0.0 if reference == "empirical" else -4 * np.finfo(float).eps
     assert np.all((ref >= low) & (ref <= 1.0))
+
+
+@pytest.mark.parametrize("value", (3.0, 1e-300, 1.7e308))
+@pytest.mark.parametrize("n", (2, 7))
+def test_interpolated_reference_vanishes_on_a_constant_row(value, n):
+    # between tied values the interpolant is exactly their value, so the hf
+    # and wg curves of a constant sample are exactly 0 at every node
+    x_row = np.full((1, n), value)
+    points, _ = gauss_legendre_grid(GRID)
+    for reference in ("hf", "wg"):
+        qf = plotting_position_qf(SortedSample(x_row[0]), reference)
+        for kind in CurveKind:
+            assert np.all(_ref_rows(x_row, reference, kind, strict=True) == 0.0)
+            assert np.all(curve_value(qf, kind, points) == 0.0)

@@ -12,9 +12,17 @@ from qcurves import (
     SortedSample,
     WeibullParams,
     ad_test,
+    cdf,
+    closed_curve,
     curve_grid,
+    curve_value,
     empirical_qf,
+    md_asymptotic_variance,
+    md_objective,
+    pdf,
     plotting_positions,
+    quantile,
+    quantile_density,
     replicate_estimates,
     sample,
 )
@@ -73,3 +81,33 @@ def test_counts_and_seeds_must_be_integers_at_their_minimum(call, minimum):
             call(bad)
     call(minimum)
     call(np.int64(minimum))
+
+
+_PARAMS = WeibullParams(1.0)
+_SAMPLE = SortedSample(_X)
+
+# (entry point taking one value, a valid value of it); non-real values and
+# bools are a DomainError at each, never a TypeError or ValueError
+VALUE_CALLS = {
+    "WeibullParams": (WeibullParams, 2.0),
+    "WeibullParams.sigma": (lambda v: WeibullParams(1.0, v), 2.0),
+    "md_objective": (lambda v: md_objective(_SAMPLE, v), 2.0),
+    "md_asymptotic_variance": (md_asymptotic_variance, 2.0),
+    "closed_curve": (lambda v: closed_curve(v, 0.5, "qz"), 2.0),
+    "closed_curve.p": (lambda v: closed_curve(2.0, v, "qz"), 0.5),
+    "cdf": (lambda v: cdf(_PARAMS, v), 0.5),
+    "pdf": (lambda v: pdf(_PARAMS, v), 0.5),
+    "quantile": (lambda v: quantile(_PARAMS, v), 0.5),
+    "quantile_density": (lambda v: quantile_density(_PARAMS, v), 0.5),
+    "curve_value": (lambda v: curve_value(empirical_qf(_SAMPLE), "qz", v), 0.5),
+}
+
+
+@pytest.mark.parametrize("call,valid", list(VALUE_CALLS.values()), ids=list(VALUE_CALLS))
+def test_non_real_values_are_domain_errors(call, valid):
+    for bad in ("x", str(valid), True, np.bool_(False), None, 1j, [valid, "x"]):
+        with pytest.raises(DomainError):
+            call(bad)
+    # NumPy scalars are real numbers
+    assert call(np.float64(valid)) == call(valid)
+    assert call(np.float32(valid)) == call(float(np.float32(valid)))

@@ -1,6 +1,9 @@
 """Monte Carlo study harness: determinism, batching, aggregation, reports."""
 
 import contextlib
+import dataclasses
+import inspect
+import json
 from unittest import mock
 
 import numpy as np
@@ -70,6 +73,13 @@ def test_config_validation():
                          ("estimators", "ml")):
         with pytest.raises(DomainError, match=field):
             small_config(**{field: value})
+    # a repeated beta or size would run a second cell, with its own seeds,
+    # that the tables and report lookups cannot reach; a repeated estimator
+    # would be fitted and recorded twice
+    for field, value in (("betas", (1.0, 2.0, 1)), ("sizes", (30, 30)),
+                         ("estimators", ("ml", "hf", "ml"))):
+        with pytest.raises(DomainError, match=f"{field} must not repeat a value"):
+            small_config(**{field: value})
 
 
 def test_estimator_order_is_complete():
@@ -107,7 +117,7 @@ def test_draw_rows_seeding_is_per_replication():
 def test_batched_shape_estimates_match_scalar_bitwise(est):
     rng = np.random.default_rng(5)
     x_rows = np.sort(weibull_sample(WeibullParams(2.0, 1.0), 8 * 30, rng).reshape(8, 30), axis=1)
-    batch = _shape_rows(est, x_rows, {}, CurveKind.QZ, QuadratureSpec())
+    batch = _shape_rows(est, x_rows, {}, CurveKind.QZ)
     for k in range(8):
         scalar = fit_shape(SortedSample(x_rows[k]), est).beta_hat
         assert batch[k] == scalar
@@ -118,10 +128,9 @@ def test_batched_shape_estimates_match_scalar_bitwise(est):
 def test_batched_md_estimates_match_scalar_bitwise(reference, kind):
     rng = np.random.default_rng(6)
     x_rows = np.sort(weibull_sample(WeibullParams(2.0, 1.0), 8 * 30, rng).reshape(8, 30), axis=1)
-    quad = QuadratureSpec()
     est = "mde" if reference == "empirical" else "mdhf"
-    batch = _shape_rows(est, x_rows, {}, kind, quad)
-    config = MdConfig(curve=kind, reference=reference, quadrature=quad)
+    batch = _shape_rows(est, x_rows, {}, kind)
+    config = MdConfig(curve=kind, reference=reference)
     for k in range(8):
         scalar = md_fit(SortedSample(x_rows[k]), config).beta_hat
         assert batch[k] == scalar
@@ -344,7 +353,7 @@ def test_batched_and_scalar_fail_on_the_same_rows():
     rows[7] *= 1.7e308 / rows[7][-1]
     x_rows = np.vstack(rows)
     for est in SHAPE_ESTS:
-        batch = _shape_rows(est, x_rows, {}, CurveKind.QZ, QuadratureSpec())
+        batch = _shape_rows(est, x_rows, {}, CurveKind.QZ)
         assert np.all(np.isfinite(batch[[0, 5, 6, 7]])), est
         for k in range(len(rows)):
             try:
@@ -355,7 +364,7 @@ def test_batched_and_scalar_fail_on_the_same_rows():
                 assert np.isnan(batch[k]), (est, k, batch[k])
             else:
                 assert batch[k] == scalar, (est, k)
-    assert np.all(np.isnan(_shape_rows("ml", x_rows[1:5], {}, CurveKind.QZ, QuadratureSpec())))
+    assert np.all(np.isnan(_shape_rows("ml", x_rows[1:5], {}, CurveKind.QZ)))
 
 
 def test_report_json_has_no_environment_fields():
@@ -363,6 +372,18 @@ def test_report_json_has_no_environment_fields():
     text = report.to_json()
     assert "workers" not in text
     assert "time" not in text
+
+
+def test_grid_and_table_format_are_constants():
+    # the integration grid is fixed at 256 x 8 and the tables are markdown;
+    # neither is a setting, and the report still records the grid
+    assert [f.name for f in dataclasses.fields(MdConfig)] == ["curve", "reference"]
+    assert "quadrature" not in {f.name for f in dataclasses.fields(SimulationConfig)}
+    assert list(inspect.signature(curve_index).parameters) == ["qf", "kind"]
+    assert list(inspect.signature(render_tables).parameters) == ["report", "scale"]
+    assert "quadrature" not in inspect.signature(replicate_estimates).parameters
+    payload = json.loads(run_simulation(small_config(replications=2)).to_json())
+    assert payload["quadrature"] == {"panels": 256, "nodes": 8}
 
 
 def test_replicate_estimates_contract():
@@ -385,14 +406,10 @@ def test_replicate_estimates_match_study_seeding():
     assert vals[3] == fit_shape(SortedSample(x), "ml").beta_hat
 
 
-def test_render_tables_markdown_and_csv():
+def test_render_tables_markdown():
     report = run_simulation(small_config(replications=20))
-    md = render_tables(report, scale=1000.0, fmt="markdown")
+    md = render_tables(report, scale=1000.0)
     assert "MISE_qZ" in md and "| hf |" in md.replace("|hf", "| hf")
-    csv_text = render_tables(report, scale=1000.0, fmt="csv")
-    assert csv_text.splitlines()[0] == "metric,estimator,n,beta,value,se,flagged"
-    with pytest.raises(DomainError):
-        render_tables(report, fmt="html")
 
 
 def test_render_tables_flags_high_failure_cells():
@@ -411,5 +428,5 @@ def test_render_tables_flags_high_failure_cells():
         quadrature_panels=report.quadrature_panels,
         quadrature_nodes=report.quadrature_nodes, version=report.version,
         records=tuple(records))
-    md = render_tables(flagged, fmt="markdown")
+    md = render_tables(flagged)
     assert "*" in md
