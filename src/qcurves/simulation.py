@@ -36,7 +36,6 @@ import json
 import math
 import numbers
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from io import StringIO
@@ -341,6 +340,9 @@ def run_simulation(config: SimulationConfig = SimulationConfig()) -> SimulationR
         for task in tasks:
             results[task] = _simulate_chunk(config, *task)
     else:
+        # imported here: it loads multiprocessing, which a one-worker run and
+        # ``import qcurves`` do without
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = {task: pool.submit(_simulate_chunk, config, *task)
                        for task in tasks}

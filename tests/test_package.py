@@ -1,4 +1,10 @@
-"""Package-wide contracts: the exported names and the typed count checks."""
+"""Package-wide contracts: the exported names, the modules an import loads
+and the typed count checks."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +57,19 @@ def test_package_exports_the_modules_public_names():
     assert callable(qcurves.empirical_qf)  # the function, not its module
     assert set(errors.__all__) == {name for name, value in vars(errors).items()
                                    if isinstance(value, type) and issubclass(value, Exception)}
+
+
+def test_import_loads_neither_scipy_nor_a_process_pool():
+    # each CLI call is a fresh process, so whatever the import loads it pays
+    # every time; a process pool is loaded only for workers > 1
+    code = ("import sys, qcurves, qcurves.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
+    src = os.pathsep.join([str(Path(qcurves.__file__).parents[1]),
+                           os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 _X = np.array([1.0, 2.0, 3.0, 4.0, 5.0])

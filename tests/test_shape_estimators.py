@@ -19,7 +19,7 @@ from qcurves import (
     fit_shape,
     profile_scale,
 )
-from qcurves.shape_estimators import _ROW_KERNELS, _bracketed_root
+from qcurves.shape_estimators import _ROW_KERNELS, _bracketed_root, _lgamma_digamma_1p
 from qcurves.simulation import replicate_estimates
 from tests.conftest import weib_sorted
 
@@ -178,6 +178,20 @@ def test_roots_match_brentq(method):
                 expected = brentq(f, 1e-3, 1e3, xtol=1e-15, rtol=1e-15, maxiter=500)
                 got = fit_shape(SortedSample.from_data(x), method).beta_hat
                 assert abs(got - expected) < 1e-10 * expected, (n, beta, x)
+
+
+def test_me_gamma_terms_match_mpmath():
+    # the moment equation's D(t) = lgamma(1+2t) - 2 lgamma(1+t) and its
+    # derivative's psi(1+2t) - psi(1+t), over the shapes b = 1/t of the bracket
+    mpmath = pytest.importorskip("mpmath")
+    t = np.logspace(-3.0, 3.0, 2001)
+    (lg2, lg1), (psi2, psi1) = _lgamma_digamma_1p(np.stack((2.0 * t, t)))
+    with mpmath.workdps(40):
+        mp_t = [mpmath.mpf(v) for v in t]
+        d_ref = [float(mpmath.loggamma(1 + 2 * v) - 2 * mpmath.loggamma(1 + v)) for v in mp_t]
+        psi_ref = [float(mpmath.digamma(1 + 2 * v) - mpmath.digamma(1 + v)) for v in mp_t]
+    np.testing.assert_allclose(lg2 - 2.0 * lg1, d_ref, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(psi2 - psi1, psi_ref, rtol=1e-11, atol=0.0)
 
 
 @pytest.mark.parametrize("method", ("ml", "me"))
