@@ -50,9 +50,12 @@ class BracketFailure(QcurvesError):
     """A minimizer's bracket could not be expanded to contain the minimum."""
 
 
-def _check_count(value, minimum: int, name: str) -> int:
+def _check_count(value, minimum: int, name: str, maximum: int | None = None) -> int:
     """``value`` as an int; DomainError unless it is an integer, not a bool,
-    of at least ``minimum``.  Counts, sizes and seeds all pass through here."""
+    of at least ``minimum`` and, if given, at most ``maximum``.  Counts, sizes
+    and seeds all pass through here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise DomainError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be at most {maximum}, got {value!r}")
     return int(value)

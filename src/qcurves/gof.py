@@ -9,11 +9,12 @@ estimated from the data, the null distribution of A2 is not the classical
 tabulated one; the p-value comes from a parametric bootstrap that refits
 both parameters on every resample.
 
-The bootstrap works on blocks of resamples, one per row: the shape
-estimator's row kernel refits a whole block at once, and the profile scale
-and the statistic are computed for every row together.  A resample the
-method cannot refit, or whose refit puts an observation at probability 0
-or 1, counts as a failed refit; the p-value is taken over the others.
+The bootstrap works on blocks of resamples, one per row: a block's seeded
+uniforms are drawn at once and transformed in place, the shape estimator's
+row kernel refits the whole block, and the profile scale and the statistic
+are computed for every row together.  A resample the method cannot refit,
+or whose refit puts an observation at probability 0 or 1, counts as a
+failed refit; the p-value is taken over the others.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._streams import STREAMS, seeded_uniforms
 from .empirical_qf import SortedSample, _as_sorted_sample, check_values
 from .errors import DomainError, _check_count
 from .shape_estimators import _ROW_KERNELS, _profile_scale_rows, fit_shape, profile_scale
-from .weibull import WeibullParams, sample as weibull_sample
+from .weibull import WeibullParams, _from_uniforms
 
 __all__ = ["GofResult", "ad_statistic", "ad_test"]
 
@@ -84,10 +86,7 @@ def _fit_both(sample: SortedSample, method: str) -> WeibullParams:
 
 def _bootstrap_block(fitted, n, seed, reps, method):
     """Bootstrap statistics of replicates ``reps``, NaN where a refit failed."""
-    x_rows = np.empty((len(reps), n))
-    for row, b in zip(x_rows, reps):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
-        row[:] = weibull_sample(fitted, n, rng)
+    x_rows = _from_uniforms(seeded_uniforms((seed,), reps, n), fitted)
     check_values(x_rows)
     x_rows.sort(axis=1)
     beta = _ROW_KERNELS[method](x_rows, False)[0]
@@ -104,11 +103,14 @@ def ad_test(
 
     ``sample`` is a SortedSample or raw data.  Shape (by ``method``) and
     profile scale are estimated on the data, then on each of
-    ``bootstrap_reps`` resamples drawn from the fitted distribution; each
-    resample is compared with its own refit.  Resamples are seeded by
-    (seed, replicate index), so the result is reproducible and independent
-    of evaluation order, and they are refitted in blocks of rows through the
-    method's row kernel.
+    ``bootstrap_reps`` (at most 2**32) resamples drawn from the fitted
+    distribution; each resample is compared with its own refit.  Resample b
+    is the inverse transform of the uniforms of
+    ``Generator(PCG64(SeedSequence((seed, b))))``, so the result is
+    reproducible and independent of evaluation order.  The resamples are
+    drawn and refitted in blocks of rows: ``_streams.seeded_uniforms`` gives
+    a block's streams, equal to NumPy's bit for bit, at once, and the
+    method's row kernel refits the block.
 
     A refit fails when the method cannot fit the resample (say, a resample
     with a zero for a method that needs positive data) or when the refit puts
@@ -117,7 +119,8 @@ def ad_test(
     observed one, exceedances / (bootstrap_reps - failed_refits).  If every
     refit fails, DomainError is raised.
     """
-    _check_count(bootstrap_reps, 1, "bootstrap replicates")
+    # replicate b draws from stream b
+    _check_count(bootstrap_reps, 1, "bootstrap replicates", STREAMS)
     _check_count(seed, 0, "seed")
     sample = _as_sorted_sample(sample)
     fitted = _fit_both(sample, method)

@@ -82,6 +82,7 @@ _TWO_ONE = np.array([[2.0], [1.0]])
 # its pass cap.
 _XTOL = 1e-12
 _MAXITER = 200
+_EPS = np.finfo(float).eps
 # A log-shape step below this that fails to halve marks the rounding floor.
 _STALL_STEP = 1e-6
 
@@ -123,7 +124,7 @@ def _bracketed_root(f, rows, strict, ends=None):
     active = np.isnan(root)
     # a NaN end value (a residual undefined for these data) is no sign change
     no_bracket = active & ~(np.sign(f_lo) * np.sign(f_hi) < 0.0)
-    if np.any(no_bracket):
+    if no_bracket.any():
         if strict:
             raise NoBracket(f"no sign change on [{BRACKET_LO:g}, {BRACKET_HI:g}]")
         active &= ~no_bracket
@@ -134,7 +135,7 @@ def _bracketed_root(f, rows, strict, ends=None):
     last_step = np.full(rows, np.inf)
     iterations = 0
     for it in range(_MAXITER):
-        if not np.any(active):
+        if not active.any():
             break
         iterations = it + 1
         b = np.exp(t)
@@ -144,7 +145,7 @@ def _bracketed_root(f, rows, strict, ends=None):
         negative = fx < 0.0
         t_neg = np.where(negative, t, t_neg)
         t_pos = np.where(negative, t_pos, t)
-        tol = _XTOL + 4.0 * np.finfo(float).eps * b
+        tol = _XTOL + 4.0 * _EPS * b
         settled = active & ((fx == 0.0) | (b * step < tol) | (b * np.abs(t_pos - t_neg) < tol)
                             | ((step < _STALL_STEP) & (step > 0.5 * last_step)))
         root[settled] = b[settled]
@@ -154,7 +155,7 @@ def _bracketed_root(f, rows, strict, ends=None):
         inside = (newton - t_neg) * (newton - t_pos) < 0.0
         t = np.where(active, np.where(inside, newton, 0.5 * (t_neg + t_pos)), t)
         last_step = step
-    if np.any(active):
+    if active.any():
         if strict:
             raise NonConvergence(f"root finder hit the {_MAXITER}-iteration cap")
         # leave unconverged entries NaN

@@ -4,12 +4,15 @@ The engine draws Weibull samples, fits every requested estimator, and
 aggregates integrated squared error of the fitted concentration curves and
 squared/signed error of the fitted curve indices into a report.
 
-Replications are seeded individually: the stream for replication r of the
-cell (beta index i, size index j) is derived from the entropy tuple
-(master_seed, i, j, r).  Work is split into fixed chunks whose boundaries do
-not depend on the worker count, and per-replication results are reduced in
-replication order, so a report is bit-for-bit identical for any ``workers``
-setting.
+Replications are seeded individually: replication r of the cell (beta
+index i, size index j) draws its uniforms from
+``Generator(PCG64(SeedSequence((master_seed, i, j, r))))``, so r runs below
+2**32.  ``_streams.seeded_uniforms`` computes those streams, equal to
+NumPy's bit for bit, for a whole chunk at once, and the Weibull inverse
+transform is applied to the chunk in place.  Work is split into fixed chunks
+whose boundaries do not depend on the worker count, and per-replication
+results are reduced in replication order, so a report is bit-for-bit
+identical for any ``workers`` setting.
 
 The study computes no estimate of its own.  ``_shape_rows`` is its one
 estimator dispatch, for the study and ``replicate_estimates`` alike: shape
@@ -44,13 +47,14 @@ import csv
 
 import numpy as np
 
+from ._streams import STREAMS, seeded_uniforms
 from ._version import __version__
 from .curves import GRID, CurveKind
 from .errors import DomainError, _check_count
 from .md_estimation import (MdConfig, _MD_METHODS, _block_buffers, _cell_plan, _md_rows,
                             _ref_rows, _row_blocks)
 from .shape_estimators import SHAPE_METHODS, _ROW_KERNELS
-from .weibull import WeibullParams, _check_positive, sample as weibull_sample
+from .weibull import WeibullParams, _check_positive, _from_uniforms
 
 __all__ = [
     "SimulationConfig",
@@ -104,8 +108,11 @@ class SimulationConfig:
         object.__setattr__(self, "sizes", tuple(_check_count(n, 2, "sample size")
                                                 for n in _entries(self, "sizes")))
         object.__setattr__(self, "estimators", _entries(self, "estimators"))
-        for name, minimum in (("replications", 1), ("workers", 1), ("master_seed", 0)):
-            object.__setattr__(self, name, _check_count(getattr(self, name), minimum, name))
+        # replication r draws from stream r of its cell
+        for name, minimum, maximum in (("replications", 1, STREAMS), ("workers", 1, None),
+                                       ("master_seed", 0, None)):
+            object.__setattr__(self, name,
+                               _check_count(getattr(self, name), minimum, name, maximum))
         if not self.betas:
             raise DomainError("need at least one shape value")
         if not self.sizes:
@@ -147,13 +154,9 @@ def _shape_rows(est: str, x_rows: np.ndarray, cache: dict, kind: CurveKind) -> n
 
 
 def _draw_rows(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int):
-    params = WeibullParams(config.betas[ib], 1.0)
-    n = config.sizes[jn]
-    x_rows = np.empty((r1 - r0, n))
-    for k, r in enumerate(range(r0, r1)):
-        seq = np.random.SeedSequence((config.master_seed, ib, jn, r))
-        rng = np.random.Generator(np.random.PCG64(seq))
-        x_rows[k] = weibull_sample(params, n, rng)
+    """The sorted samples of replications r0 to r1 - 1 of cell (ib, jn)."""
+    u = seeded_uniforms((config.master_seed, ib, jn), range(r0, r1), config.sizes[jn])
+    x_rows = _from_uniforms(u, WeibullParams(config.betas[ib], 1.0))
     x_rows.sort(axis=1)
     return x_rows
 

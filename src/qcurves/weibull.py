@@ -131,8 +131,18 @@ def quantile_density(params: WeibullParams, p):
 
 def sample(params: WeibullParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` variates by inverse transform of uniforms from ``rng``."""
-    u = rng.random(_check_count(n, 1, "sample size"))
-    return params.sigma * (-np.log1p(-u)) ** (1.0 / params.beta)
+    return _from_uniforms(rng.random(_check_count(n, 1, "sample size")), params)
+
+
+def _from_uniforms(u: np.ndarray, params: WeibullParams) -> np.ndarray:
+    """The inverse transform sigma * (-log(1 - u))**(1/beta) of uniforms ``u``
+    in [0, 1), computed in place in ``u`` and returned."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    u **= 1.0 / params.beta
+    u *= params.sigma
+    return u
 
 
 def weibull_qf(params: WeibullParams):
