@@ -34,8 +34,11 @@ _KINDS = [kind.value for kind in CurveKind]
 
 def _read_data(path: str, column: str | None) -> np.ndarray:
     """Numeric column(s) from a text file; comma or whitespace separated."""
-    with open(path, newline="") as fh:
-        raw = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            raw = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"cannot read {path} as text: {exc}") from None
     rows = []
     for row in raw:
         cells = [token for cell in row for token in cell.split()]

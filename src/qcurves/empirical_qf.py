@@ -41,19 +41,28 @@ def check_values(values: np.ndarray):
 
 @dataclass(frozen=True)
 class SortedSample:
-    """Nonnegative sample stored in ascending order."""
+    """Nonnegative sample stored in ascending order.
+
+    The constructor checks its values (at least one, all finite and
+    nonnegative; DomainError otherwise) and keeps a sorted, read-only copy,
+    so ``SortedSample(data)`` and ``SortedSample.from_data(data)`` are the
+    same sample.
+    """
 
     values: np.ndarray
 
-    @classmethod
-    def from_data(cls, data) -> "SortedSample":
-        values = np.asarray(data, dtype=float).ravel()
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float).ravel()
         if values.size < 1:
             raise DomainError("sample must contain at least one value")
         check_values(values)
         values = np.sort(values)
         values.flags.writeable = False
-        return cls(values)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_data(cls, data) -> "SortedSample":
+        return cls(data)
 
     @property
     def n(self) -> int:
@@ -101,12 +110,15 @@ def interp_plan(positions: np.ndarray, q: np.ndarray):
     return j0, j1, frac
 
 
-def _interpolate(x: np.ndarray, plan) -> np.ndarray:
+def _interpolate(x: np.ndarray, plan, out=None) -> np.ndarray:
     """x0 + frac * (x1 - x0), with x0 = x[..., j0] and x1 = x[..., j1], for
-    ``interp_plan``'s ``(j0, j1, frac)``, along the last axis, in one new
-    C-ordered array.  Between tied values it is exactly their value."""
+    ``interp_plan``'s ``(j0, j1, frac)``, along the last axis, in ``out``
+    (one new C-ordered array by default).  Between tied values it is exactly
+    their value."""
     j0, j1, frac = plan
-    out = np.take(x, j0, axis=-1)
+    # the plan's indices are in range, and "clip" lets take write into out
+    # without the buffered copy that its default mode makes
+    out = np.take(x, j0, axis=-1, out=out, mode="clip")
     step = np.take(x, j1, axis=-1)
     step -= out
     step *= frac

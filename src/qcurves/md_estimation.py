@@ -14,14 +14,16 @@ grid (``curves.GRID``, 256 panels of 8 nodes): a configuration names only
 the curve and the reference.
 
 There is one implementation, the row function ``_md_rows``: sorted samples,
-one per row, go through the start (``_start_rows``), the reference rows
-(``_ref_rows``, from one cached gather plan per sample size, reference and
-curve) and one minimizer, which evaluates rows in cache-sized blocks on the
-fixed quadrature grid.  A row it cannot fit is NaN, or with ``strict``
-raises the typed error.  ``md_fit`` is its one-row strict call and the
-Monte Carlo study calls it on chunks of replicates, so fits are
-deterministic and a batched fit of one sample equals its scalar fit by
-construction.
+one per row, go through the start (``_start_rows``), the reference rows and
+one minimizer, which evaluates rows in cache-sized blocks of ``_BLOCK_ROWS``
+rows on the fixed quadrature grid.  ``_ref_rows`` is the one producer of
+reference rows, for MD fits and for the study's plug-in ``hf`` row alike: it
+gathers and divides a block of rows at a time, from one cached gather plan
+per sample size, reference and curve, and nothing caches its output.  A row
+``_md_rows`` cannot fit is NaN, or with ``strict`` raises the typed error.
+``md_fit`` is its one-row strict call and the Monte Carlo study calls it on
+chunks of replicates, so fits are deterministic and a batched fit of one
+sample equals its scalar fit by construction.
 
 Method identifiers: ``mde`` (step reference), ``mdhf`` (interpolated).
 """
@@ -105,41 +107,7 @@ def _cell_plan(n: int, reference: str, kind: CurveKind):
     return (*gathers, lr, weights)
 
 
-def _gather(x_rows: np.ndarray, plan: tuple) -> np.ndarray:
-    """Quantiles of every row at a plan's orders, in one new C-ordered array.
-
-    ``np.take`` returns C order where ``x[:, idx]`` leaves a transposed
-    buffer, whose row sums would group differently from those of a one-row
-    call.
-    """
-    if len(plan) == 1:
-        return np.take(x_rows, plan[0], axis=1)
-    return _interpolate(x_rows, plan)
-
-
-def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
-              strict: bool) -> np.ndarray:
-    """Reference curve 1 - q(num)/q(den) of every sorted row on the grid.
-
-    A row whose denominator quantile is zero somewhere raises
-    DegenerateQuantile with ``strict``; otherwise it is NaN in every column,
-    without a warning.  A one-row call is the reference of ``md_fit`` and
-    equals ``curve_value`` of the matching quantile function bitwise.
-    """
-    num, den, _, _ = _cell_plan(x_rows.shape[1], reference, kind)
-    den_rows = _gather(x_rows, den)
-    zero = den_rows.min(axis=1) == 0.0
-    if strict and zero.any():
-        raise DegenerateQuantile("denominator quantile is zero")
-    out = _gather(x_rows, num)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(out, den_rows, out=out)
-    np.subtract(1.0, out, out=out)
-    out[zero] = np.nan
-    return out
-
-
-# Rows per evaluation block.  At the grid's 2048 nodes a block temporary is
+# Rows per block.  At the grid's 2048 nodes a block temporary is
 # 32 x 2048 x 8 B = 512 KB, so the four a Newton pass needs stay in a 2 MB
 # per-core L2 cache, where a whole 500-row chunk (8 MB) would not; 32 rows
 # ran faster than 64 or more and no slower than 16.  Every row is reduced on
@@ -159,6 +127,47 @@ def _row_blocks(rows: int):
 def _block_buffers(count: int, rows: int, nodes: int) -> np.ndarray:
     """``count`` reusable temporaries for the blocks of ``rows`` rows of ``nodes`` values."""
     return np.empty((count, min(_BLOCK_ROWS, rows), nodes))
+
+
+def _gather(x_rows: np.ndarray, plan: tuple, out=None) -> np.ndarray:
+    """Quantiles of every row at a plan's orders, in ``out`` (one new
+    C-ordered array by default).
+
+    ``np.take`` returns C order where ``x[:, idx]`` leaves a transposed
+    buffer, whose row sums would group differently from those of a one-row
+    call.
+    """
+    if len(plan) == 1:
+        # the plan's indices are in range, and "clip" lets take write into
+        # out without the buffered copy that its default mode makes
+        return np.take(x_rows, plan[0], axis=1, out=out, mode="clip")
+    return _interpolate(x_rows, plan, out)
+
+
+def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
+              strict: bool) -> np.ndarray:
+    """Reference curve 1 - q(num)/q(den) of every sorted row on the grid.
+
+    The rows are gathered and divided into one new array block by block, so
+    that a block's temporaries (``_BLOCK_ROWS`` rows) stay in cache.  A row
+    whose denominator quantile is zero somewhere raises DegenerateQuantile
+    with ``strict``; otherwise it is NaN in every column, without a
+    warning.  A one-row call is the reference of ``md_fit`` and
+    equals ``curve_value`` of the matching quantile function bitwise.
+    """
+    num, den, lr, _ = _cell_plan(x_rows.shape[1], reference, kind)
+    out = np.empty((x_rows.shape[0], lr.size))
+    for b0, b1 in _row_blocks(len(out)):
+        den_rows = _gather(x_rows[b0:b1], den)
+        zero = den_rows.min(axis=1) == 0.0
+        if strict and zero.any():
+            raise DegenerateQuantile("denominator quantile is zero")
+        block = _gather(x_rows[b0:b1], num, out[b0:b1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(block, den_rows, out=block)
+        np.subtract(1.0, block, out=block)
+        block[zero] = np.nan
+    return out
 
 
 def _objective_closure(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray):
@@ -369,23 +378,20 @@ def _start_rows(x_rows: np.ndarray, strict: bool) -> np.ndarray:
     return np.where(bad, np.nan, start)
 
 
-def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool,
-             ref: np.ndarray | None = None):
+def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     """MD fits of sorted rows, one sample per row, under ``config``.
 
     Returns (shapes, evaluations, objectives, starts): per-row shapes,
     achieved objectives and starting shapes, and the minimizer's evaluation
-    count for the whole call.  A row without a start or a reference, or
-    whose minimum stays pinned to the bracket edge, has a NaN shape and
-    objective; with ``strict`` it raises the typed error instead, the start
-    checked before the reference and the reference before the minimizer.
-    ``ref`` is the rows' reference curves when the caller already holds
-    them, as built by non-strict ``_ref_rows`` for ``config``; by default
-    they are built here.  A one-row call is ``md_fit``.
+    count for the whole call.  The rows' reference curves are built here by
+    ``_ref_rows``, which the minimizer's passes then read.  A row without a
+    start or a reference, or whose minimum stays pinned to the bracket edge,
+    has a NaN shape and objective; with ``strict`` it raises the typed error
+    instead, the start checked before the reference and the reference
+    before the minimizer.  A one-row call is ``md_fit``.
     """
     starts = _start_rows(x_rows, strict)
-    if ref is None:
-        ref = _ref_rows(x_rows, config.reference, config.curve, strict)
+    ref = _ref_rows(x_rows, config.reference, config.curve, strict)
     _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve)
     shapes = np.full(starts.shape, np.nan)
     objectives = np.full(starts.shape, np.nan)

@@ -25,12 +25,12 @@ fitted or true, comes from ``_curve_rows``.
 
 The stage after the fits (model curves, ISE and index errors) runs in
 blocks of ``md_estimation._BLOCK_ROWS`` rows.  A block's curves are built
-in a reused buffer and reduced while they are in cache, so the tail holds
-no chunk-sized curve matrix (500 rows x 2048 nodes is 8 MB; a block is
-512 KB).  Each row is reduced on its own along the node axis, so no result
-depends on the block size.  One store of reference rows per chunk, keyed
-by (reference, kind), lets the ``hf`` row hand its ``hf`` reference rows
-to a later ``mdhf`` fit, which would otherwise build them again.
+in a reused buffer, or for the ``hf`` row by ``_ref_rows`` on the block's
+rows, and reduced while they are in cache, so the tail holds no chunk-sized
+curve matrix (500 rows x 2048 nodes is 8 MB; a block is 512 KB).  Each row
+is reduced on its own along the node axis, so no result depends on the
+block size.  ``mde``/``mdhf`` build their own reference rows inside
+``_md_rows``; no reference rows are kept from one estimator to the next.
 """
 
 from __future__ import annotations
@@ -137,14 +137,11 @@ def _shape_rows(est: str, x_rows: np.ndarray, cache: dict, kind: CurveKind) -> n
     ``mde``/``mdhf`` fit the ``kind`` curve through the MD row function;
     every other estimator ignores ``kind`` and runs its row kernel.
     ``cache`` keeps the kernel outputs of one chunk, so bcml scales the
-    chunk's ml roots instead of solving again.  It also stores reference
-    rows under (reference, kind): an MD fit takes its reference rows from
-    there when the chunk's ``hf`` row left them.
+    chunk's ml roots instead of solving again.
     """
     if est in _MD_METHODS:
         config = MdConfig(curve=kind, reference=_MD_METHODS[est])
-        ref = cache.pop((config.reference, kind), None)
-        return _md_rows(x_rows, config, False, ref)[0]
+        return _md_rows(x_rows, config, False)[0]
     if est == "bcml" and "ml" not in cache:
         cache["ml"] = _ROW_KERNELS["ml"](x_rows, False)
     if est not in cache:
@@ -177,9 +174,8 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
     (ise_qz, ise_qd, err_qzi, err_qdi); failed fits are NaN rows.
 
     After each fit, the curves are built and reduced block by block in two
-    reused buffers (see the module docstring).  The ``hf`` row leaves its
-    ``hf`` reference rows in the chunk's ``cache`` when ``mdhf`` follows
-    it, and the ``mdhf`` fit takes them from there.
+    reused buffers (see the module docstring).  The ``hf`` row has no fit:
+    its curves are the reference rows of each block, built there.
     """
     beta = config.betas[ib]
     n = config.sizes[jn]
@@ -195,23 +191,20 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
     model, scratch = _block_buffers(2, rows, w.size)
     cache: dict = {}
     out = {}
-    for i, est in enumerate(config.estimators):
+    for est in config.estimators:
         errors = np.empty((rows, 4))
         for col, (kind, lr, truth, true_index) in enumerate(truths):
-            if est == "hf":
-                # nonparametric plug-in row: curve error from the k/(n+1)
-                # interpolation, index error from the (k-1/3)/(n+1/3) one;
-                # the two benchmark conventions this row reproduces differ
-                curve_rows = _ref_rows(x_rows, "wg", kind, strict=False)
-                index_rows = _ref_rows(x_rows, "hf", kind, strict=False)
-                if "mdhf" in config.estimators[i:]:
-                    cache[("hf", kind)] = index_rows
-            else:
+            if est != "hf":
                 shapes = _shape_rows(est, x_rows, cache, kind)
             for b0, b1 in _row_blocks(rows):
                 k = b1 - b0
                 if est == "hf":
-                    curves, index_curves = curve_rows[b0:b1], index_rows[b0:b1]
+                    # nonparametric plug-in row: curve error from the k/(n+1)
+                    # interpolation, index error from the (k-1/3)/(n+1/3)
+                    # one; the two benchmark conventions this row reproduces
+                    # differ
+                    curves = _ref_rows(x_rows[b0:b1], "wg", kind, strict=False)
+                    index_curves = _ref_rows(x_rows[b0:b1], "hf", kind, strict=False)
                 else:
                     curves = index_curves = _curve_rows(shapes[b0:b1], lr, model[:k])
                 sq = scratch[:k]  # squared and weighted in place
@@ -222,7 +215,6 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
                 np.multiply(index_curves, w, out=sq)
                 sq.sum(axis=1, out=errors[b0:b1, col + 2])
             errors[:, col + 2] -= true_index
-            curve_rows = index_rows = None  # free the chunk-sized hf matrices
         out[est] = errors
     return out
 

@@ -190,6 +190,19 @@ def test_missing_file_exit_3(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "gof", "curve", "index"])
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00\x01\x80\n",
+                                     b"1," + b"x" * 200_000 + b"\n"],
+                         ids=["not-text", "csv-field-limit"])
+def test_unreadable_data_file_exit_3(command, content, tmp_path, capsys):
+    path = tmp_path / "bad.dat"
+    path.write_bytes(content)
+    assert main([command, "--data", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_non_numeric_data_exit_3(data_file, capsys):
     path = data_file(None, text="1.0\nbanana\n")
     assert main(["fit", "--data", path]) == 3

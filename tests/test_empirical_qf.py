@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from qcurves import (
+    MD_REFERENCES,
+    SHAPE_METHODS,
     DomainError,
+    MdConfig,
     SortedSample,
     WeibullParams,
     empirical_qf,
+    fit_shape,
+    md_fit,
     plotting_position_qf,
     plotting_positions,
 )
@@ -24,13 +29,24 @@ def test_sorted_sample_sorts_and_freezes():
 
 
 def test_sorted_sample_validation():
-    with pytest.raises(DomainError):
-        SortedSample.from_data([])
-    with pytest.raises(DomainError):
-        SortedSample.from_data([1.0, np.nan])
-    with pytest.raises(DomainError):
-        SortedSample.from_data([1.0, -0.5])
-    SortedSample.from_data([0.0, 1.0])  # zeros allowed at this layer
+    for make in (SortedSample, SortedSample.from_data):
+        for bad in ([], [1.0, np.nan], [np.nan, -1.0], [1.0, -0.5]):
+            with pytest.raises(DomainError):
+                make(np.array(bad))
+        make([0.0, 1.0])  # zeros allowed at this layer
+
+
+def test_constructor_sorts_and_fits_like_from_data():
+    data = np.array([5.0, 1.0, 3.0, 2.5, 7.0])
+    direct, checked = SortedSample(data), SortedSample.from_data(data)
+    assert np.array_equal(direct.values, checked.values)
+    assert not direct.values.flags.writeable
+    assert data[0] == 5.0  # the caller's array is not sorted in place
+    for method in SHAPE_METHODS:
+        assert fit_shape(direct, method) == fit_shape(checked, method)
+    for reference in MD_REFERENCES:
+        config = MdConfig(reference=reference)
+        assert md_fit(direct, config) == md_fit(checked, config)
 
 
 def test_plotting_positions_formulas():

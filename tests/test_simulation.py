@@ -213,28 +213,27 @@ def test_report_does_not_depend_on_block_size():
         assert blocked.to_json() + blocked.to_csv() == base.to_json() + base.to_csv()
 
 
-def test_chunk_builds_hf_reference_rows_once_for_hf_and_mdhf():
+def test_chunk_hf_row_builds_reference_rows_by_block():
     config = small_config(betas=(1.5,), estimators=SimulationConfig().estimators,
                           replications=40, master_seed=11)
     fits = {}
 
-    def md_rows_spy(x_rows, md_config, strict, ref=None):
-        out = _md_rows(x_rows, md_config, strict, ref)
-        fits[(md_config.reference, md_config.curve)] = (ref is not None, out[0])
+    def md_rows_spy(x_rows, md_config, strict):
+        out = _md_rows(x_rows, md_config, strict)
+        fits[(md_config.reference, md_config.curve)] = out[0]
         return out
 
-    ref_rows = md_estimation._ref_rows
-    with mock.patch.object(simulation, "_ref_rows", side_effect=ref_rows) as sim_refs, \
-            mock.patch.object(md_estimation, "_ref_rows", side_effect=ref_rows) as md_refs, \
+    with mock.patch.object(simulation, "_ref_rows",
+                           side_effect=md_estimation._ref_rows) as hf_refs, \
             mock.patch.object(simulation, "_md_rows", md_rows_spy):
         _simulate_chunk(config, 0, 0, 0, 40)
-    # wg and hf for the hf row, empirical for mde, none for mdhf; qZ and qD each
-    assert sim_refs.call_count + md_refs.call_count == 6
+    # wg and hf, for qZ and qD, on each of the blocks of 32 and 8 rows
+    rows = [call.args[0].shape[0] for call in hf_refs.call_args_list]
+    assert sorted(rows) == [8] * 4 + [32] * 4
+    assert max(rows) <= md_estimation._BLOCK_ROWS
     x_rows = _draw_rows(config, 0, 0, 0, 40)
     for kind in (CurveKind.QZ, CurveKind.QD):
-        assert not fits[("empirical", kind)][0]
-        shared, shapes = fits[("hf", kind)]
-        assert shared
+        shapes = fits[("hf", kind)]
         assert np.array_equal(shapes, replicate_estimates(
             "mdhf", 1.5, 30, 40, master_seed=11, curve=kind), equal_nan=True)
         md_config = MdConfig(curve=kind, reference="hf")
