@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -76,17 +77,23 @@ class CurveKind(Enum):
         return (1.0, 1.0) if self is CurveKind.QZ else (1.0, 0.0)
 
 
-def _elementwise(x, fn, bad, message: str):
-    """``fn`` of the float array of ``x``, a float for scalar ``x``;
-    DomainError with ``message`` where ``bad`` of that array holds anywhere,
-    and DomainError when ``x`` holds booleans or anything but real numbers."""
+def _real_array(x) -> np.ndarray:
+    """The float array of ``x``; DomainError when ``x`` holds booleans or
+    anything but real numbers, or is ragged."""
     try:
         arr = np.asarray(x)
         if arr.dtype.kind not in "iufO":  # an object array converts element by element
             raise TypeError
-        arr = arr.astype(float, copy=False)
+        return arr.astype(float, copy=False)
     except (TypeError, ValueError):
-        raise DomainError(f"expected real numbers, got {x!r}") from None
+        raise DomainError(f"expected real numbers, got {reprlib.repr(x)}") from None
+
+
+def _elementwise(x, fn, bad, message: str):
+    """``fn`` of the float array of ``x`` (``_real_array``), a float for
+    scalar ``x``; DomainError with ``message`` where ``bad`` of that array
+    holds anywhere."""
+    arr = _real_array(x)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if np.any(bad(arr)):

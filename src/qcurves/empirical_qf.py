@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import _on_unit_interval
+from .curves import _on_unit_interval, _real_array
 from .errors import DomainError, _check_count
 
 __all__ = [
@@ -43,16 +43,16 @@ def check_values(values: np.ndarray):
 class SortedSample:
     """Nonnegative sample stored in ascending order.
 
-    The constructor checks its values (at least one, all finite and
-    nonnegative; DomainError otherwise) and keeps a sorted, read-only copy,
-    so ``SortedSample(data)`` and ``SortedSample.from_data(data)`` are the
-    same sample.
+    The constructor checks its values (real numbers, not booleans, at least
+    one, all finite and nonnegative; DomainError otherwise) and keeps a
+    sorted, read-only copy, so ``SortedSample(data)`` and
+    ``SortedSample.from_data(data)`` are the same sample.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
+        values = _real_array(self.values).ravel()
         if values.size < 1:
             raise DomainError("sample must contain at least one value")
         check_values(values)

@@ -3,15 +3,23 @@
 The estimator minimizes the squared L2 distance between a data-based
 reference curve (step empirical or interpolated ``hf``) and the model's
 closed-form curve, over the shape.  The search runs on log-shape, where the
-objective is smooth: a safeguarded Newton iteration from a starting
-estimate, with analytic first and second derivatives, finishes most fits in
-a few passes.  A fit that Newton cannot finish safely falls back to a
-golden-section search inside a multiplicative bracket around the start,
-expanding the bracket when the minimum lands on an edge.  The start (pe,
-falling back to lm), the bracket factor, the tolerance and the expansion
-count are fixed, and the L2 distance is integrated on the package's one
-grid (``curves.GRID``, 256 panels of 8 nodes): a configuration names only
-the curve and the reference.
+objective is smooth: Newton's method from a starting estimate, with analytic
+first and second derivatives, inside a multiplicative bracket around the
+start (see ``_minimize_log``).  A row finishes once its Newton step is below
+the tolerance, or one pass sooner once its last two full steps predict a
+next step far below it; there F is evaluated once more, so the reported
+objective is F at the returned shape.  Where a step raises F the row goes
+back and halves it, and where the curvature is not positive or the Newton
+iterate leaves the bracket it moves halfway toward the bracket edge; a
+small budget of such moves is shared.  Only a row that spends that budget,
+in practice one whose minimum lies outside the bracket, falls back to a
+golden-section search, which expands the bracket while the minimum lands on
+an edge.  The start (pe, falling back to lm), the bracket factor, the
+tolerance, the move budget and the expansion count are fixed, and the L2
+distance is integrated on the package's one grid (``curves.GRID``, 256
+panels of 8 nodes): a configuration names only the curve and the
+reference.  A fit's ``iterations`` count the Newton passes, the passes
+with an early finish and the golden objective evaluations.
 
 There is one implementation, the row function ``_md_rows``: sorted samples,
 one per row, go through the start (``_start_rows``), the reference rows and
@@ -115,8 +123,12 @@ def _cell_plan(n: int, reference: str, kind: CurveKind):
 # size or on which rows share a block.
 _BLOCK_ROWS = 32
 
-# Newton passes after which a row still moving goes to the golden search.
+# Newton passes after which a row still moving goes to the golden search,
+# the halved and edge moves a row may make before it goes there, and the
+# factor on _TOL below which a predicted next step ends a row early.
 _NEWTON_PASSES = 20
+_SAFE_MOVES = 4
+_EARLY_FACTOR = 0.01
 
 
 def _row_blocks(rows: int):
@@ -180,15 +192,15 @@ def _objective_closure(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray):
     def f(log_beta: np.ndarray) -> np.ndarray:
         beta = np.exp(log_beta)
         out = np.empty(beta.shape)
-        buf = _block_buffers(1, beta.size, lr.size)[0]
+        diff_buf, t_buf = _block_buffers(2, beta.size, lr.size)
         for b0, b1 in _row_blocks(beta.size):
-            diff = buf[: b1 - b0]
+            diff, t = diff_buf[: b1 - b0], t_buf[: b1 - b0]
             np.divide(lr, beta[b0:b1, None], out=diff)
             np.expm1(diff, out=diff)
             diff += ref[b0:b1]  # ref - model, the model being -expm1(lr/b)
-            diff *= diff
-            diff *= weights
-            diff.sum(axis=-1, out=out[b0:b1])
+            np.multiply(diff, weights, out=t)
+            t *= diff
+            t.sum(axis=-1, out=out[b0:b1])
         return out
 
     return f
@@ -206,6 +218,7 @@ def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
     beta = np.exp(log_beta)
     f, g, h = np.empty((3, rows.size))
     u_buf, r_buf, mp_buf, t_buf = _block_buffers(4, rows.size, lr.size)
+    every = rows.size == len(ref)  # rows is then arange, so no gather is needed
     for b0, b1 in _row_blocks(rows.size):
         k = b1 - b0
         u, r, mp, t = u_buf[:k], r_buf[:k], mp_buf[:k], t_buf[:k]
@@ -213,21 +226,23 @@ def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
         np.expm1(u, out=r)
         np.add(r, 1.0, out=mp)
         mp *= u  # m'
-        np.take(ref, rows[b0:b1], axis=0, out=t)
-        r += t  # ref - m
-        np.multiply(r, r, out=t)
-        t *= weights
-        t.sum(axis=-1, out=f[b0:b1])
-        np.multiply(r, mp, out=t)
-        t *= weights
-        t.sum(axis=-1, out=g[b0:b1])
+        if every:
+            r += ref[b0:b1]  # ref - m
+        else:
+            np.take(ref, rows[b0:b1], axis=0, out=t)
+            r += t
+        np.multiply(r, weights, out=t)  # w*r
+        r *= t
+        r.sum(axis=-1, out=f[b0:b1])
+        np.multiply(t, mp, out=r)
+        r.sum(axis=-1, out=g[b0:b1])
         u += 1.0
         u *= mp
-        u *= r  # -r*m''
-        np.multiply(mp, mp, out=t)
-        t += u
-        t *= weights
-        t.sum(axis=-1, out=h[b0:b1])
+        u *= t  # -w*r*m''
+        np.multiply(mp, mp, out=r)
+        r *= weights
+        r += u
+        r.sum(axis=-1, out=h[b0:b1])
     return f, -2.0 * g, 2.0 * h
 
 
@@ -279,23 +294,35 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
                   log_start: np.ndarray, strict: bool):
     """Minimize the objective of every row of ``ref`` over log-shape.
 
-    Each row starts with Newton's method from its ``log_start``.  The row
-    leaves Newton converged once a step is shorter than ``_TOL``.  It
-    leaves for the golden search instead when its curvature is not
-    positive, its objective rises from one pass to the next, its next
-    iterate leaves the first bracket ``log_start -+ log(_BRACKET_FACTOR)``,
-    or it is still moving after ``_NEWTON_PASSES`` passes.  The golden
-    search starts on that first bracket and, while its minimum sits on the
-    bracket edge, re-centres and doubles the bracket up to
-    ``_MAX_EXPANSIONS`` times.  Rows drop out as they converge, so
-    every row's result depends on that row alone.  No row ends worse than
-    its start: where the start's objective is not above the minimum found,
-    the start is returned.
+    Each row runs Newton's method from its ``log_start``, each pass
+    evaluating F, F' and F'' at the row's point.  A pass does one of these:
+
+    - finish with the point, once the Newton step is shorter than ``_TOL``;
+    - finish early with the point plus the Newton step, once that step and
+      the full step before it predict a next step below ``_EARLY_FACTOR``
+      times ``_TOL`` (|s_k|^3 / |s_k-1|^2 for a quadratically converging
+      row).  F is evaluated there once, and the point is kept if F rose;
+    - take the full Newton step, when F'' > 0 and the step stays inside the
+      first bracket ``log_start -+ log(_BRACKET_FACTOR)``;
+    - otherwise move halfway from the point toward the bracket edge on the
+      descent side (-sign F');
+    - and when F rose above the previous point's, go back there and halve
+      the move instead.
+
+    Halved and edge moves share a budget of ``_SAFE_MOVES`` per row.  A row
+    that needs one more, or is still moving after ``_NEWTON_PASSES`` passes,
+    goes to the golden search.  That search starts on the first bracket
+    and, while its minimum sits on the bracket edge, re-centres and doubles
+    the bracket up to ``_MAX_EXPANSIONS`` times.  Rows drop out as they
+    finish, so every row's result depends on that row alone.  No row ends
+    worse than its start: where the start's objective is not above the
+    minimum found, the start is returned.
 
     Returns (log_xmin, fmin, pending, evaluations).  ``pending`` marks rows
     still pinned to a bracket edge, whose log_xmin and fmin are NaN; with
     ``strict`` such a row raises BracketFailure instead.  ``evaluations``
-    counts Newton passes plus golden objective evaluations.
+    counts Newton passes, the passes with an early finish (one F-only
+    evaluation each) and golden objective evaluations.
     """
     log_factor = math.log(_BRACKET_FACTOR)
     lo = log_start - log_factor
@@ -306,7 +333,13 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
     pending = np.zeros(log_start.shape, dtype=bool)  # rows for the golden search
     rows = np.arange(log_start.size)
     x = log_start
-    f_prev = np.full_like(log_start, np.inf)
+    # per active row: the last accepted point and its F, the move from it to
+    # x, the full Newton step that move was (NaN for any other move) and the
+    # halved or edge moves used
+    x_prev, f_prev = x, np.full_like(log_start, np.inf)
+    move, s_prev = np.full((2, log_start.size), np.nan)
+    used = np.zeros(log_start.shape, dtype=np.int64)
+    early_tol = _EARLY_FACTOR * _TOL
     evals = 0
     for _ in range(_NEWTON_PASSES):
         if rows.size == 0:
@@ -315,16 +348,44 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
         if evals == 0:
             f_start[:] = f
         evals += 1
-        with np.errstate(divide="ignore", invalid="ignore"):
+        accept = f <= f_prev
+        newton = accept & (h > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = -g / h
-        ok = (h > 0.0) & (f <= f_prev)
-        done = ok & (np.abs(step) < _TOL)
+            done = newton & (np.abs(step) < _TOL)
+            x_full = x + step
+            full = newton & ~done & (x_full > lo[rows]) & (x_full < hi[rows])
+            early = full & (np.abs(step) ** 3 < early_tol * s_prev ** 2)
         xmin[rows[done]] = x[done]
         fmin[rows[done]] = f[done]
-        x_next = x + step
-        go = ok & ~done & (x_next > lo[rows]) & (x_next < hi[rows])
-        pending[rows[~done & ~go]] = True
-        rows, x, f_prev = rows[go], x_next[go], f[go]
+        if early.any():
+            idx, x_end, f_at = rows[early], x_full[early], f[early]
+            f_end = _objective_closure(ref[idx], lr, weights)(x_end)
+            evals += 1
+            better = f_end <= f_at
+            xmin[idx] = np.where(better, x_end, x[early])
+            fmin[idx] = np.where(better, f_end, f_at)
+        go = full & ~early
+        odd = ~(done | full)  # rows that rose, need an edge move or stop
+        if odd.any():
+            rise = odd & ~accept
+            # halfway to the edge on the descent side; none where F' is 0 or NaN
+            edge = odd & accept & (np.abs(g) > 0.0)
+            safe = (rise | edge) & (used < _SAFE_MOVES)
+            pending[rows[odd & ~safe]] = True
+            go |= safe
+            move = np.where(full, step, np.where(
+                rise, 0.5 * move, 0.5 * (np.where(g < 0.0, hi[rows], lo[rows]) - x)))
+            s_prev = np.where(full, step, np.nan)
+            x_prev = np.where(accept, x, x_prev)
+            f_prev = np.where(accept, f, f_prev)
+            used = used + safe
+        else:  # every row still moving takes its full step
+            move = s_prev = step
+            x_prev, f_prev = x, f
+        rows, x_prev, f_prev, move, s_prev, used = (
+            rows[go], x_prev[go], f_prev[go], move[go], s_prev[go], used[go])
+        x = x_prev + move
     pending[rows] = True
 
     edge_tol = max(10.0 * _TOL, 1e-6)
@@ -365,8 +426,10 @@ def _start_rows(x_rows: np.ndarray, strict: bool) -> np.ndarray:
     ``strict`` it raises StartFailure with the reason lm failed on the first
     such row.
     """
-    pe = _ROW_KERNELS["pe"](x_rows, False)[0]
-    start = np.where(np.isfinite(pe), pe, _ROW_KERNELS["lm"](x_rows, False)[0])
+    start = _ROW_KERNELS["pe"](x_rows, False)[0]
+    redo = ~np.isfinite(start)
+    if redo.any():  # lm runs on these rows only; each row's estimate is its own
+        start[redo] = _ROW_KERNELS["lm"](x_rows[redo], False)[0]
     bad = ~(np.isfinite(start) & (start > 0.0))
     if strict and bad.any():
         k = int(np.argmax(bad))

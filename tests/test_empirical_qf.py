@@ -36,6 +36,15 @@ def test_sorted_sample_validation():
         make([0.0, 1.0])  # zeros allowed at this layer
 
 
+@pytest.mark.parametrize("bad", (["a", "b"], [[1.0, 2.0], [3.0]], [1 + 2j, 3.0],
+                                 [True, False]))
+def test_sorted_sample_rejects_non_real_data(bad):
+    # strings, ragged lists, complex values and booleans are not samples
+    for make in (SortedSample, SortedSample.from_data):
+        with pytest.raises(DomainError, match="expected real numbers"):
+            make(bad)
+
+
 def test_constructor_sorts_and_fits_like_from_data():
     data = np.array([5.0, 1.0, 3.0, 2.5, 7.0])
     direct, checked = SortedSample(data), SortedSample.from_data(data)

@@ -27,8 +27,11 @@ from qcurves import (
 )
 from qcurves.curves import GRID
 from qcurves.md_estimation import _md_rows, _ref_rows
+from qcurves.simulation import SimulationConfig, _draw_rows
 from qcurves.weibull import sample as weibull_sample
 from tests.conftest import md_narrow_bracket, md_start_from, weib_sorted
+
+MD_CASES = [(reference, kind) for reference in ("empirical", "hf") for kind in CurveKind]
 
 
 def test_config_validation():
@@ -151,8 +154,10 @@ def test_typical_fit_takes_few_newton_passes():
 
 
 def test_far_start_converges_through_golden_fallback():
-    # the ls start is 0.15 away in log-shape, so the first Newton step leaves
-    # the 1.05 bracket and the golden search with expansions takes over
+    # the ls start is 0.15 away in log-shape, beyond the 1.05 bracket
+    # (+-0.049): the Newton iterate leaves the bracket, the row spends its
+    # halved and edge moves against the edge, and the golden search with
+    # expansions takes over
     s = weib_sorted(2.0, 200, seed=13)
     near = md_fit(s, MdConfig())
     golden_calls = []
@@ -168,6 +173,142 @@ def test_far_start_converges_through_golden_fallback():
     assert len(golden_calls) > 1  # the first bracket and at least one expansion
     assert abs(math.log(far.beta_hat / near.beta_hat)) < 1e-7
     assert far.residual == md_objective(s, far.beta_hat, MdConfig())
+
+
+def _traced_fit(sample, config):
+    """md_fit, with (F, F', F'') of every Newton pass and the golden calls."""
+    passes, golden_calls = [], []
+    terms, golden = md_estimation._newton_terms, md_estimation._golden
+
+    def traced_terms(*args):
+        out = terms(*args)
+        passes.append([float(v[0]) for v in out])
+        return out
+
+    def counted(*args):
+        golden_calls.append(args)
+        return golden(*args)
+
+    with mock.patch.multiple(md_estimation, _newton_terms=traced_terms, _golden=counted):
+        fit = md_fit(sample, config)
+    return fit, passes, golden_calls
+
+
+def _golden_only(sample, config):
+    """The objective the golden search alone reaches, or the start's if lower."""
+    with mock.patch.object(md_estimation, "_NEWTON_PASSES", 0):
+        fit = md_fit(sample, config)
+    return min(fit.residual, md_objective(sample, fit.start, config))
+
+
+def test_rise_on_the_first_step_halves_without_golden():
+    # the first full Newton step from the pe start raises F; the row goes
+    # back halfway and finishes on Newton
+    s = weib_sorted(0.5, 10, seed=2)
+    config = MdConfig(curve="qz", reference="empirical")
+    fit, passes, golden_calls = _traced_fit(s, config)
+    assert passes[1][0] > passes[0][0]
+    assert not golden_calls
+    assert abs(fit.residual - md_objective(s, fit.beta_hat, config)) < 1e-15
+    assert fit.residual <= _golden_only(s, config) + 1e-15
+
+
+def test_nonpositive_curvature_at_start_moves_without_golden():
+    # F'' <= 0 at the start: the row moves halfway toward the bracket edge
+    # on the descent side and finishes on Newton
+    s = weib_sorted(0.5, 10, seed=7)
+    config = MdConfig(curve="qz", reference="empirical")
+    fit, passes, golden_calls = _traced_fit(s, config)
+    assert passes[0][2] <= 0.0
+    assert not golden_calls
+    assert abs(fit.residual - md_objective(s, fit.beta_hat, config)) < 1e-15
+    assert fit.residual <= _golden_only(s, config) + 1e-15
+
+
+def _chunk_minimum(x_rows, config):
+    """(ref, lr, weights) of ``_md_rows`` for these rows, and its minimizer's output."""
+    _, _, lr, weights = md_estimation._cell_plan(x_rows.shape[1], config.reference,
+                                                 config.curve)
+    ref = _ref_rows(x_rows, config.reference, config.curve, strict=True)
+    log_start = np.log(md_estimation._start_rows(x_rows, True))
+    return (ref, lr, weights), md_estimation._minimize_log(ref, lr, weights, log_start, True)
+
+
+# the first 500-row chunk of the default study's cell beta = 0.5, n = 30
+STUDY_CHUNK = _draw_rows(SimulationConfig(), 0, 0, 0, 500)
+
+
+@pytest.mark.parametrize("reference,kind", MD_CASES)
+def test_early_finish_returns_the_objective_at_its_point(reference, kind):
+    config = MdConfig(curve=kind, reference=reference)
+    evaluated = []  # the log-shapes where F alone is evaluated
+    closure = md_estimation._objective_closure
+
+    def recorded(ref, lr, weights):
+        f = closure(ref, lr, weights)
+
+        def objective(log_beta):
+            evaluated.extend(log_beta)
+            return f(log_beta)
+
+        return objective
+
+    # (two qd rows of the step reference need a wider bracket, so their
+    # golden search is recorded too)
+    with mock.patch.object(md_estimation, "_objective_closure", recorded):
+        (ref, lr, weights), (xmin, fmin, _, _) = _chunk_minimum(STUDY_CHUNK, config)
+    finished_early = np.isin(xmin, evaluated)
+    assert finished_early.sum() > len(xmin) // 2
+    for k in range(len(xmin)):
+        assert fmin[k] == closure(ref[k:k + 1], lr, weights)(xmin[k:k + 1])[0]
+        # md_objective(b) evaluates at the log-shape math.log(b), which for a
+        # few rows is not the one exp(.) came from
+        shape = float(np.exp(xmin[k]))
+        if finished_early[k] and math.log(shape) == xmin[k]:
+            assert fmin[k] == md_objective(SortedSample(STUDY_CHUNK[k]), shape, config)
+
+
+@pytest.mark.parametrize("reference,kind", MD_CASES)
+def test_rows_lie_within_twice_tol_of_a_tight_tolerance_run(reference, kind):
+    config = MdConfig(curve=kind, reference=reference)
+    shapes = _md_rows(STUDY_CHUNK, config, False)[0]
+    with mock.patch.object(md_estimation, "_TOL", 1e-12):
+        tight = _md_rows(STUDY_CHUNK, config, False)[0]
+    assert np.all(np.abs(np.log(shapes / tight)) <= 2 * md_estimation._TOL)
+
+
+def test_batched_fits_equal_scalar_fits_on_every_path():
+    # seeds 2 and 7 halve on a rise and move toward the edge (see above);
+    # most rows finish early
+    x_rows = np.vstack([weib_sorted(0.5, 10, seed=k).values for k in range(12)])
+    for reference, kind in MD_CASES:
+        config = MdConfig(curve=kind, reference=reference)
+        shapes, _, objectives, starts = _md_rows(x_rows, config, False)
+        for k, row in enumerate(x_rows):
+            fit = md_fit(SortedSample(row), config)
+            assert (shapes[k], objectives[k], starts[k]) == (
+                fit.beta_hat, fit.residual, fit.start)
+
+
+def test_lm_start_only_where_pe_fails():
+    # rows 1 and 3 have coinciding pe quantiles; lm runs on them alone and
+    # gives the same starts as on the whole matrix
+    tied = [1, 2, 2, 2, 2, 2, 2, 2, 2, 3.0]
+    x_rows = np.array([weib_sorted(2.0, 10, seed=1).values, tied,
+                       weib_sorted(2.0, 10, seed=2).values, tied])
+    lm_rows = []
+    lm = md_estimation._ROW_KERNELS["lm"]
+
+    def counted(x, strict):
+        lm_rows.append(len(x))
+        return lm(x, strict)
+
+    with mock.patch.dict(md_estimation._ROW_KERNELS, lm=counted):
+        starts = md_estimation._start_rows(x_rows, False)
+    assert lm_rows == [2]
+    pe = md_estimation._ROW_KERNELS["pe"](x_rows, False)[0]
+    expected = np.where(np.isfinite(pe), pe, lm(x_rows, False)[0])
+    assert np.array_equal(starts, expected)
 
 
 def test_bracket_failure_when_expansions_run_out():
@@ -207,8 +348,6 @@ def test_newton_residual_not_above_golden_only(beta, n, seed, reference, curve):
     golden_residual = min(golden.residual, md_objective(s, golden.start, config))
     assert newton.residual <= golden_residual + 1e-15
 
-
-MD_CASES = [(reference, kind) for reference in ("empirical", "hf") for kind in CurveKind]
 
 # more than half zeros: the denominator quantile is zero at some nodes
 ZERO_DENOMINATOR_ROW = np.array([[0, 0, 0, 0, 0, 0, 1, 2, 3, 4.0]])
