@@ -33,13 +33,14 @@ f_k(s) g_k(t) and each inner integral over s is a weighted row sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import GRID, CurveKind, QuadratureSpec, gauss_legendre_grid
 from .errors import DomainError, NonConvergence
-from .weibull import _check_positive, _log_terms
+from .weibull import _check_positive, _eta_terms, _log_terms
 
 __all__ = ["KernelContext", "kernel_ab", "kernel_R", "md_asymptotic_variance",
            "AsymptoticVariance"]
@@ -58,14 +59,16 @@ _DOUBLING_RTOL = 1e-6
 @dataclass(frozen=True)
 class KernelContext:
     """Shape and curve kind (a member or its name) of the model whose kernel
-    is evaluated."""
+    is evaluated.  The shape must be a normal float: below that, a(t) and
+    b(t) would be 0/0."""
 
     beta: float
     kind: CurveKind
 
     def __post_init__(self):
         object.__setattr__(self, "kind", CurveKind(self.kind))
-        _check_positive(self.beta)
+        if _check_positive(self.beta) < np.finfo(float).tiny:
+            raise DomainError(f"shape must be a normal float, got {self.beta!r}")
 
 
 def _check_interior(t: np.ndarray):
@@ -77,8 +80,7 @@ def _point_terms(ctx: KernelContext, t: np.ndarray):
     """eta(t), a(t), b(t), u_t and 1 - v_t at interior curve arguments t."""
     u, _, one_minus_v = ctx.kind.orders(t)
     lu, lv, lr = _log_terms(u, one_minus_v)
-    e = np.exp(lr / ctx.beta)  # 1 - curve(t)
-    eta = e * lr / ctx.beta**2
+    e, eta = _eta_terms(lr, ctx.beta)  # e = 1 - curve(t)
     a = e / (ctx.beta * (1.0 - u) * lu)
     b = e / (ctx.beta * one_minus_v * lv)
     return eta, a, b, u, one_minus_v
@@ -198,7 +200,10 @@ def md_asymptotic_variance(beta: float, kind=CurveKind.QZ, panels: int = 64,
     points, weights = gauss_legendre_grid(GRID)
     eta = _point_terms(ctx, points)[0]
     c_val = float((weights * eta * eta).sum())
-    sigma2 = fine / (c_val * c_val)
+    c_sq = c_val * c_val
+    if not (fine > 0.0 and c_sq > 0.0 and math.isfinite(fine / c_sq)):
+        raise DomainError(f"asymptotic variance at shape {beta!r} under- or overflows")
+    sigma2 = fine / c_sq
     return AsymptoticVariance(beta=beta, kind=ctx.kind, sigma2=sigma2,
                               double_integral=fine, eta_squared_integral=c_val,
                               rel_change=rel)

@@ -35,7 +35,8 @@ _KINDS = [kind.value for kind in CurveKind]
 def _read_data(path: str, column: str | None) -> np.ndarray:
     """Numeric column(s) from a text file; comma or whitespace separated."""
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig also reads the byte-order mark of spreadsheet exports
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             raw = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DomainError(f"cannot read {path} as text: {exc}") from None
@@ -261,10 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QcurvesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (QcurvesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

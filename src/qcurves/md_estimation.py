@@ -21,6 +21,13 @@ panels of 8 nodes): a configuration names only the curve and the
 reference.  A fit's ``iterations`` count the Newton passes, the passes
 with an early finish and the golden objective evaluations.
 
+Log-shape is the minimizer's own coordinate.  The objective
+(``_objective_closure``, ``md_objective``) and the Newton terms take shapes,
+and the minimizer evaluates each row's start shape itself and returns the
+shape at which the row's reported F was evaluated.  So a fit's residual is
+``md_objective`` at its shape, and never above ``md_objective`` at its
+start, bit for bit.
+
 There is one implementation, the row function ``_md_rows``: sorted samples,
 one per row, go through the start (``_start_rows``), the reference rows and
 one minimizer, which evaluates rows in cache-sized blocks of ``_BLOCK_ROWS``
@@ -183,14 +190,14 @@ def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
 
 
 def _objective_closure(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray):
-    """Batched objective: rows of ``ref`` against model curves 1-exp(lr/b).
+    """Batched objective f(beta): rows of ``ref`` against model curves
+    1-exp(lr/b) at the shapes ``beta``, one per row.
 
     Rows are evaluated block by block in one reused temporary, with the
     same arithmetic as the objective term of ``_newton_terms``.
     """
 
-    def f(log_beta: np.ndarray) -> np.ndarray:
-        beta = np.exp(log_beta)
+    def f(beta: np.ndarray) -> np.ndarray:
         out = np.empty(beta.shape)
         diff_buf, t_buf = _block_buffers(2, beta.size, lr.size)
         for b0, b1 in _row_blocks(beta.size):
@@ -207,15 +214,15 @@ def _objective_closure(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray):
 
 
 def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
-                  weights: np.ndarray, log_beta: np.ndarray):
-    """Objective F and its log-shape derivatives F', F'' for the rows ``ref[rows]``.
+                  weights: np.ndarray, beta: np.ndarray):
+    """Objective F and its log-shape derivatives F', F'' for the rows
+    ``ref[rows]`` at the shapes ``beta``.
 
     With u = lr/b, e = exp(u), the model m = 1 - e and the residual
     r = ref - m: m' = u*e, m'' = -u*(1 + u)*e, F = sum w*r^2,
     F' = -2 sum w*r*m' and F'' = 2 sum w*(m'^2 - r*m'').  All three come from
     one expm1 per node, and F equals ``_objective_closure`` bitwise.
     """
-    beta = np.exp(log_beta)
     f, g, h = np.empty((3, rows.size))
     u_buf, r_buf, mp_buf, t_buf = _block_buffers(4, rows.size, lr.size)
     every = rows.size == len(ref)  # rows is then arange, so no gather is needed
@@ -252,7 +259,7 @@ def md_objective(sample: SortedSample, beta: float, config: MdConfig = MdConfig(
     x_rows = _as_sorted_sample(sample).values[None, :]
     _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve)
     ref = _ref_rows(x_rows, config.reference, config.curve, strict=True)
-    return float(_objective_closure(ref, lr, weights)(np.array([math.log(beta)]))[0])
+    return float(_objective_closure(ref, lr, weights)(np.array([beta], dtype=float))[0])
 
 
 def _golden(f, lo: np.ndarray, hi: np.ndarray, tol: float):
@@ -291,11 +298,15 @@ def _golden(f, lo: np.ndarray, hi: np.ndarray, tol: float):
 
 
 def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
-                  log_start: np.ndarray, strict: bool):
-    """Minimize the objective of every row of ``ref`` over log-shape.
+                  start: np.ndarray, strict: bool):
+    """Minimize the objective of every row of ``ref`` over the shape.
 
-    Each row runs Newton's method from its ``log_start``, each pass
-    evaluating F, F' and F'' at the row's point.  A pass does one of these:
+    The search runs on log-shape x, but shapes are its inputs and outputs:
+    the first pass evaluates each row at its ``start`` itself, every later
+    evaluation at exp(x), and each row returns the shape at which its
+    reported F was evaluated.  Each row runs Newton's method from its start,
+    each pass evaluating F, F' and F'' (derivatives in x) at the row's
+    point.  A pass does one of these:
 
     - finish with the point, once the Newton step is shorter than ``_TOL``;
     - finish early with the point plus the Newton step, once that step and
@@ -303,7 +314,7 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
       times ``_TOL`` (|s_k|^3 / |s_k-1|^2 for a quadratically converging
       row).  F is evaluated there once, and the point is kept if F rose;
     - take the full Newton step, when F'' > 0 and the step stays inside the
-      first bracket ``log_start -+ log(_BRACKET_FACTOR)``;
+      first bracket ``log(start) -+ log(_BRACKET_FACTOR)``;
     - otherwise move halfway from the point toward the bracket edge on the
       descent side (-sign F');
     - and when F rose above the previous point's, go back there and halve
@@ -311,40 +322,41 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
 
     Halved and edge moves share a budget of ``_SAFE_MOVES`` per row.  A row
     that needs one more, or is still moving after ``_NEWTON_PASSES`` passes,
-    goes to the golden search.  That search starts on the first bracket
-    and, while its minimum sits on the bracket edge, re-centres and doubles
-    the bracket up to ``_MAX_EXPANSIONS`` times.  Rows drop out as they
-    finish, so every row's result depends on that row alone.  No row ends
-    worse than its start: where the start's objective is not above the
-    minimum found, the start is returned.
+    goes to the golden search on log-shape.  That search starts on the
+    first bracket and, while its minimum sits on the bracket edge,
+    re-centres and doubles the bracket up to ``_MAX_EXPANSIONS`` times.
+    Rows drop out as they finish, so every row's result depends on that row
+    alone.  No row ends worse than its start: where the start's objective
+    is not above the minimum found, the start is returned.
 
-    Returns (log_xmin, fmin, pending, evaluations).  ``pending`` marks rows
-    still pinned to a bracket edge, whose log_xmin and fmin are NaN; with
+    Returns (shapes, fmin, pending, evaluations).  ``pending`` marks rows
+    still pinned to a bracket edge, whose shape and fmin are NaN; with
     ``strict`` such a row raises BracketFailure instead.  ``evaluations``
     counts Newton passes, the passes with an early finish (one F-only
     evaluation each) and golden objective evaluations.
     """
+    log_start = np.log(start)
     log_factor = math.log(_BRACKET_FACTOR)
     lo = log_start - log_factor
     hi = log_start + log_factor
-    xmin = np.full_like(log_start, np.nan)
-    fmin = np.full_like(log_start, np.nan)
-    f_start = np.full_like(log_start, np.nan)
-    pending = np.zeros(log_start.shape, dtype=bool)  # rows for the golden search
-    rows = np.arange(log_start.size)
-    x = log_start
+    shapes = np.full_like(start, np.nan)
+    fmin = np.full_like(start, np.nan)
+    f_start = np.full_like(start, np.nan)
+    pending = np.zeros(start.shape, dtype=bool)  # rows for the golden search
+    rows = np.arange(start.size)
+    x, beta = log_start, start
     # per active row: the last accepted point and its F, the move from it to
     # x, the full Newton step that move was (NaN for any other move) and the
     # halved or edge moves used
-    x_prev, f_prev = x, np.full_like(log_start, np.inf)
-    move, s_prev = np.full((2, log_start.size), np.nan)
-    used = np.zeros(log_start.shape, dtype=np.int64)
+    x_prev, f_prev = x, np.full_like(start, np.inf)
+    move, s_prev = np.full((2, start.size), np.nan)
+    used = np.zeros(start.shape, dtype=np.int64)
     early_tol = _EARLY_FACTOR * _TOL
     evals = 0
     for _ in range(_NEWTON_PASSES):
         if rows.size == 0:
             break
-        f, g, h = _newton_terms(ref, rows, lr, weights, x)
+        f, g, h = _newton_terms(ref, rows, lr, weights, beta)
         if evals == 0:
             f_start[:] = f
         evals += 1
@@ -356,14 +368,14 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
             x_full = x + step
             full = newton & ~done & (x_full > lo[rows]) & (x_full < hi[rows])
             early = full & (np.abs(step) ** 3 < early_tol * s_prev ** 2)
-        xmin[rows[done]] = x[done]
+        shapes[rows[done]] = beta[done]
         fmin[rows[done]] = f[done]
         if early.any():
-            idx, x_end, f_at = rows[early], x_full[early], f[early]
-            f_end = _objective_closure(ref[idx], lr, weights)(x_end)
+            idx, b_end, f_at = rows[early], np.exp(x_full[early]), f[early]
+            f_end = _objective_closure(ref[idx], lr, weights)(b_end)
             evals += 1
             better = f_end <= f_at
-            xmin[idx] = np.where(better, x_end, x[early])
+            shapes[idx] = np.where(better, b_end, beta[early])
             fmin[idx] = np.where(better, f_end, f_at)
         go = full & ~early
         odd = ~(done | full)  # rows that rose, need an edge move or stop
@@ -386,6 +398,7 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
         rows, x_prev, f_prev, move, s_prev, used = (
             rows[go], x_prev[go], f_prev[go], move[go], s_prev[go], used[go])
         x = x_prev + move
+        beta = np.exp(x)
     pending[rows] = True
 
     edge_tol = max(10.0 * _TOL, 1e-6)
@@ -394,29 +407,28 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
         if idx.size == 0:
             break
         obj = _objective_closure(ref[idx], lr, weights)
-        sub_x, sub_f, ev = _golden(obj, lo[idx], hi[idx], _TOL)
+        sub_x, sub_f, ev = _golden(lambda xs: obj(np.exp(xs)), lo[idx], hi[idx], _TOL)
         evals += ev
         pinned = np.minimum(sub_x - lo[idx], hi[idx] - sub_x) < edge_tol
-        xmin[idx] = sub_x
+        shapes[idx] = np.exp(sub_x)
         fmin[idx] = sub_f
-        done = idx[~pinned]
-        pending[done] = False
+        pending[idx[~pinned]] = False
         still = idx[pinned]
         if still.size:
             half = hi[still] - lo[still]  # doubles the bracket, slid toward the edge
-            lo[still] = xmin[still] - half
-            hi[still] = xmin[still] + half
+            lo[still] = sub_x[pinned] - half
+            hi[still] = sub_x[pinned] + half
     if np.any(pending):
         if strict:
             raise BracketFailure(
                 "minimum still pinned to the bracket edge after "
                 f"{_MAX_EXPANSIONS} expansions")
-        xmin[pending] = np.nan
+        shapes[pending] = np.nan
         fmin[pending] = np.nan
     start_wins = f_start <= fmin
-    xmin[start_wins] = log_start[start_wins]
+    shapes[start_wins] = start[start_wins]
     fmin[start_wins] = f_start[start_wins]
-    return xmin, fmin, pending, evals
+    return shapes, fmin, pending, evals
 
 
 def _start_rows(x_rows: np.ndarray, strict: bool) -> np.ndarray:
@@ -461,10 +473,8 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     ok = ~np.isnan(starts) & ~np.isnan(ref[:, 0])
     evals = 0
     if np.any(ok):
-        log_beta, fmin, _, evals = _minimize_log(
-            ref if ok.all() else ref[ok], lr, weights, np.log(starts[ok]), strict)
-        shapes[ok] = np.exp(log_beta)
-        objectives[ok] = fmin
+        shapes[ok], objectives[ok], _, evals = _minimize_log(
+            ref if ok.all() else ref[ok], lr, weights, starts[ok], strict)
     return shapes, evals, objectives, starts
 
 

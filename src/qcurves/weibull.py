@@ -208,9 +208,19 @@ def eta_weibull(beta: float, p, kind="qz"):
     """
     kind = CurveKind(kind)
     _check_positive(beta)
+    return _curve_eval(p, lambda p: _eta_terms(_log_ratio(p, kind), beta)[1], (0.0, 0.0))
 
-    def eta(p):
-        lr = _log_ratio(p, kind)
-        return np.exp(lr / beta) * lr / beta**2
 
-    return _curve_eval(p, eta, (0.0, 0.0))
+def _eta_terms(lr: np.ndarray, beta: float):
+    """exp(lr/beta), which is 1 minus the curve, and eta = exp(lr/beta) *
+    lr / beta**2 at log ratios ``lr`` of interior points, finite and without
+    a warning for every positive shape.
+
+    |lr| lies between about 4e-16 and 751 inside (0, 1), so below a shape
+    of 1e-160, where lr/beta may overflow and beta**2 underflow to zero,
+    exp(lr/beta) is zero: exp(lr/1e-160) gives the same zeros, and eta is
+    zero.  From 1e154 on, where beta**2 nears overflow, |eta| is below
+    1e-305 and taken as zero.
+    """
+    e = np.exp(lr / max(beta, 1e-160))
+    return e, e * lr / beta**2 if 1e-160 <= float(beta) < 1e154 else np.zeros_like(e)

@@ -26,11 +26,14 @@ from qcurves import (
     md_objective,
     plotting_position_qf,
     empirical_qf,
+    eta_weibull,
+    gauss_legendre_grid,
     replicate_estimates,
     run_simulation,
     weibull_qf,
 )
 from qcurves.cli import main as cli_main
+from qcurves.curves import GRID
 from qcurves.weibull import sample as weibull_sample
 
 from tests.conftest import weib_sorted
@@ -206,7 +209,7 @@ def test_criterion_06_md_descent_and_determinism():
         assert fit1.beta_hat == fit2.beta_hat
         assert fit1.residual == fit2.residual
         assert fit1.residual == md_objective(sample, fit1.beta_hat, config)
-        assert fit1.residual <= md_objective(sample, fit1.start, config) + 1e-15
+        assert fit1.residual <= md_objective(sample, fit1.start, config)
 
 
 def test_criterion_07_asymptotic_variance():
@@ -221,6 +224,33 @@ def test_criterion_07_asymptotic_variance():
     # KS test judges shape and predicted scale rather than that bias.
     p = stats.kstest((z - z.mean()) / np.sqrt(sigma2), "norm").pvalue
     assert p > 0.01
+
+
+def test_criterion_07_index_mse_by_delta_method(full_report):
+    """sigma^2 checked through the indices at 16 more points.
+
+    By the delta method n * MSE of an MD index tends to (dI/dbeta)^2 sigma^2,
+    with dI/dbeta the integral of eta on the study's grid.  At n = 100 the
+    qD points and qZ at beta 2 and 3 agree within 3 SE of the report.  At qZ
+    beta 0.5 and 1 the finite-sample terms, the squared O(1/n) bias and the
+    index's curvature in beta, are not yet small: the fixture's MSE is 1.07
+    and 1.23 times the prediction for mde, 1.04 and 1.17 for mdhf, and its
+    squared bias alone is 8% (mde) and 5% (mdhf) of the prediction at 0.5.
+    There the MSE must lie above the prediction, by at most 35%.
+    """
+    n = 100
+    points, weights = gauss_legendre_grid(GRID)
+    for kind, metric in (("qz", "MSE_qZI"), ("qd", "MSE_qDI")):
+        for beta in FULL_BETAS:
+            slope = float(weights @ eta_weibull(beta, points, kind))
+            predicted = slope**2 * md_asymptotic_variance(beta, kind).sigma2 / n
+            for est in ("mde", "mdhf"):
+                value = full_report.value(est, metric, n, beta)
+                se = full_report.se(est, metric, n, beta)
+                if kind == "qz" and beta < 2.0:
+                    assert 1.0 < value / predicted < 1.35, (est, kind, beta)
+                else:
+                    assert abs(value - predicted) < 3.0 * se, (est, kind, beta)
 
 
 def guinea_pig_csv():

@@ -9,6 +9,7 @@ from qcurves import (
     CurveKind,
     DomainError,
     NonConvergence,
+    QcurvesError,
     WeibullParams,
     closed_curve,
     eta_weibull,
@@ -16,6 +17,7 @@ from qcurves import (
 )
 from qcurves import asymptotics
 from qcurves.asymptotics import KernelContext, _double_integral, _graded_grid, kernel_R, kernel_ab
+from qcurves.cli import main as cli_main
 from qcurves.weibull import quantile, quantile_density, sample as weibull_sample
 
 # frozen deterministic outputs of md_asymptotic_variance at default resolution
@@ -37,6 +39,38 @@ def test_kernel_context_validation():
     with pytest.raises(DomainError):
         KernelContext(1.0, "xx")
     assert KernelContext(2.0, "qd").kind is CurveKind.QD
+    with pytest.raises(DomainError, match="normal float"):
+        KernelContext(1e-310, "qz")  # a(t), b(t) would be 0/0
+
+
+# from where eta underflows to where beta**2 overflows; 1e-2 and 50 (qd)
+# give a finite variance, 50 (qz) and 1e5 miss the panel-doubling check
+EXTREME_SHAPES = (1e-300, 1e-20, 1e-3, 1e-2, 50.0, 1e5, 1e160, 1e300)
+
+
+@pytest.mark.parametrize("kind", ["qz", "qd"])
+@pytest.mark.parametrize("beta", EXTREME_SHAPES)
+def test_variance_is_finite_or_a_typed_error_at_any_shape(beta, kind, capsys):
+    # a RuntimeWarning would fail here under the suite's warning filter
+    p = np.linspace(0.0, 1.0, 101)
+    assert np.all(np.isfinite(eta_weibull(beta, p, kind)))
+    s, t = np.meshgrid(p[1:-1], p[1:-1])
+    assert np.all(np.isfinite(kernel_R(KernelContext(beta, kind), s, t)))
+    try:
+        result = md_asymptotic_variance(beta, kind)
+    except QcurvesError as exc:
+        error = f"error: {exc}\n"
+    else:
+        error = None
+        values = (result.sigma2, result.double_integral, result.eta_squared_integral)
+        assert np.all(np.isfinite(values)) and min(values) > 0.0
+    code = cli_main(["asymvar", "--beta", repr(beta), "--kind", kind])
+    out, err = capsys.readouterr()
+    if error is None:
+        assert code == 0 and err == ""
+        assert f"sigma2 = {result.sigma2:.17g}\n" in out
+    else:
+        assert (code, out, err) == (3, "", error)
 
 
 def test_kernel_ab_golden():

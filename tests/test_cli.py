@@ -172,6 +172,17 @@ def test_column_selection_and_header(data_file, capsys):
     assert pairs["n"] == "2"
 
 
+@pytest.mark.parametrize("header,column", [("\ufeffx,y", "x"), ("größe,y", "größe"),
+                                           ("\ufeffμ,y", "μ")],
+                         ids=["byte-order-mark", "non-ascii", "both"])
+def test_utf8_header_column_selection(header, column, tmp_path, capsys):
+    path = tmp_path / "export.csv"
+    path.write_bytes(f"{header}\n1.5,10\n2.5,20\n4.0,30\n".encode("utf-8"))
+    assert main(["fit", "--data", str(path), "--column", column, "--method", "lm"]) == 0
+    expect = fit_shape(SortedSample.from_data([1.5, 2.5, 4.0]), "lm").beta_hat
+    assert float(parse_pairs(capsys.readouterr().out)["beta_hat"]) == expect
+
+
 def test_multi_column_without_selection_fails(data_file, capsys):
     path = data_file(None, name="cols.csv", text="a,b\n1.0,10.0\n2.0,20.0\n")
     assert main(["fit", "--data", path]) == 3

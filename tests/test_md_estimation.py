@@ -62,8 +62,8 @@ def test_md_fit_descent_and_methods():
             assert fit.beta_hat > 0
             assert fit.start is not None
             # achieved objective never exceeds the starting objective
-            assert fit.residual <= md_objective(s, fit.start, config) + 1e-15
-            assert abs(fit.residual - md_objective(s, fit.beta_hat, config)) < 1e-15
+            assert fit.residual <= md_objective(s, fit.start, config)
+            assert fit.residual == md_objective(s, fit.beta_hat, config)
 
 
 def test_md_fit_deterministic():
@@ -209,7 +209,7 @@ def test_rise_on_the_first_step_halves_without_golden():
     fit, passes, golden_calls = _traced_fit(s, config)
     assert passes[1][0] > passes[0][0]
     assert not golden_calls
-    assert abs(fit.residual - md_objective(s, fit.beta_hat, config)) < 1e-15
+    assert fit.residual == md_objective(s, fit.beta_hat, config)
     assert fit.residual <= _golden_only(s, config) + 1e-15
 
 
@@ -221,7 +221,7 @@ def test_nonpositive_curvature_at_start_moves_without_golden():
     fit, passes, golden_calls = _traced_fit(s, config)
     assert passes[0][2] <= 0.0
     assert not golden_calls
-    assert abs(fit.residual - md_objective(s, fit.beta_hat, config)) < 1e-15
+    assert fit.residual == md_objective(s, fit.beta_hat, config)
     assert fit.residual <= _golden_only(s, config) + 1e-15
 
 
@@ -230,8 +230,8 @@ def _chunk_minimum(x_rows, config):
     _, _, lr, weights = md_estimation._cell_plan(x_rows.shape[1], config.reference,
                                                  config.curve)
     ref = _ref_rows(x_rows, config.reference, config.curve, strict=True)
-    log_start = np.log(md_estimation._start_rows(x_rows, True))
-    return (ref, lr, weights), md_estimation._minimize_log(ref, lr, weights, log_start, True)
+    starts = md_estimation._start_rows(x_rows, True)
+    return (ref, lr, weights), md_estimation._minimize_log(ref, lr, weights, starts, True)
 
 
 # the first 500-row chunk of the default study's cell beta = 0.5, n = 30
@@ -241,31 +241,56 @@ STUDY_CHUNK = _draw_rows(SimulationConfig(), 0, 0, 0, 500)
 @pytest.mark.parametrize("reference,kind", MD_CASES)
 def test_early_finish_returns_the_objective_at_its_point(reference, kind):
     config = MdConfig(curve=kind, reference=reference)
-    evaluated = []  # the log-shapes where F alone is evaluated
+    evaluated = []  # the shapes where F alone is evaluated
     closure = md_estimation._objective_closure
 
     def recorded(ref, lr, weights):
         f = closure(ref, lr, weights)
 
-        def objective(log_beta):
-            evaluated.extend(log_beta)
-            return f(log_beta)
+        def objective(beta):
+            evaluated.extend(beta)
+            return f(beta)
 
         return objective
 
     # (two qd rows of the step reference need a wider bracket, so their
     # golden search is recorded too)
     with mock.patch.object(md_estimation, "_objective_closure", recorded):
-        (ref, lr, weights), (xmin, fmin, _, _) = _chunk_minimum(STUDY_CHUNK, config)
-    finished_early = np.isin(xmin, evaluated)
-    assert finished_early.sum() > len(xmin) // 2
-    for k in range(len(xmin)):
-        assert fmin[k] == closure(ref[k:k + 1], lr, weights)(xmin[k:k + 1])[0]
-        # md_objective(b) evaluates at the log-shape math.log(b), which for a
-        # few rows is not the one exp(.) came from
-        shape = float(np.exp(xmin[k]))
-        if finished_early[k] and math.log(shape) == xmin[k]:
-            assert fmin[k] == md_objective(SortedSample(STUDY_CHUNK[k]), shape, config)
+        (ref, lr, weights), (shapes, fmin, _, _) = _chunk_minimum(STUDY_CHUNK, config)
+    finished_early = np.isin(shapes, evaluated)
+    assert finished_early.sum() > len(shapes) // 2
+    for k in range(len(shapes)):
+        assert fmin[k] == closure(ref[k:k + 1], lr, weights)(shapes[k:k + 1])[0]
+        assert fmin[k] == md_objective(SortedSample(STUDY_CHUNK[k]), shapes[k], config)
+
+
+def _md_start_at(shape):
+    """Patch the MD start of every row to ``shape``."""
+    return mock.patch.object(md_estimation, "_start_rows",
+                             lambda x_rows, strict: np.full(len(x_rows), shape))
+
+
+# (row of STUDY_CHUNK, curve, reference): the eight fits whose residual was
+# 1-2 ulp off md_objective at the returned shape while the minimizer took
+# its first pass at exp(log(start)) and md_objective went through
+# exp(log(beta)), then every 25th row under each configuration
+IDENTITY_FITS = [
+    (249, "qz", "empirical"), (286, "qz", "empirical"), (320, "qz", "empirical"),
+    (34, "qd", "empirical"), (198, "qz", "hf"), (489, "qz", "hf"),
+    (209, "qd", "hf"), (286, "qd", "hf"),
+] + [(k, kind, reference) for k in range(0, 500, 25) for reference, kind in MD_CASES]
+
+
+def test_residual_is_md_objective_at_the_returned_shape_exactly():
+    for k, kind, reference in IDENTITY_FITS:
+        sample, config = SortedSample(STUDY_CHUNK[k]), MdConfig(kind, reference)
+        fit = md_fit(sample, config)
+        assert fit.residual == md_objective(sample, fit.beta_hat, config)
+        assert fit.residual <= md_objective(sample, fit.start, config)
+        with _md_start_at(fit.beta_hat):
+            again = md_fit(sample, config)
+        assert (again.beta_hat, again.residual) == (fit.beta_hat, fit.residual)
+        assert again.start == fit.beta_hat
 
 
 @pytest.mark.parametrize("reference,kind", MD_CASES)
