@@ -61,15 +61,18 @@ class CurveKind(Enum):
     def _missing_(cls, value):
         raise DomainError(f"unknown curve kind {value!r}")
 
-    def orders(self, p):
+    def orders(self, p, out=None):
         """Quantile orders (u, v, 1 - v) of the curve at the array ``p``: u = p/2,
         v = (1 + p)/2 for qZ and 1 - p/2 for qD.  Each is formed from u in one
         step, bitwise equal to its formula in p; 1 - v directly, so it keeps
-        full precision where v rounds to 1 (for qD it is u itself)."""
-        u = 0.5 * p
+        full precision where v rounds to 1 (for qD it is u itself).  Given
+        ``out``, three arrays (the first may be ``p``), they are computed
+        there in place; for qD the third is not written."""
+        u, v, one_minus_v = (None, None, None) if out is None else out
+        u = np.multiply(p, 0.5, out=u)
         if self is CurveKind.QZ:
-            return u, 0.5 + u, 0.5 - u
-        return u, 1.0 - u, u
+            return u, np.add(u, 0.5, out=v), np.subtract(0.5, u, out=one_minus_v)
+        return u, np.subtract(1.0, u, out=v), u
 
     @property
     def ends(self):

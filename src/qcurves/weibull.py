@@ -154,12 +154,24 @@ def weibull_qf(params: WeibullParams):
     return qf
 
 
-def _log_terms(u: np.ndarray, one_minus_v: np.ndarray):
-    """-log(1 - u), -log(1 - v) and log r, at a curve's orders u and 1 - v
-    (from ``CurveKind.orders``); r is the ratio of the two logs."""
-    lu = -np.log1p(-u)
-    lv = -np.log(one_minus_v)
-    return lu, lv, np.log(lu / lv)
+def _log_terms(u: np.ndarray, one_minus_v: np.ndarray, out: tuple | None = None):
+    """log(1 - u), log(1 - v) and log r, at a curve's orders u and 1 - v
+    (from ``CurveKind.orders``); r is the ratio of the two logs, which are
+    -Lu and -Lv.  Given ``out``, three arrays, they are computed there in
+    place.
+
+    DomainError where r underflows to zero: at the curve argument 5e-324,
+    where u rounds to 0, and (qD) below about 4e-321.  There the curve at a
+    large shape is far from its limit 1 at 0, so no value is returned.
+    """
+    lu, lv, lr = (None, None, None) if out is None else out
+    lu = np.log1p(np.negative(u, out=lu), out=lu)
+    if lu.max(initial=-1.0) < 0.0:  # first: for qD, 1 - v is u, and log(0) warns
+        lv = np.log(one_minus_v, out=lv)
+        lr = np.divide(lu, lv, out=lr)
+        if lr.min(initial=1.0) > 0.0:
+            return lu, lv, np.log(lr, out=lr)
+    raise DomainError("curve argument too close to 0: the curve's log ratio underflows")
 
 
 def _log_ratio(p: np.ndarray, kind: CurveKind) -> np.ndarray:
@@ -190,7 +202,9 @@ def closed_curve(beta: float, p, kind):
     """The closed-form curve of ``kind``: :func:`qz_closed` or :func:`qd_closed`."""
     kind = CurveKind(kind)
     _check_positive(beta)
-    return _curve_eval(p, lambda p: -np.expm1(_log_ratio(p, kind) / beta), kind.ends)
+    # below a shape of 1e-160 the curve is 1, as exp(lr/beta) in _eta_terms is 0
+    return _curve_eval(p, lambda p: -np.expm1(_log_ratio(p, kind) / max(beta, 1e-160)),
+                       kind.ends)
 
 
 def gini_weibull(beta: float) -> float:
@@ -211,16 +225,23 @@ def eta_weibull(beta: float, p, kind="qz"):
     return _curve_eval(p, lambda p: _eta_terms(_log_ratio(p, kind), beta)[1], (0.0, 0.0))
 
 
-def _eta_terms(lr: np.ndarray, beta: float):
+def _eta_terms(lr: np.ndarray, beta: float, out: np.ndarray | None = None):
     """exp(lr/beta), which is 1 minus the curve, and eta = exp(lr/beta) *
     lr / beta**2 at log ratios ``lr`` of interior points, finite and without
-    a warning for every positive shape.
+    a warning for every positive shape.  Given ``out``, exp(lr/beta) is
+    computed in ``out`` and eta in ``lr``, in place.
 
-    |lr| lies between about 4e-16 and 751 inside (0, 1), so below a shape
+    |lr| lies between about 4e-16 and 745 inside (0, 1), so below a shape
     of 1e-160, where lr/beta may overflow and beta**2 underflow to zero,
     exp(lr/beta) is zero: exp(lr/1e-160) gives the same zeros, and eta is
     zero.  From 1e154 on, where beta**2 nears overflow, |eta| is below
     1e-305 and taken as zero.
     """
-    e = np.exp(lr / max(beta, 1e-160))
-    return e, e * lr / beta**2 if 1e-160 <= float(beta) < 1e154 else np.zeros_like(e)
+    e = np.exp(np.divide(lr, max(beta, 1e-160), out=out), out=out)
+    eta = np.empty_like(lr) if out is None else lr
+    if 1e-160 <= float(beta) < 1e154:
+        np.multiply(e, lr, out=eta)
+        eta /= beta**2
+    else:
+        eta.fill(0.0)
+    return e, eta

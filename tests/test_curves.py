@@ -102,6 +102,13 @@ def test_curve_kind_orders_and_ends():
     tiny = np.array([1e-20])
     assert CurveKind.QD.orders(tiny)[1][0] == 1.0
     assert CurveKind.QD.orders(tiny)[2][0] == 5e-21
+    # the in-place form gives the same bytes, with u written over p
+    p = np.linspace(0.0, 1.0, 11)
+    for kind in CurveKind:
+        want = kind.orders(p)
+        u = p.copy()
+        got = kind.orders(u, out=(u, *np.empty((2, p.size))))
+        assert got[0] is u and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 _KIND_P = np.linspace(0.0, 1.0, 21)

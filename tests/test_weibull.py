@@ -15,7 +15,7 @@ from qcurves import (
     qz_closed,
     weibull_qf,
 )
-from qcurves.weibull import cdf, pdf, quantile, quantile_density, sample
+from qcurves.weibull import _eta_terms, _log_terms, cdf, pdf, quantile, quantile_density, sample
 
 # frozen from a 50-digit mpmath evaluation of the closed forms
 GOLDEN_CURVES = [
@@ -160,6 +160,36 @@ def test_curves_decrease_in_beta():
     for kind in ("qz", "qd"):
         vals = np.array([closed_curve(b, p, kind) for b in betas])
         assert np.all(np.diff(vals, axis=0) < 0)
+
+
+@pytest.mark.parametrize("kind", ["qz", "qd"])
+def test_closed_curve_and_eta_at_extreme_arguments(kind):
+    # a RuntimeWarning would fail here under the suite's warning filter;
+    # below a shape of 1e-160 both return their limits
+    assert closed_curve(1e-310, 0.5, kind) == 1.0
+    assert eta_weibull(1e-310, 0.5, kind) == 0.0
+    # where the log ratio underflows both raise: at 5e-324, where u = p/2
+    # rounds to 0, and for qD at 1e-323, where log(1 - u)/log(u) does
+    small = [5e-324] if kind == "qz" else [5e-324, 1e-323]
+    for p in small + [[0.5, small[-1]]]:
+        for fn in (closed_curve, eta_weibull):
+            with pytest.raises(DomainError, match="log ratio underflows"):
+                fn(2.0, p, kind)
+    assert closed_curve(2.0, 4e-321, kind) == 1.0
+    assert -1e-158 < eta_weibull(2.0, 4e-321, kind) < 0.0
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_log_and_eta_terms_in_place_give_the_same_bytes(kind):
+    u, _, one_minus_v = kind.orders(np.linspace(0.01, 0.99, 99))
+    want = _log_terms(u, one_minus_v)
+    got = _log_terms(u, one_minus_v, out=np.empty((3, u.size)))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for beta in (1e-170, 0.5, 2.0, 1e160):
+        want = _eta_terms(got[2], beta)
+        lr = got[2].copy()
+        e, eta = _eta_terms(lr, beta, out=np.empty_like(lr))
+        assert eta is lr and np.array_equal(e, want[0]) and np.array_equal(eta, want[1])
 
 
 def test_gini_goldens():

@@ -1,5 +1,6 @@
-"""Print the sha256 digests of two fixed study reports, with the NumPy
-version and SIMD target that the bytes hold for.
+"""Print the sha256 digests of two fixed study reports and the asymptotic
+variance at eight fixed points, with the NumPy version and SIMD target that
+the bytes hold for.
 
 Report bytes are identical for one NumPy version and SIMD target only (NumPy
 dispatches float64 ``exp``, ``log``, ``expm1``, ``log1p`` and ``power`` to
@@ -11,7 +12,9 @@ without them says little.  The two recipes:
 * ``default-537``: the default ``SimulationConfig`` at 537 replicates.
 
 For each recipe it prints the sha256 of ``to_json``, ``to_csv`` and
-``render_tables``.  The package is imported from the Python path, so one copy
+``render_tables``.  It then prints ``repr`` of the ``md_asymptotic_variance``
+sigma^2 at shapes 0.5/1/2/3 on both curve kinds, the points whose values
+``perfbench/gates.py`` holds as goldens.  The package is imported from the Python path, so one copy
 of this script digests any checkout:
 
     PYTHONPATH=src python tools/report_digest.py
@@ -24,7 +27,7 @@ import numpy as np
 from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 import qcurves
-from qcurves import SimulationConfig, render_tables, run_simulation
+from qcurves import SimulationConfig, md_asymptotic_variance, render_tables, run_simulation
 from qcurves.simulation import ESTIMATOR_ORDER
 
 RECIPES = {
@@ -32,6 +35,7 @@ RECIPES = {
                                 estimators=ESTIMATOR_ORDER, master_seed=7),
     "default-537": SimulationConfig(replications=537),
 }
+SIGMA2_POINTS = [(kind, beta) for kind in ("qz", "qd") for beta in (0.5, 1.0, 2.0, 3.0)]
 
 
 def simd_target() -> str:
@@ -50,6 +54,8 @@ def main():
                             ("render_tables", render_tables(report))):
             digest = hashlib.sha256(text.encode()).hexdigest()
             print(f"{name:<12} {label:<14} {digest}")
+    for kind, beta in SIGMA2_POINTS:
+        print(f"sigma2 {kind} {beta:<5} {md_asymptotic_variance(beta, kind).sigma2!r}")
 
 
 if __name__ == "__main__":
