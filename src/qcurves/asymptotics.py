@@ -50,11 +50,10 @@ from .weibull import _check_positive, _eta_terms, _log_terms
 __all__ = ["KernelContext", "kernel_ab", "kernel_R", "md_asymptotic_variance",
            "AsymptoticVariance"]
 
-# values per block buffer of _double_integral: 128 KB, 64 outer nodes of the
-# default coarse grid.  Its seven buffers (896 KB) are allocated once a call
-# and stay in a 2 MB L2 block after block.  Against 64 KB buffers, half as
-# many NumPy calls took about 8% less time on eight default variances.
-_BLOCK_VALUES = 16 * 1024
+# values per block buffer of _double_integral: 64 KB, 32 outer nodes of the
+# default coarse grid.  Its seven buffers are allocated once a call and
+# reused for every block.
+_BLOCK_VALUES = 8 * 1024
 
 # Largest relative change of A under panel doubling that md_asymptotic_variance
 # accepts.
@@ -64,7 +63,8 @@ _DOUBLING_RTOL = 1e-6
 @dataclass(frozen=True)
 class KernelContext:
     """Shape and curve kind (a member or its name) of the model whose kernel
-    is evaluated.  The shape must be a normal float."""
+    is evaluated.  The shape must be a normal float: below that, a(t) and
+    b(t) would be 0/0."""
 
     beta: float
     kind: CurveKind
@@ -73,6 +73,11 @@ class KernelContext:
         object.__setattr__(self, "kind", CurveKind(self.kind))
         if _check_positive(self.beta) < np.finfo(float).tiny:
             raise DomainError(f"shape must be a normal float, got {self.beta!r}")
+
+
+def _check_interior(t: np.ndarray):
+    if np.any((t <= 0.0) | (t >= 1.0) | ~np.isfinite(t)):
+        raise DomainError("kernel arguments must lie strictly inside (0, 1)")
 
 
 def _point_terms(ctx: KernelContext, t: np.ndarray):
@@ -94,8 +99,7 @@ def kernel_ab(ctx: KernelContext, t):
     (u_t, v_t) the two quantile orders of the curve.  Scale free.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any((t <= 0.0) | (t >= 1.0) | ~np.isfinite(t)):
-        raise DomainError("kernel arguments must lie strictly inside (0, 1)")
+    _check_interior(t)
     _, a, b, _, _ = _point_terms(ctx, t)
     return a, b
 
@@ -168,10 +172,9 @@ def _double_integral(ctx: KernelContext, panels: int, nodes: int) -> float:
         q *= tw
         np.divide(q, lw, out=x).sum(axis=1, out=sums[1, rows])  # -q / Lv
         if qz:  # (q / Lv) v / w
-            np.divide(v, w, out=v)
-            np.multiply(v, x, out=v).sum(axis=1, out=sums[2, rows])
-        np.multiply(np.subtract(1.0, u, out=lw), lu, out=lw)  # -(1 - u) Lu
-        np.divide(u, lw, out=lw)
+            np.multiply(np.divide(v, w, out=v), x, out=v).sum(axis=1, out=sums[2, rows])
+        # -u / ((1 - u) Lu)
+        np.divide(u, np.multiply(np.subtract(1.0, u, out=lw), lu, out=lw), out=lw)
         np.multiply(lw, q, out=lw).sum(axis=1, out=sums[0, rows])
     sums /= -ctx.beta
     eta_t, a_t, b_t, u_t, w_t = _point_terms(ctx, tp)

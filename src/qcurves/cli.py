@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import sys
 
 import numpy as np
@@ -196,10 +195,7 @@ def _add_data_args(parser, required=True):
                         help="column name when the file has a header")
 
 
-@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once a process: building it takes about
-    1 ms, a sixth of an ``asymvar`` call, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qcurves",
         description="Quantile-based concentration curves and Weibull shape estimation.")

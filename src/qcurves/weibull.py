@@ -238,9 +238,8 @@ def _eta_terms(lr: np.ndarray, beta: float, out: np.ndarray | None = None):
     1e-305 and taken as zero.
     """
     e = np.exp(np.divide(lr, max(beta, 1e-160), out=out), out=out)
-    eta = np.empty_like(lr) if out is None else lr
+    eta = np.multiply(e, lr, out=None if out is None else lr)
     if 1e-160 <= float(beta) < 1e154:
-        np.multiply(e, lr, out=eta)
         eta /= beta**2
     else:
         eta.fill(0.0)
