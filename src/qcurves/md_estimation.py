@@ -3,23 +3,29 @@
 The estimator minimizes the squared L2 distance between a data-based
 reference curve (step empirical or interpolated ``hf``) and the model's
 closed-form curve, over the shape.  The search runs on log-shape, where the
-objective is smooth: Newton's method from a starting estimate, with analytic
-first and second derivatives, inside a multiplicative bracket around the
-start (see ``_minimize_log``).  A row finishes once its Newton step is below
-the tolerance, or one pass sooner once its last two full steps predict a
-next step far below it; there F is evaluated once more, so the reported
-objective is F at the returned shape.  Where a step raises F the row goes
-back and halves it, and where the curvature is not positive or the Newton
-iterate leaves the bracket it moves halfway toward the bracket edge; a
-small budget of such moves is shared.  Only a row that spends that budget,
+objective is smooth: Newton's method from a start, with analytic first and
+second derivatives, inside a multiplicative bracket around the start (see
+``_minimize_log``).  The start is a seed estimate (pe, falling back to lm)
+moved by two Newton passes of the same distance on a subgrid of one node
+per panel (``_refine_starts``), which cost about a quarter of one full
+pass together and save the minimizer more than one pass a row; a row keeps
+its seed where a pass finds no positive curvature or leaves the seed's
+bracket.  A row finishes once its Newton step is below the tolerance, or
+one pass sooner once its last two full steps predict a next step far below
+it; there F is evaluated once more, so the reported objective is F at the
+returned shape.  Where a step raises F the row goes back and halves it, and
+where the curvature is not positive or the Newton iterate leaves the
+bracket it moves halfway toward the bracket edge; a small budget of such
+moves is shared.  Only a row that spends that budget,
 in practice one whose minimum lies outside the bracket, falls back to a
 golden-section search, which expands the bracket while the minimum lands on
-an edge.  The start (pe, falling back to lm), the bracket factor, the
-tolerance, the move budget and the expansion count are fixed, and the L2
-distance is integrated on the package's one grid (``curves.GRID``, 256
-panels of 8 nodes): a configuration names only the curve and the
-reference.  A fit's ``iterations`` count the Newton passes, the passes
-with an early finish and the golden objective evaluations.
+an edge.  The seed, the refinement's subgrid and passes, the bracket
+factor, the tolerance, the move budget and the expansion count are fixed,
+and the L2 distance is integrated on the package's one grid
+(``curves.GRID``, 256 panels of 8 nodes): a configuration names only the
+curve and the reference.  A fit's ``iterations`` count the minimizer's
+Newton passes, the passes with an early finish and the golden objective
+evaluations, not the refinement's passes.
 
 Log-shape is the minimizer's own coordinate.  The objective
 (``_objective_closure``, ``md_objective``) and the Newton terms take shapes,
@@ -29,12 +35,13 @@ shape at which the row's reported F was evaluated.  So a fit's residual is
 start, bit for bit.
 
 There is one implementation, the row function ``_md_rows``: sorted samples,
-one per row, go through the start (``_start_rows``), the reference rows and
-one minimizer, which evaluates rows in cache-sized blocks of ``_BLOCK_ROWS``
-rows on the fixed quadrature grid.  ``_ref_rows`` is the one producer of
-reference rows, for MD fits and for the study's plug-in ``hf`` row alike: it
-gathers and divides a block of rows at a time, from one cached gather plan
-per sample size, reference and curve, and nothing caches its output.  A row
+one per row, go through the seed (``_start_rows``), the reference rows, the
+refinement and one minimizer, which evaluates rows in cache-sized blocks of
+``_BLOCK_ROWS`` rows on the fixed quadrature grid.  ``_ref_rows`` is the one
+producer of reference rows, for MD fits and for the study's plug-in ``hf``
+row alike: it gathers and divides a block of rows at a time, from one
+cached gather plan per sample size, reference and curve, and nothing caches
+its output.  A row
 ``_md_rows`` cannot fit is NaN, or with ``strict`` raises the typed error.
 ``md_fit`` is its one-row strict call and the Monte Carlo study calls it on
 chunks of replicates, so fits are deterministic and a batched fit of one
@@ -72,6 +79,11 @@ _INVPHI2 = 1.0 - _INVPHI
 _BRACKET_FACTOR = 5.0
 _TOL = 1e-8
 _MAX_EXPANSIONS = 3
+
+# The start's refinement (see _refine_starts): the node of each GRID panel
+# on its subgrid (one of the two central ones) and the Newton passes there.
+_COARSE_NODE = 3
+_COARSE_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -253,6 +265,46 @@ def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
     return f, -2.0 * g, 2.0 * h
 
 
+@lru_cache(maxsize=None)
+def _coarse_grid(kind: CurveKind):
+    """The refinement's subgrid for ``kind``: the model's log-ratio row at
+    node ``_COARSE_NODE`` of each ``GRID`` panel, and the panels' total
+    weights.  Read-only arrays."""
+    points, weights = gauss_legendre_grid(GRID)
+    lr = _log_ratio(points, kind)[_COARSE_NODE::GRID.nodes].copy()
+    panel_weights = weights.reshape(-1, GRID.nodes).sum(axis=1)
+    for arr in (lr, panel_weights):
+        arr.flags.writeable = False
+    return lr, panel_weights
+
+
+def _refine_starts(ref: np.ndarray, kind: CurveKind, seeds: np.ndarray) -> np.ndarray:
+    """The minimizer's start of every row of ``ref``: its seed shape moved
+    by ``_COARSE_PASSES`` Newton passes on log-shape, on the subgrid of
+    ``_coarse_grid`` and the reference's values at its nodes.
+
+    A row keeps its seed wherever a pass gives F'' <= 0, a step that is not
+    finite or a point outside the first bracket ``log(seed) -+
+    log(_BRACKET_FACTOR)``.  Each row's start depends on that row alone.
+    """
+    lr, weights = _coarse_grid(kind)
+    coarse = ref[:, _COARSE_NODE::GRID.nodes]
+    x = np.log(seeds)
+    lo = x - math.log(_BRACKET_FACTOR)
+    hi = x + math.log(_BRACKET_FACTOR)
+    rows, beta = np.arange(seeds.size), seeds
+    for _ in range(_COARSE_PASSES):
+        _, g, h = _newton_terms(coarse, rows, lr, weights, beta)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = x - g / h
+            keep = (h > 0.0) & (x > lo[rows]) & (x < hi[rows])
+        rows, x = rows[keep], x[keep]
+        beta = np.exp(x)
+    starts = seeds.copy()
+    starts[rows] = beta
+    return starts
+
+
 def md_objective(sample: SortedSample, beta: float, config: MdConfig = MdConfig()) -> float:
     """Squared L2 distance between the reference and model curves at ``beta``."""
     _check_positive(beta)
@@ -432,7 +484,7 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
 
 
 def _start_rows(x_rows: np.ndarray, strict: bool) -> np.ndarray:
-    """Starting shape of each row: the pe estimate, else the lm estimate.
+    """Seed shape of each row: the pe estimate, else the lm estimate.
 
     A row where neither gives a finite positive shape is NaN; with
     ``strict`` it raises StartFailure with the reason lm failed on the first
@@ -457,13 +509,16 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     """MD fits of sorted rows, one sample per row, under ``config``.
 
     Returns (shapes, evaluations, objectives, starts): per-row shapes,
-    achieved objectives and starting shapes, and the minimizer's evaluation
-    count for the whole call.  The rows' reference curves are built here by
-    ``_ref_rows``, which the minimizer's passes then read.  A row without a
-    start or a reference, or whose minimum stays pinned to the bracket edge,
-    has a NaN shape and objective; with ``strict`` it raises the typed error
-    instead, the start checked before the reference and the reference
-    before the minimizer.  A one-row call is ``md_fit``.
+    achieved objectives and the minimizer's starting shapes, and the
+    minimizer's evaluation count for the whole call.  The rows' reference
+    curves are built here by ``_ref_rows``; ``_refine_starts`` moves each
+    row's seed from ``_start_rows`` on the reference's subgrid, and the
+    minimizer's passes then read the whole reference from that start.  A row
+    without a seed or a reference, or whose minimum stays pinned to the
+    bracket edge, has a NaN shape and objective; with ``strict`` it raises
+    the typed error instead, the seed checked before the reference and the
+    reference before the minimizer.  A row without a reference keeps its
+    seed as start.  A one-row call is ``md_fit``.
     """
     starts = _start_rows(x_rows, strict)
     ref = _ref_rows(x_rows, config.reference, config.curve, strict)
@@ -473,17 +528,19 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     ok = ~np.isnan(starts) & ~np.isnan(ref[:, 0])
     evals = 0
     if np.any(ok):
+        ref_ok = ref if ok.all() else ref[ok]
+        starts[ok] = _refine_starts(ref_ok, config.curve, starts[ok])
         shapes[ok], objectives[ok], _, evals = _minimize_log(
-            ref if ok.all() else ref[ok], lr, weights, starts[ok], strict)
+            ref_ok, lr, weights, starts[ok], strict)
     return shapes, evals, objectives, starts
 
 
 def md_fit(sample: SortedSample, config: MdConfig = MdConfig()) -> EstimateResult:
     """Minimum-distance shape estimate for the configured curve/reference.
 
-    The achieved objective never exceeds the objective at the starting
-    shape; diagnostics carry the start and the achieved objective as the
-    residual.
+    Diagnostics carry the minimizer's start (the pe estimate, else the lm
+    one, after the refinement's Newton passes) and the achieved objective
+    as the residual, which never exceeds the objective at that start.
     """
     shapes, evals, objectives, starts = _md_rows(
         _as_sorted_sample(sample).values[None, :], config, True)

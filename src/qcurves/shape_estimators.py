@@ -89,7 +89,12 @@ _STALL_STEP = 1e-6
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Fitted shape with solver diagnostics."""
+    """Fitted shape with solver diagnostics.
+
+    ``start`` is None except for an MD fit, where it is the minimizer's
+    start: the pe estimate (else the lm one) after two Newton passes on a
+    subgrid (``md_estimation._refine_starts``).  The fit's ``residual``
+    never exceeds the MD objective there."""
 
     method: str
     beta_hat: float

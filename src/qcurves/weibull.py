@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 
+_NORMAL_MIN = np.finfo(float).tiny  # the smallest normal float
+
+
 def _check_positive(value: float, name: str = "shape") -> float:
     """The parameter ``value``; DomainError unless it is a finite positive
     real number (NumPy scalars included), not a bool."""
@@ -160,6 +163,8 @@ def _log_terms(u: np.ndarray, one_minus_v: np.ndarray, out: tuple | None = None)
     -Lu and -Lv.  Given ``out``, three arrays, they are computed there in
     place.
 
+    Where r is subnormal (curve arguments below about 3e-308 for qZ and
+    3e-305 for qD) it has lost digits, so log r is log(Lu) - log(Lv) there.
     DomainError where r underflows to zero: at the curve argument 5e-324,
     where u rounds to 0, and (qD) below about 4e-321.  There the curve at a
     large shape is far from its limit 1 at 0, so no value is returned.
@@ -169,8 +174,13 @@ def _log_terms(u: np.ndarray, one_minus_v: np.ndarray, out: tuple | None = None)
     if lu.max(initial=-1.0) < 0.0:  # first: for qD, 1 - v is u, and log(0) warns
         lv = np.log(one_minus_v, out=lv)
         lr = np.divide(lu, lv, out=lr)
-        if lr.min(initial=1.0) > 0.0:
-            return lu, lv, np.log(lr, out=lr)
+        smallest = lr.min(initial=1.0)
+        if smallest > 0.0:
+            sub = lr < _NORMAL_MIN if smallest < _NORMAL_MIN else None
+            np.log(lr, out=lr)
+            if sub is not None:
+                lr[sub] = np.log(-lu[sub]) - np.log(-lv[sub])
+            return lu, lv, lr
     raise DomainError("curve argument too close to 0: the curve's log ratio underflows")
 
 

@@ -120,13 +120,24 @@ def test_md_scale_invariance_generic():
         assert abs(md_fit(scaled, config).beta_hat - base) < 1e-6
 
 
+def _refined(sample, seed, config=MdConfig()):
+    """The refinement of ``seed`` on the reference of ``sample``."""
+    ref = _ref_rows(sample.values[None, :], config.reference, config.curve, strict=True)
+    return md_estimation._refine_starts(ref, config.curve, np.array([seed]))[0]
+
+
 def test_md_fit_start_is_pe_else_lm():
     s = weib_sorted(2.0, 60, seed=10)
-    assert md_fit(s).start == fit_shape(s, "pe").beta_hat
+    seed = fit_shape(s, "pe").beta_hat
+    assert md_estimation._start_rows(s.values[None, :], True)[0] == seed
+    start = md_fit(s).start
+    assert start == _refined(s, seed) and start != seed
     tied = SortedSample.from_data([1, 2, 2, 2, 2, 2, 2, 2, 2, 3.0])
     with pytest.raises(DomainError, match="coincide"):
         fit_shape(tied, "pe")
-    assert md_fit(tied).start == fit_shape(tied, "lm").beta_hat
+    seed = fit_shape(tied, "lm").beta_hat
+    assert md_estimation._start_rows(tied.values[None, :], True)[0] == seed
+    assert md_fit(tied).start == _refined(tied, seed)
 
 
 def test_md_fit_recovers_from_far_start():
@@ -176,13 +187,15 @@ def test_far_start_converges_through_golden_fallback():
 
 
 def _traced_fit(sample, config):
-    """md_fit, with (F, F', F'') of every Newton pass and the golden calls."""
+    """md_fit, with (F, F', F'') of every Newton pass of the minimizer (on
+    the full grid, not the start's refinement) and the golden calls."""
     passes, golden_calls = [], []
     terms, golden = md_estimation._newton_terms, md_estimation._golden
 
-    def traced_terms(*args):
-        out = terms(*args)
-        passes.append([float(v[0]) for v in out])
+    def traced_terms(ref, rows, lr, weights, beta):
+        out = terms(ref, rows, lr, weights, beta)
+        if lr.size == GRID.panels * GRID.nodes:
+            passes.append([float(v[0]) for v in out])
         return out
 
     def counted(*args):
@@ -202,9 +215,9 @@ def _golden_only(sample, config):
 
 
 def test_rise_on_the_first_step_halves_without_golden():
-    # the first full Newton step from the pe start raises F; the row goes
-    # back halfway and finishes on Newton
-    s = weib_sorted(0.5, 10, seed=2)
+    # the first full Newton step from the refined start raises F; the row
+    # goes back halfway and finishes on Newton
+    s = weib_sorted(0.5, 10, seed=3)
     config = MdConfig(curve="qz", reference="empirical")
     fit, passes, golden_calls = _traced_fit(s, config)
     assert passes[1][0] > passes[0][0]
@@ -265,9 +278,9 @@ def test_early_finish_returns_the_objective_at_its_point(reference, kind):
 
 
 def _md_start_at(shape):
-    """Patch the MD start of every row to ``shape``."""
-    return mock.patch.object(md_estimation, "_start_rows",
-                             lambda x_rows, strict: np.full(len(x_rows), shape))
+    """Patch the minimizer's start of every row to ``shape``."""
+    return mock.patch.object(md_estimation, "_refine_starts",
+                             lambda ref, kind, seeds: np.full(len(seeds), shape))
 
 
 # (row of STUDY_CHUNK, curve, reference): the eight fits whose residual was
@@ -303,7 +316,7 @@ def test_rows_lie_within_twice_tol_of_a_tight_tolerance_run(reference, kind):
 
 
 def test_batched_fits_equal_scalar_fits_on_every_path():
-    # seeds 2 and 7 halve on a rise and move toward the edge (see above);
+    # seeds 3 and 7 halve on a rise and move toward the edge (see above);
     # most rows finish early
     x_rows = np.vstack([weib_sorted(0.5, 10, seed=k).values for k in range(12)])
     for reference, kind in MD_CASES:
@@ -313,6 +326,67 @@ def test_batched_fits_equal_scalar_fits_on_every_path():
             fit = md_fit(SortedSample(row), config)
             assert (shapes[k], objectives[k], starts[k]) == (
                 fit.beta_hat, fit.residual, fit.start)
+
+
+def _recorded_passes(coarse):
+    """Patch ``_newton_terms`` to record (rows, shapes, F', F'') of each
+    pass of the start's refinement (``coarse``), or else the row count of
+    each full-grid pass."""
+    passes, terms = [], md_estimation._newton_terms
+
+    def recorded(ref, rows, lr, weights, beta):
+        out = terms(ref, rows, lr, weights, beta)
+        if not coarse and lr.size == GRID.panels * GRID.nodes:
+            passes.append(rows.size)
+        elif coarse and lr.size == GRID.panels:
+            passes.append((rows.copy(), beta.copy(), out[1], out[2]))
+        return out
+
+    return passes, mock.patch.object(md_estimation, "_newton_terms", recorded)
+
+
+def test_refinement_keeps_the_seed_where_a_pass_fails():
+    # the rows of test_batched_fits_equal_scalar_fits_on_every_path: on qz,
+    # some reach F'' <= 0 and others step out of the bracket on the subgrid
+    x_rows = np.vstack([weib_sorted(0.5, 10, seed=k).values for k in range(12)])
+    seeds = md_estimation._start_rows(x_rows, True)
+    causes, log_factor = set(), math.log(md_estimation._BRACKET_FACTOR)
+    for reference, kind in MD_CASES:
+        config = MdConfig(curve=kind, reference=reference)
+        passes, recorded = _recorded_passes(coarse=True)
+        with recorded:
+            shapes, _, objectives, starts = _md_rows(x_rows, config, False)
+        kept = np.zeros(len(x_rows), dtype=bool)
+        for rows, beta, g, h in passes:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = np.log(beta) - g / h
+            flat = ~(h > 0.0)
+            out = ~flat & ~(np.abs(x - np.log(seeds[rows])) < log_factor)
+            causes.update(cause for cause, rows_out in (("curvature", flat), ("bracket", out))
+                          if rows_out.any())
+            kept[rows[flat | out]] = True
+        assert np.array_equal(starts[kept], seeds[kept])
+        assert np.all(starts[~kept] != seeds[~kept])
+        for k, row in enumerate(x_rows):
+            fit = md_fit(SortedSample(row), config)
+            assert (shapes[k], objectives[k], starts[k]) == (
+                fit.beta_hat, fit.residual, fit.start)
+    assert causes == {"curvature", "bracket"}
+
+
+def test_refined_start_needs_few_full_grid_passes():
+    # the first 500-row chunk of every cell of the default study, 16,000 MD
+    # rows in all: 55,281 full-grid row-passes from the pe/lm seed, 34,764
+    # from the refined start
+    config = SimulationConfig()
+    chunks = [_draw_rows(config, ib, jn, 0, 500)
+              for ib in range(len(config.betas)) for jn in range(len(config.sizes))]
+    passes, recorded = _recorded_passes(coarse=False)
+    with recorded:
+        for x_rows in chunks:
+            for reference, kind in MD_CASES:
+                _md_rows(x_rows, MdConfig(curve=kind, reference=reference), False)
+    assert sum(passes) <= 2.3 * len(chunks) * 500 * len(MD_CASES)
 
 
 def test_lm_start_only_where_pe_fails():

@@ -179,6 +179,31 @@ def test_closed_curve_and_eta_at_extreme_arguments(kind):
     assert -1e-158 < eta_weibull(2.0, 4e-321, kind) < 0.0
 
 
+def _mp_curve_and_eta(beta, p, kind):
+    """The curve and eta at the doubles ``beta`` and ``p``, to 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        beta, u = mpmath.mpf(beta), mpmath.mpf(p) / 2
+        log_r = (mpmath.log(-mpmath.log1p(-u))
+                 - mpmath.log(-mpmath.log((1 - 2 * u) / 2 if kind == "qz" else u)))
+        return -mpmath.expm1(log_r / beta), mpmath.exp(log_r / beta) * log_r / beta**2
+
+
+@pytest.mark.parametrize("fn,beta,p,kind", [
+    # the log ratio is subnormal: 35% and 17% off before log r was formed
+    # as log(Lu) - log(Lv) there
+    (eta_weibull, 2.0, 4e-321, "qd"),
+    (eta_weibull, 2.0, 1e-323, "qz"),
+    (closed_curve, 1e300, 4e-321, "qd"),
+    # r is about 7e-311, a subnormal that kept most digits: within 6e-15 before
+    (eta_weibull, 2.0, 1e-310, "qz"),
+])
+def test_subnormal_log_ratio_keeps_full_precision(fn, beta, p, kind):
+    curve, eta = _mp_curve_and_eta(beta, p, kind)
+    want = float(eta if fn is eta_weibull else curve)
+    assert fn(beta, p, kind) == pytest.approx(want, rel=2e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("kind", list(CurveKind))
 def test_log_and_eta_terms_in_place_give_the_same_bytes(kind):
     u, _, one_minus_v = kind.orders(np.linspace(0.01, 0.99, 99))

@@ -19,9 +19,21 @@ of this script digests any checkout:
 
     PYTHONPATH=src python tools/report_digest.py
     PYTHONPATH=/path/to/other/checkout/src python tools/report_digest.py
+
+``--dump FILE`` also writes each recipe's report records and the sigma^2
+values to FILE as JSON.  ``--compare OLD NEW`` runs nothing: it reads two
+such dumps and prints every record value (or standard error) that moved,
+the largest absolute and relative moves, and every record whose failure
+count, flag or NaN pattern differs:
+
+    PYTHONPATH=src python tools/report_digest.py --dump new.json
+    PYTHONPATH=src python tools/report_digest.py --compare old.json new.json
 """
 
+import argparse
 import hashlib
+import json
+import math
 
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
@@ -45,17 +57,99 @@ def simd_target() -> str:
     return f"{'/'.join(__cpu_baseline__)} + {'/'.join(found) or 'none'}"
 
 
-def main():
+def digest(dump_path=None):
+    """Print the digests and sigma^2 values; with ``dump_path``, write the
+    records and sigma^2 values there."""
     print(f"qcurves {qcurves.__version__} from {qcurves.__file__}")
     print(f"numpy {np.__version__}, SIMD {simd_target()}")
+    dump = {"numpy": np.__version__, "simd": simd_target(), "recipes": {}, "sigma2": {}}
     for name, config in RECIPES.items():
         report = run_simulation(config)
         for label, text in (("to_json", report.to_json()), ("to_csv", report.to_csv()),
                             ("render_tables", render_tables(report))):
             digest = hashlib.sha256(text.encode()).hexdigest()
             print(f"{name:<12} {label:<14} {digest}")
+        dump["recipes"][name] = json.loads(report.to_json())["records"]
     for kind, beta in SIGMA2_POINTS:
-        print(f"sigma2 {kind} {beta:<5} {md_asymptotic_variance(beta, kind).sigma2!r}")
+        sigma2 = md_asymptotic_variance(beta, kind).sigma2
+        print(f"sigma2 {kind} {beta:<5} {sigma2!r}")
+        dump["sigma2"][f"{kind} {beta}"] = sigma2
+    if dump_path:
+        with open(dump_path, "w") as fh:
+            json.dump(dump, fh, indent=1)
+
+
+def _record_key(record) -> str:
+    return f"{record['estimator']} {record['metric']} n={record['n']} beta={record['beta']}"
+
+
+def _moves(old: dict, new: dict):
+    """(label, old value, new value) of every number that differs between
+    two dumps: record values and standard errors, then sigma^2; and the
+    lines for records whose failures, flag or NaN pattern differ."""
+    moved, counts = [], []
+    for recipe, records in old["recipes"].items():
+        new_records = {_record_key(r): r for r in new["recipes"].get(recipe, [])}
+        for record in records:
+            key = _record_key(record)
+            other = new_records.get(key)
+            if other is None:
+                counts.append(f"{recipe} {key}: missing from the new dump")
+                continue
+            for field in ("failures", "flagged"):
+                if record[field] != other[field]:
+                    counts.append(f"{recipe} {key}: {field} {record[field]} -> {other[field]}")
+            for field in ("value", "se"):
+                a, b = record[field], other[field]
+                if math.isnan(a) != math.isnan(b):
+                    counts.append(f"{recipe} {key}: {field} {a} -> {b}")
+                elif a != b and not math.isnan(a):
+                    moved.append((f"{recipe} {key} {field}", a, b))
+    for point, a in old["sigma2"].items():
+        if new["sigma2"].get(point) != a:
+            moved.append((f"sigma2 {point}", a, new["sigma2"].get(point)))
+    return moved, counts
+
+
+def compare(old_path, new_path):
+    """Print what moved between two dumps."""
+    with open(old_path) as fh:
+        old = json.load(fh)
+    with open(new_path) as fh:
+        new = json.load(fh)
+    for side, dump in (("old", old), ("new", new)):
+        print(f"{side}: numpy {dump['numpy']}, SIMD {dump['simd']}")
+    moved, counts = _moves(old, new)
+    total = sum(len(records) for records in old["recipes"].values())
+    print(f"{len(moved)} values moved ({total} records with a value and an se each, "
+          f"and {len(old['sigma2'])} sigma2 values)")
+    by_estimator = {}
+    for label, _, _ in moved:
+        name = " ".join(label.split()[:2])  # recipe and estimator, or "sigma2" and kind
+        by_estimator[name] = by_estimator.get(name, 0) + 1
+    for name, count in sorted(by_estimator.items()):
+        print(f"  {name}: {count}")
+    if moved:
+        absolute = max(moved, key=lambda m: abs(m[2] - m[1]))
+        relative = max(moved, key=lambda m: abs(m[2] - m[1]) / abs(m[1]) if m[1] else math.inf)
+        for what, (label, a, b) in (("absolute", absolute), ("relative", relative)):
+            print(f"largest {what} move: {label}: {a!r} -> {b!r} "
+                  f"(abs {abs(b - a):.3g}, rel {abs(b - a) / abs(a) if a else math.inf:.3g})")
+    print(f"{len(counts)} records with a different failure count, flag or NaN pattern")
+    for line in counts:
+        print(f"  {line}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", metavar="FILE", help="also write the records as JSON")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two dumps instead of running the recipes")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    else:
+        digest(args.dump)
 
 
 if __name__ == "__main__":
