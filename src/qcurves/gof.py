@@ -108,9 +108,10 @@ def ad_test(
     is the inverse transform of the uniforms of
     ``Generator(PCG64(SeedSequence((seed, b))))``, so the result is
     reproducible and independent of evaluation order.  The resamples are
-    drawn and refitted in blocks of rows: ``_streams.seeded_uniforms`` gives
-    a block's streams, equal to NumPy's bit for bit, at once, and the
-    method's row kernel refits the block.
+    drawn and refitted in blocks of rows: ``_streams.seeded_uniforms`` draws
+    a block's streams, equal to NumPy's bit for bit, from one reused
+    generator whose state it sets per resample, and the method's row kernel
+    refits the block.
 
     A refit fails when the method cannot fit the resample (say, a resample
     with a zero for a method that needs positive data) or when the refit puts

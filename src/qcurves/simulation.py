@@ -7,9 +7,11 @@ squared/signed error of the fitted curve indices into a report.
 Replications are seeded individually: replication r of the cell (beta
 index i, size index j) draws its uniforms from
 ``Generator(PCG64(SeedSequence((master_seed, i, j, r))))``, so r runs below
-2**32.  ``_streams.seeded_uniforms`` computes those streams, equal to
-NumPy's bit for bit, for a whole chunk at once, and the Weibull inverse
-transform is applied to the chunk in place.  Work is split into fixed chunks
+2**32.  ``_streams.seeded_uniforms`` draws a chunk's streams into one
+matrix, equal to NumPy's bit for bit: it hashes the chunk's seeds at once
+and sets each replicate's state on one reused generator, so no generator is
+built per replicate.  The Weibull inverse transform is applied to the chunk
+in place.  Work is split into fixed chunks
 whose boundaries do not depend on the worker count, and per-replication
 results are reduced in replication order, so a report is bit-for-bit
 identical for any ``workers`` setting.

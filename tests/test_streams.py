@@ -1,4 +1,5 @@
-"""Seeded uniform streams: the block kernel against NumPy's per-row path."""
+"""Seeded uniform streams: rows seeded from the array hash against NumPy's
+per-row path."""
 
 from unittest import mock
 
@@ -35,6 +36,19 @@ def test_a_range_of_indices_equals_numpy_streams_bitwise():
     assert got.tobytes() == numpy_rows((7, 2, 1), range(300, 340), 130).tobytes()
 
 
+@pytest.mark.parametrize("indices", [
+    [5, 2**32 - 1, 0, 3, 1],  # unsorted
+    [9, 9, 4, 9, 4],  # repeated
+    np.array([17, 2**31 + 3, 6], dtype=np.int64),
+    np.array([0, 2**32 - 2, 11], dtype=np.uint32),
+    np.array([8, 1], dtype=np.uint8),
+])
+def test_any_index_order_or_integer_array_equals_numpy_streams_bitwise(indices):
+    got = seeded_uniforms((7, 2), indices, 70)
+    want = numpy_rows((7, 2), [int(i) for i in indices], 70)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("prefix", PREFIXES)
 def test_zero_rows(prefix):
     assert seeded_uniforms(prefix, [], 30).shape == (0, 30)
@@ -67,9 +81,24 @@ def test_too_many_replicates_exit_3(command, tmp_path, capsys):
 
 
 def test_study_and_bootstrap_build_no_generator_per_replicate():
+    # 20 study replicates in one chunk and 30 resamples in one bootstrap
+    # block: two draws, neither building a generator per replicate
     config = SimulationConfig(betas=(1.0,), sizes=(10,), replications=20,
                               estimators=("hf", "ml"), master_seed=5)
     control = load_guinea_pigs()["control"]
-    with mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError):
+    built = {"PCG64": 0, "Generator": 0}
+
+    def counting(name):
+        cls = getattr(np.random, name)
+
+        def build(*args, **kwargs):
+            built[name] += 1
+            return cls(*args, **kwargs)
+
+        return mock.patch.object(np.random, name, build)
+
+    with mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError), \
+            counting("PCG64"), counting("Generator"):
         run_simulation(config)
         ad_test(control, bootstrap_reps=30, seed=4)
+    assert all(count <= 2 for count in built.values()), built

@@ -14,15 +14,20 @@ without them says little.  The two recipes:
 For each recipe it prints the sha256 of ``to_json``, ``to_csv`` and
 ``render_tables``.  It then prints ``repr`` of the ``md_asymptotic_variance``
 sigma^2 at shapes 0.5/1/2/3 on both curve kinds, the points whose values
-``perfbench/gates.py`` holds as goldens.  The package is imported from the Python path, so one copy
-of this script digests any checkout:
+``perfbench/gates.py`` holds as goldens.  Last it prints the bootstrap
+``ad_test`` of each guinea-pig group (999 replicates, seed 1, ``ml``):
+``repr`` of its statistic, p-value and failed refits, so a change to the
+seeded streams shows in the bootstrap as well as in the studies.  The
+package is imported from the Python path, so one copy of this script
+digests any checkout:
 
     PYTHONPATH=src python tools/report_digest.py
     PYTHONPATH=/path/to/other/checkout/src python tools/report_digest.py
 
-``--dump FILE`` also writes each recipe's report records and the sigma^2
-values to FILE as JSON.  ``--compare OLD NEW`` runs nothing: it reads two
-such dumps and prints every record value (or standard error) that moved,
+``--dump FILE`` also writes each recipe's report records, the sigma^2
+values and the ``ad_test`` entries to FILE as JSON.  ``--compare OLD NEW``
+runs nothing: it reads two such dumps and prints every record value (or
+standard error), sigma^2 or ``ad_test`` entry that moved,
 the largest absolute and relative moves, and every record whose failure
 count, flag or NaN pattern differs:
 
@@ -39,7 +44,8 @@ import numpy as np
 from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 import qcurves
-from qcurves import SimulationConfig, md_asymptotic_variance, render_tables, run_simulation
+from qcurves import (SimulationConfig, ad_test, load_guinea_pigs, md_asymptotic_variance,
+                     render_tables, run_simulation)
 from qcurves.simulation import ESTIMATOR_ORDER
 
 RECIPES = {
@@ -48,6 +54,8 @@ RECIPES = {
     "default-537": SimulationConfig(replications=537),
 }
 SIGMA2_POINTS = [(kind, beta) for kind in ("qz", "qd") for beta in (0.5, 1.0, 2.0, 3.0)]
+AD_TEST = {"bootstrap_reps": 999, "seed": 1, "method": "ml"}
+AD_FIELDS = ("statistic", "p_value", "failed_refits")
 
 
 def simd_target() -> str:
@@ -58,11 +66,12 @@ def simd_target() -> str:
 
 
 def digest(dump_path=None):
-    """Print the digests and sigma^2 values; with ``dump_path``, write the
-    records and sigma^2 values there."""
+    """Print the digests, sigma^2 values and ``ad_test`` entries; with
+    ``dump_path``, write the records and those values there."""
     print(f"qcurves {qcurves.__version__} from {qcurves.__file__}")
     print(f"numpy {np.__version__}, SIMD {simd_target()}")
-    dump = {"numpy": np.__version__, "simd": simd_target(), "recipes": {}, "sigma2": {}}
+    dump = {"numpy": np.__version__, "simd": simd_target(), "recipes": {}, "sigma2": {},
+            "ad_test": {}}
     for name, config in RECIPES.items():
         report = run_simulation(config)
         for label, text in (("to_json", report.to_json()), ("to_csv", report.to_csv()),
@@ -74,6 +83,12 @@ def digest(dump_path=None):
         sigma2 = md_asymptotic_variance(beta, kind).sigma2
         print(f"sigma2 {kind} {beta:<5} {sigma2!r}")
         dump["sigma2"][f"{kind} {beta}"] = sigma2
+    for group, data in load_guinea_pigs().items():
+        result = ad_test(data, **AD_TEST)
+        for field in AD_FIELDS:
+            value = getattr(result, field)
+            print(f"ad_test {group:<8} {field:<13} {value!r}")
+            dump["ad_test"][f"{group} {field}"] = value
     if dump_path:
         with open(dump_path, "w") as fh:
             json.dump(dump, fh, indent=1)
@@ -85,8 +100,9 @@ def _record_key(record) -> str:
 
 def _moves(old: dict, new: dict):
     """(label, old value, new value) of every number that differs between
-    two dumps: record values and standard errors, then sigma^2; and the
-    lines for records whose failures, flag or NaN pattern differ."""
+    two dumps: record values and standard errors, then sigma^2 and the
+    ``ad_test`` entries; and the lines for records whose failures, flag or
+    NaN pattern differ."""
     moved, counts = [], []
     for recipe, records in old["recipes"].items():
         new_records = {_record_key(r): r for r in new["recipes"].get(recipe, [])}
@@ -105,9 +121,13 @@ def _moves(old: dict, new: dict):
                     counts.append(f"{recipe} {key}: {field} {a} -> {b}")
                 elif a != b and not math.isnan(a):
                     moved.append((f"{recipe} {key} {field}", a, b))
-    for point, a in old["sigma2"].items():
-        if new["sigma2"].get(point) != a:
-            moved.append((f"sigma2 {point}", a, new["sigma2"].get(point)))
+    for section in ("sigma2", "ad_test"):
+        for point, a in old.get(section, {}).items():
+            b = new.get(section, {}).get(point)
+            if b is None:
+                counts.append(f"{section} {point}: missing from the new dump")
+            elif b != a:
+                moved.append((f"{section} {point}", a, b))
     return moved, counts
 
 
@@ -122,10 +142,12 @@ def compare(old_path, new_path):
     moved, counts = _moves(old, new)
     total = sum(len(records) for records in old["recipes"].values())
     print(f"{len(moved)} values moved ({total} records with a value and an se each, "
-          f"and {len(old['sigma2'])} sigma2 values)")
+          f"{len(old['sigma2'])} sigma2 values and {len(old.get('ad_test', {}))} "
+          "ad_test entries)")
     by_estimator = {}
     for label, _, _ in moved:
-        name = " ".join(label.split()[:2])  # recipe and estimator, or "sigma2" and kind
+        # recipe and estimator, "sigma2" and kind, or "ad_test" and group
+        name = " ".join(label.split()[:2])
         by_estimator[name] = by_estimator.get(name, 0) + 1
     for name, count in sorted(by_estimator.items()):
         print(f"  {name}: {count}")
