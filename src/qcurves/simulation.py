@@ -325,7 +325,9 @@ def run_simulation(config: SimulationConfig = SimulationConfig()) -> SimulationR
     """Run the full study and return the aggregated report.
 
     The report depends only on the configuration (including master_seed),
-    never on the worker count or chunk scheduling.
+    never on the worker count or chunk scheduling.  With ``workers`` above
+    1 the chunks run in a pool of at most one process per chunk; a study
+    of one chunk runs in this process.
     """
     bounds = _chunk_bounds(config.replications)
     tasks = [(ib, jn, r0, r1)
@@ -333,14 +335,16 @@ def run_simulation(config: SimulationConfig = SimulationConfig()) -> SimulationR
              for jn in range(len(config.sizes))
              for r0, r1 in bounds]
     results = {}
-    if config.workers == 1:
+    # a process pool forks all its workers at its first submit
+    workers = min(config.workers, len(tasks))
+    if workers == 1:
         for task in tasks:
             results[task] = _simulate_chunk(config, *task)
     else:
         # imported here: it loads multiprocessing, which a one-worker run and
         # ``import qcurves`` do without
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {task: pool.submit(_simulate_chunk, config, *task)
                        for task in tasks}
         results = {task: fut.result() for task, fut in futures.items()}

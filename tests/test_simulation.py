@@ -1,5 +1,6 @@
 """Monte Carlo study harness: determinism, batching, aggregation, reports."""
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import inspect
@@ -192,6 +193,42 @@ def test_worker_count_bit_identity():
     r1 = run_simulation(config1)
     r2 = run_simulation(config2)
     assert r1.to_json() == r2.to_json()
+
+
+class _InlineExecutor:
+    """A stand-in for ProcessPoolExecutor that records ``max_workers`` and
+    runs each task at submit, in this process."""
+
+    pools = []
+
+    def __init__(self, max_workers):
+        self.pools.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("replications, workers, pools", [
+    (40, 8, []),  # one chunk: the in-process path, no pool
+    (40, 1, []),
+    (520, 64, [2]),  # two chunks: no more workers than chunks
+    (1200, 2, [2]),
+])
+def test_no_more_workers_than_chunks(replications, workers, pools):
+    config = small_config(betas=(2.0,), estimators=("ml",), replications=replications)
+    _InlineExecutor.pools = []
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor):
+        report = run_simulation(dataclasses.replace(config, workers=workers))
+    assert _InlineExecutor.pools == pools
+    assert report.to_json() == run_simulation(config).to_json()
 
 
 def test_partial_chunk_equals_contiguous():
