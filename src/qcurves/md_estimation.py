@@ -4,13 +4,14 @@ The estimator minimizes the squared L2 distance between a data-based
 reference curve (step empirical or interpolated ``hf``) and the model's
 closed-form curve, over the shape.  The search runs on log-shape, where the
 objective is smooth: Newton's method from a start, with analytic first and
-second derivatives, inside a multiplicative bracket around the start (see
-``_minimize_log``).  The start is a seed estimate (pe, falling back to lm)
+second derivatives, inside a multiplicative bracket around a seed estimate
+(pe, falling back to lm; see ``_minimize_log``).  The start is that seed
 moved by two Newton passes of the same distance on a subgrid of one node
 per panel (``_refine_starts``), which cost about a quarter of one full
 pass together and save the minimizer more than one pass a row; a row keeps
 its seed where a pass finds no positive curvature or leaves the seed's
-bracket.  A row finishes once its Newton step is below the tolerance, or
+bracket.  The bracket stays centred on the seed, so refining the start
+never moves the bracket off a minimum the seed's bracket holds.  A row finishes once its Newton step is below the tolerance, or
 one pass sooner once its last two full steps predict a next step far below
 it; there F is evaluated once more, so the reported objective is F at the
 returned shape.  Where a step raises F the row goes back and halves it, and
@@ -74,7 +75,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = 1.0 - _INVPHI
 
 # The minimizer's fixed settings (see _minimize_log): the first bracket's
-# factor about the start, the tolerance on log-shape and the bracket
+# factor about the seed, the tolerance on log-shape and the bracket
 # expansions allowed.
 _BRACKET_FACTOR = 5.0
 _TOL = 1e-8
@@ -265,6 +266,13 @@ def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
     return f, -2.0 * g, 2.0 * h
 
 
+def _first_bracket(seeds: np.ndarray):
+    """(lo, hi), the first bracket of every row on log-shape:
+    log(seed) -+ log(_BRACKET_FACTOR), new arrays."""
+    x = np.log(seeds)
+    return x - math.log(_BRACKET_FACTOR), x + math.log(_BRACKET_FACTOR)
+
+
 @lru_cache(maxsize=None)
 def _coarse_grid(kind: CurveKind):
     """The refinement's subgrid for ``kind``: the model's log-ratio row at
@@ -284,14 +292,13 @@ def _refine_starts(ref: np.ndarray, kind: CurveKind, seeds: np.ndarray) -> np.nd
     ``_coarse_grid`` and the reference's values at its nodes.
 
     A row keeps its seed wherever a pass gives F'' <= 0, a step that is not
-    finite or a point outside the first bracket ``log(seed) -+
-    log(_BRACKET_FACTOR)``.  Each row's start depends on that row alone.
+    finite or a point outside its ``_first_bracket``.  Each row's start
+    depends on that row alone.
     """
     lr, weights = _coarse_grid(kind)
     coarse = ref[:, _COARSE_NODE::GRID.nodes]
     x = np.log(seeds)
-    lo = x - math.log(_BRACKET_FACTOR)
-    hi = x + math.log(_BRACKET_FACTOR)
+    lo, hi = _first_bracket(seeds)
     rows, beta = np.arange(seeds.size), seeds
     for _ in range(_COARSE_PASSES):
         _, g, h = _newton_terms(coarse, rows, lr, weights, beta)
@@ -350,7 +357,7 @@ def _golden(f, lo: np.ndarray, hi: np.ndarray, tol: float):
 
 
 def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
-                  start: np.ndarray, strict: bool):
+                  start: np.ndarray, seed: np.ndarray, strict: bool):
     """Minimize the objective of every row of ``ref`` over the shape.
 
     The search runs on log-shape x, but shapes are its inputs and outputs:
@@ -366,7 +373,8 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
       times ``_TOL`` (|s_k|^3 / |s_k-1|^2 for a quadratically converging
       row).  F is evaluated there once, and the point is kept if F rose;
     - take the full Newton step, when F'' > 0 and the step stays inside the
-      first bracket ``log(start) -+ log(_BRACKET_FACTOR)``;
+      first bracket, ``_first_bracket`` of the row's ``seed``, which must
+      hold its start (``_refine_starts`` keeps it there);
     - otherwise move halfway from the point toward the bracket edge on the
       descent side (-sign F');
     - and when F rose above the previous point's, go back there and halve
@@ -387,16 +395,13 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
     counts Newton passes, the passes with an early finish (one F-only
     evaluation each) and golden objective evaluations.
     """
-    log_start = np.log(start)
-    log_factor = math.log(_BRACKET_FACTOR)
-    lo = log_start - log_factor
-    hi = log_start + log_factor
+    lo, hi = _first_bracket(seed)
     shapes = np.full_like(start, np.nan)
     fmin = np.full_like(start, np.nan)
     f_start = np.full_like(start, np.nan)
     pending = np.zeros(start.shape, dtype=bool)  # rows for the golden search
     rows = np.arange(start.size)
-    x, beta = log_start, start
+    x, beta = np.log(start), start
     # per active row: the last accepted point and its F, the move from it to
     # x, the full Newton step that move was (NaN for any other move) and the
     # halved or edge moves used
@@ -513,25 +518,27 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     minimizer's evaluation count for the whole call.  The rows' reference
     curves are built here by ``_ref_rows``; ``_refine_starts`` moves each
     row's seed from ``_start_rows`` on the reference's subgrid, and the
-    minimizer's passes then read the whole reference from that start.  A row
+    minimizer's passes then read the whole reference from that start,
+    inside the seed's bracket.  A row
     without a seed or a reference, or whose minimum stays pinned to the
     bracket edge, has a NaN shape and objective; with ``strict`` it raises
     the typed error instead, the seed checked before the reference and the
     reference before the minimizer.  A row without a reference keeps its
     seed as start.  A one-row call is ``md_fit``.
     """
-    starts = _start_rows(x_rows, strict)
+    seeds = _start_rows(x_rows, strict)
     ref = _ref_rows(x_rows, config.reference, config.curve, strict)
     _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve)
-    shapes = np.full(starts.shape, np.nan)
-    objectives = np.full(starts.shape, np.nan)
-    ok = ~np.isnan(starts) & ~np.isnan(ref[:, 0])
+    shapes = np.full(seeds.shape, np.nan)
+    objectives = np.full(seeds.shape, np.nan)
+    starts = seeds.copy()
+    ok = ~np.isnan(seeds) & ~np.isnan(ref[:, 0])
     evals = 0
     if np.any(ok):
         ref_ok = ref if ok.all() else ref[ok]
-        starts[ok] = _refine_starts(ref_ok, config.curve, starts[ok])
+        starts[ok] = _refine_starts(ref_ok, config.curve, seeds[ok])
         shapes[ok], objectives[ok], _, evals = _minimize_log(
-            ref_ok, lr, weights, starts[ok], strict)
+            ref_ok, lr, weights, starts[ok], seeds[ok], strict)
     return shapes, evals, objectives, starts
 
 

@@ -243,8 +243,9 @@ def _chunk_minimum(x_rows, config):
     _, _, lr, weights = md_estimation._cell_plan(x_rows.shape[1], config.reference,
                                                  config.curve)
     ref = _ref_rows(x_rows, config.reference, config.curve, strict=True)
-    starts = md_estimation._start_rows(x_rows, True)
-    return (ref, lr, weights), md_estimation._minimize_log(ref, lr, weights, starts, True)
+    seeds = md_estimation._start_rows(x_rows, True)
+    return (ref, lr, weights), md_estimation._minimize_log(ref, lr, weights, seeds, seeds,
+                                                           True)
 
 
 # the first 500-row chunk of the default study's cell beta = 0.5, n = 30
@@ -372,6 +373,22 @@ def test_refinement_keeps_the_seed_where_a_pass_fails():
             assert (shapes[k], objectives[k], starts[k]) == (
                 fit.beta_hat, fit.residual, fit.start)
     assert causes == {"curvature", "bracket"}
+
+
+def test_bracket_is_centred_on_the_seed_not_the_refined_start():
+    # replicate 1435 of the default study's cell beta 1, n 30, mde on qz:
+    # the subgrid passes move the seed 2.90 to 10.10, away from the minimum
+    # 1.19, which lies in the seed's bracket but not in the start's; with
+    # the bracket on the seed the row finishes on Newton
+    row = _draw_rows(SimulationConfig(), 1, 0, 1000, 1500)[435]
+    sample, config = SortedSample(row), MdConfig(curve="qz", reference="empirical")
+    seed = md_estimation._start_rows(row[None, :], True)[0]
+    fit, _, golden_calls = _traced_fit(sample, config)
+    factor = md_estimation._BRACKET_FACTOR
+    assert fit.beta_hat < fit.start / factor and seed / factor < fit.beta_hat < seed
+    assert not golden_calls
+    assert fit.residual == md_objective(sample, fit.beta_hat, config)
+    assert fit.residual <= _golden_only(sample, config) + 1e-15
 
 
 def test_refined_start_needs_few_full_grid_passes():
