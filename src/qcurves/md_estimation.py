@@ -11,10 +11,11 @@ per panel (``_refine_starts``), which cost about a quarter of one full
 pass together and save the minimizer more than one pass a row; a row keeps
 its seed where a pass finds no positive curvature or leaves the seed's
 bracket.  The bracket stays centred on the seed, so refining the start
-never moves the bracket off a minimum the seed's bracket holds.  A row finishes once its Newton step is below the tolerance, or
-one pass sooner once its last two full steps predict a next step far below
-it; there F is evaluated once more, so the reported objective is F at the
-returned shape.  Where a step raises F the row goes back and halves it, and
+never moves the bracket off a minimum the seed's bracket holds.  A row
+finishes once its Newton step is below the tolerance, or one pass sooner
+once its last two full steps predict a next step far below it; there F is
+evaluated once more, so the reported objective is F at the returned
+shape.  Where a step raises F the row goes back and halves it, and
 where the curvature is not positive or the Newton iterate leaves the
 bracket it moves halfway toward the bracket edge; a small budget of such
 moves is shared.  Only a row that spends that budget,
@@ -519,11 +520,10 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     curves are built here by ``_ref_rows``; ``_refine_starts`` moves each
     row's seed from ``_start_rows`` on the reference's subgrid, and the
     minimizer's passes then read the whole reference from that start,
-    inside the seed's bracket.  A row
-    without a seed or a reference, or whose minimum stays pinned to the
-    bracket edge, has a NaN shape and objective; with ``strict`` it raises
-    the typed error instead, the seed checked before the reference and the
-    reference before the minimizer.  A row without a reference keeps its
+    inside the seed's bracket.  A row without a seed or a reference, or
+    whose minimum stays pinned to the bracket edge, has a NaN shape and
+    objective; with ``strict`` it raises the typed error instead, the seed
+    checked before the reference and the reference before the minimizer.  A row without a reference keeps its
     seed as start.  A one-row call is ``md_fit``.
     """
     seeds = _start_rows(x_rows, strict)
