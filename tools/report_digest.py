@@ -126,6 +126,8 @@ def _moves(old: dict, new: dict):
             b = new.get(section, {}).get(point)
             if b is None:
                 counts.append(f"{section} {point}: missing from the new dump")
+            elif point.endswith("failed_refits") and b != a:
+                counts.append(f"{section} {point}: {a} -> {b}")
             elif b != a:
                 moved.append((f"{section} {point}", a, b))
     return moved, counts
