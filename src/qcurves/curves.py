@@ -126,14 +126,20 @@ def _curve_eval(p, inner, ends):
     return _on_unit_interval(p, values, "curve argument")
 
 
+# Most points a quadrature grid or ``curve_grid`` holds: 2**20, 8 MB per
+# float array.  Larger counts are rejected before anything is allocated.
+MAX_GRID_NODES = 2 ** 20
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Composite Gauss-Legendre rule: ``panels`` equal panels of ``nodes`` points.
 
     The per-panel rule comes from a committed table of correctly rounded
     nodes and weights, exactly symmetric about the panel midpoint, so
-    ``nodes`` must lie in 1..16; DomainError otherwise, or when either
-    count is not an integer.
+    ``nodes`` must lie in 1..16; DomainError otherwise, when either count
+    is not an integer, or when the grid would hold more than
+    ``MAX_GRID_NODES`` points.
     """
 
     panels: int = 256
@@ -144,6 +150,10 @@ class QuadratureSpec:
         if _check_count(self.nodes, 1, "quadrature nodes") not in RULES:
             raise DomainError(
                 f"quadrature supports 1 to {MAX_NODES} nodes per panel, got {self.nodes!r}")
+        if self.panels * self.nodes > MAX_GRID_NODES:
+            raise DomainError(
+                f"quadrature holds at most {MAX_GRID_NODES} nodes, got {self.panels!r} "
+                f"panels of {self.nodes!r}")
 
 
 @lru_cache(maxsize=32)
@@ -235,7 +245,8 @@ class CurveSamples:
 
 
 def curve_grid(qf, kind, grid_size: int = 200) -> CurveSamples:
-    """Sample the curve on ``grid_size + 1`` equally spaced points incl. endpoints."""
-    _check_count(grid_size, 1, "grid size")
+    """Sample the curve on ``grid_size + 1`` equally spaced points incl.
+    endpoints; DomainError when that exceeds ``MAX_GRID_NODES`` points."""
+    _check_count(grid_size, 1, "grid size", MAX_GRID_NODES - 1)
     p = np.linspace(0.0, 1.0, grid_size + 1)
     return CurveSamples(p=p, values=curve_value(qf, kind, p), kind=kind)

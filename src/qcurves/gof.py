@@ -117,8 +117,12 @@ def ad_test(
     with a zero for a method that needs positive data) or when the refit puts
     an observation at probability 0 or 1; ``failed_refits`` counts these.  The
     p-value is the proportion of the other bootstrap statistics exceeding the
-    observed one, exceedances / (bootstrap_reps - failed_refits).  If every
-    refit fails, DomainError is raised.
+    observed one, exceedances / (bootstrap_reps - failed_refits).  It is
+    exactly 0 when no bootstrap statistic exceeds the observed one, and then
+    reads as p < 1 / (bootstrap_reps - failed_refits).  Davison & Hinkley's
+    (1 + exceedances) / (1 + bootstrap_reps - failed_refits), never 0, was
+    not taken: it would move every reported p-value.  If every refit fails,
+    DomainError is raised.
     """
     # replicate b draws from stream b
     _check_count(bootstrap_reps, 1, "bootstrap replicates", STREAMS)

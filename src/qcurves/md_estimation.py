@@ -43,7 +43,11 @@ refinement and one minimizer, which evaluates rows in cache-sized blocks of
 producer of reference rows, for MD fits and for the study's plug-in ``hf``
 row alike: it gathers and divides a block of rows at a time, from one
 cached gather plan per sample size, reference and curve, and nothing caches
-its output.  A row
+its output.  The step reference takes a quotient once per distinct pair of
+order statistics (at most about n of them, against 2048 nodes) and expands
+the quotients to the grid.  A Newton pass (``_newton_terms``) forms F as
+the objective does, as a sum of weighted squares, and F', F'' as fused row
+dots, so F at a shape is the same number on every path.  A row
 ``_md_rows`` cannot fit is NaN, or with ``strict`` raises the typed error.
 ``md_fit`` is its one-row strict call and the Monte Carlo study calls it on
 chunks of replicates, so fits are deterministic and a batched fit of one
@@ -177,28 +181,54 @@ def _gather(x_rows: np.ndarray, plan: tuple, out=None) -> np.ndarray:
     return _interpolate(x_rows, plan, out)
 
 
+@lru_cache(maxsize=64)
+def _step_pairs(n: int, kind: CurveKind):
+    """The step reference's distinct (numerator, denominator) index pairs
+    for sorted rows of ``n`` values, beside ``_cell_plan``'s plan.
+
+    Returns (num, den, expand): the pairs' step gathers ``(idx,)`` and the
+    pair of each ``GRID`` point.  There are at most about n pairs (n/2 for
+    the default grid) against the grid's 2048 points.  Read-only arrays.
+    """
+    (num,), (den,), _, _ = _cell_plan(n, "empirical", kind)
+    keys, expand = np.unique(num * n + den, return_inverse=True)
+    num, den = np.divmod(keys, n)
+    for arr in (num, den, expand):
+        arr.flags.writeable = False
+    return (num,), (den,), expand
+
+
 def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
               strict: bool) -> np.ndarray:
     """Reference curve 1 - q(num)/q(den) of every sorted row on the grid.
 
     The rows are gathered and divided into one new array block by block, so
-    that a block's temporaries (``_BLOCK_ROWS`` rows) stay in cache.  A row
+    that a block's temporaries (``_BLOCK_ROWS`` rows) stay in cache.  The
+    step (``empirical``) reference divides once per distinct index pair
+    (``_step_pairs``) and expands the block's ratios to the grid with one
+    ``take``; each value is the same quotient of the same two order
+    statistics, so it equals the grid-wide division bitwise.  A row
     whose denominator quantile is zero somewhere raises DegenerateQuantile
     with ``strict``; otherwise it is NaN in every column, without a
     warning.  A one-row call is the reference of ``md_fit`` and
     equals ``curve_value`` of the matching quantile function bitwise.
     """
     num, den, lr, _ = _cell_plan(x_rows.shape[1], reference, kind)
+    expand = None
+    if reference == "empirical":
+        num, den, expand = _step_pairs(x_rows.shape[1], kind)
     out = np.empty((x_rows.shape[0], lr.size))
     for b0, b1 in _row_blocks(len(out)):
         den_rows = _gather(x_rows[b0:b1], den)
         zero = den_rows.min(axis=1) == 0.0
         if strict and zero.any():
             raise DegenerateQuantile("denominator quantile is zero")
-        block = _gather(x_rows[b0:b1], num, out[b0:b1])
+        block = _gather(x_rows[b0:b1], num, out[b0:b1] if expand is None else None)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(block, den_rows, out=block)
         np.subtract(1.0, block, out=block)
+        if expand is not None:
+            block = np.take(block, expand, axis=1, out=out[b0:b1], mode="clip")
         block[zero] = np.nan
     return out
 
@@ -234,8 +264,11 @@ def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
 
     With u = lr/b, e = exp(u), the model m = 1 - e and the residual
     r = ref - m: m' = u*e, m'' = -u*(1 + u)*e, F = sum w*r^2,
-    F' = -2 sum w*r*m' and F'' = 2 sum w*(m'^2 - r*m'').  All three come from
-    one expm1 per node, and F equals ``_objective_closure`` bitwise.
+    F' = -2 sum w*r*m' and F'' = 2 sum w*(m'^2 - r*m'')
+    = 2 sum m'*(w*m' + w*r*(1 + u)).  All three come from one expm1 per
+    node.  F is formed and summed as in ``_objective_closure``, which it
+    equals bitwise; F' and F'' are fused row dots (``np.einsum``, no BLAS),
+    each row reduced on its own, so no value depends on the block.
     """
     f, g, h = np.empty((3, rows.size))
     u_buf, r_buf, mp_buf, t_buf = _block_buffers(4, rows.size, lr.size)
@@ -255,15 +288,12 @@ def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
         np.multiply(r, weights, out=t)  # w*r
         r *= t
         r.sum(axis=-1, out=f[b0:b1])
-        np.multiply(t, mp, out=r)
-        r.sum(axis=-1, out=g[b0:b1])
+        np.einsum("ij,ij->i", t, mp, out=g[b0:b1])
         u += 1.0
-        u *= mp
-        u *= t  # -w*r*m''
-        np.multiply(mp, mp, out=r)
-        r *= weights
+        u *= t  # w*r*(1 + u)
+        np.multiply(mp, weights, out=r)
         r += u
-        r.sum(axis=-1, out=h[b0:b1])
+        np.einsum("ij,ij->i", mp, r, out=h[b0:b1])
     return f, -2.0 * g, 2.0 * h
 
 
@@ -290,14 +320,15 @@ def _coarse_grid(kind: CurveKind):
 def _refine_starts(ref: np.ndarray, kind: CurveKind, seeds: np.ndarray) -> np.ndarray:
     """The minimizer's start of every row of ``ref``: its seed shape moved
     by ``_COARSE_PASSES`` Newton passes on log-shape, on the subgrid of
-    ``_coarse_grid`` and the reference's values at its nodes.
+    ``_coarse_grid`` and the reference's values at its nodes, copied
+    contiguous once so that neither pass reads the whole reference.
 
     A row keeps its seed wherever a pass gives F'' <= 0, a step that is not
     finite or a point outside its ``_first_bracket``.  Each row's start
     depends on that row alone.
     """
     lr, weights = _coarse_grid(kind)
-    coarse = ref[:, _COARSE_NODE::GRID.nodes]
+    coarse = np.ascontiguousarray(ref[:, _COARSE_NODE::GRID.nodes])
     x = np.log(seeds)
     lo, hi = _first_bracket(seeds)
     rows, beta = np.arange(seeds.size), seeds

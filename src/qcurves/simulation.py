@@ -22,14 +22,17 @@ estimates come from the row kernels of ``shape_estimators`` and MD
 estimates from ``md_estimation._md_rows``, whose one-row calls are the
 scalar fits (``fit_shape``, ``md_fit``), so a batched fit of one sample
 equals the scalar fit of that sample.  The ``hf`` plug-in curves are
-reference rows too, from the same gather plans, and every model curve,
-fitted or true, comes from ``_curve_rows``.
+reference rows too, from the same gather plans, and every model curve is
+1 - exp(lr/b): the true one from ``_curve_rows``, the fitted ones as their
+negation expm1(lr/b).
 
 The stage after the fits (model curves, ISE and index errors) runs in
 blocks of ``md_estimation._BLOCK_ROWS`` rows.  A block's curves are built
 in a reused buffer, or for the ``hf`` row by ``_ref_rows`` on the block's
 rows, and reduced while they are in cache, so the tail holds no chunk-sized
-curve matrix (500 rows x 2048 nodes is 8 MB; a block is 512 KB).  Each row
+curve matrix (500 rows x 2048 nodes is 8 MB; a block is 512 KB).  A fitted
+curve is reduced from its negation, whose index and squared error have the
+curve's own values bit for bit, so no pass is spent negating it.  Each row
 is reduced on its own along the node axis, so no result depends on the
 block size.  ``mde``/``mdhf`` build their own reference rows inside
 ``_md_rows``; no reference rows are kept from one estimator to the next.
@@ -160,12 +163,10 @@ def _draw_rows(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int):
     return x_rows
 
 
-def _curve_rows(beta_rows: np.ndarray, lr: np.ndarray, out=None) -> np.ndarray:
-    """Model curves 1 - exp(lr/b) of every row's shape, built in ``out``
-    (a new array by default)."""
+def _curve_rows(beta_rows: np.ndarray, lr: np.ndarray) -> np.ndarray:
+    """Model curves 1 - exp(lr/b) of every row's shape, in a new array."""
     with np.errstate(invalid="ignore"):
-        out = np.divide(lr, beta_rows[:, None], out=out)
-        np.expm1(out, out=out)
+        out = np.expm1(np.divide(lr, beta_rows[:, None]))
     return np.negative(out, out=out)
 
 
@@ -176,26 +177,30 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
     (ise_qz, ise_qd, err_qzi, err_qdi); failed fits are NaN rows.
 
     After each fit, the curves are built and reduced block by block in two
-    reused buffers (see the module docstring).  The ``hf`` row has no fit:
-    its curves are the reference rows of each block, built there.
+    reused buffers (see the module docstring).  A fitted row is reduced
+    from d = expm1(lr/b), the negated curve: its index is -sum w*d and its
+    ISE sum w*(d + truth)^2, bitwise the index and ISE of the curve since
+    negation is exact.  The ``hf`` row has no fit: its curves are the
+    reference rows of each block, built there, and its curve error is
+    formed in the ``wg`` block itself.
     """
     beta = config.betas[ib]
     n = config.sizes[jn]
-    truths = []  # (kind, lr, true curve, true index) per curve
+    truths = []  # (kind, lr, weights, true curve, true index) per curve
     for kind in (CurveKind.QZ, CurveKind.QD):
         # every plan of a curve carries the same lr and weights
         _, _, lr, w = _cell_plan(n, "empirical", kind)
         truth = _curve_rows(np.array([beta]), lr)[0]
-        truths.append((kind, lr, truth, float((w * truth).sum())))
+        truths.append((kind, lr, w, truth, float((w * truth).sum())))
 
     x_rows = _draw_rows(config, ib, jn, r0, r1)
     rows = x_rows.shape[0]
-    model, scratch = _block_buffers(2, rows, w.size)
+    model, scratch = _block_buffers(2, rows, GRID.panels * GRID.nodes)
     cache: dict = {}
     out = {}
     for est in config.estimators:
         errors = np.empty((rows, 4))
-        for col, (kind, lr, truth, true_index) in enumerate(truths):
+        for col, (kind, lr, w, truth, true_index) in enumerate(truths):
             if est != "hf":
                 shapes = _shape_rows(est, x_rows, cache, kind)
             for b0, b1 in _row_blocks(rows):
@@ -205,18 +210,25 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
                     # interpolation, index error from the (k-1/3)/(n+1/3)
                     # one; the two benchmark conventions this row reproduces
                     # differ
-                    curves = _ref_rows(x_rows[b0:b1], "wg", kind, strict=False)
-                    index_curves = _ref_rows(x_rows[b0:b1], "hf", kind, strict=False)
+                    diff = _ref_rows(x_rows[b0:b1], "wg", kind, strict=False)
+                    diff -= truth
+                    index_terms = np.multiply(
+                        _ref_rows(x_rows[b0:b1], "hf", kind, strict=False), w, out=scratch[:k])
                 else:
-                    curves = index_curves = _curve_rows(shapes[b0:b1], lr, model[:k])
-                sq = scratch[:k]  # squared and weighted in place
-                np.subtract(curves, truth, out=sq)
-                sq *= sq
-                sq *= w
-                sq.sum(axis=1, out=errors[b0:b1, col])
-                np.multiply(index_curves, w, out=sq)
-                sq.sum(axis=1, out=errors[b0:b1, col + 2])
-            errors[:, col + 2] -= true_index
+                    diff = model[:k]  # d, then d + truth
+                    with np.errstate(invalid="ignore"):
+                        np.divide(lr, shapes[b0:b1, None], out=diff)
+                        np.expm1(diff, out=diff)
+                    index_terms = np.multiply(diff, w, out=scratch[:k])  # -w*curve
+                    diff += truth
+                index_terms.sum(axis=1, out=errors[b0:b1, col + 2])
+                diff *= diff
+                diff *= w
+                diff.sum(axis=1, out=errors[b0:b1, col])
+            index = errors[:, col + 2]
+            if est != "hf":
+                np.negative(index, out=index)
+            index -= true_index
         out[est] = errors
     return out
 

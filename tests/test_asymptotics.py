@@ -186,6 +186,14 @@ def test_variance_convergence_check_raises_on_coarse_grid():
     assert result.rel_change > 1e-6  # the change is reported as computed
 
 
+def test_variance_above_the_node_cap_is_rejected_before_any_integral():
+    cap = asymptotics.MAX_VARIANCE_NODES
+    with mock.patch.object(asymptotics, "_double_integral", side_effect=AssertionError):
+        for panels, nodes in ((cap // 8 + 1, 8), (cap + 1, 1), (10**15, 4)):
+            with pytest.raises(DomainError, match=f"at most {cap} nodes"):
+                md_asymptotic_variance(1.0, "qz", panels=panels, nodes=nodes)
+
+
 def _tensor_double_integral(ctx, panels, nodes):
     """The same triangle-split rule on the full N x N tensor of s = t * node."""
     tp, tw = _graded_grid(panels, nodes)

@@ -290,6 +290,18 @@ def test_asymvar_nodes_above_table_exit_3(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["asymvar", "--beta", "1", "--panels", "1000000000000000"],
+    ["asymvar", "--beta", "1", "--panels", "100000000"],
+    ["curve", "--beta", "1", "--grid", "1000000000000000"],
+])
+def test_huge_grids_exit_3_naming_the_limit(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at most" in err
+    assert "Traceback" not in err
+
+
 def test_gof(data_file, capsys):
     sample = weib_sorted(2.0, 40, 6)
     path = data_file(sample.values)

@@ -82,6 +82,18 @@ def test_quadrature_spec_validation():
         QuadratureSpec(panels=4, nodes=MAX_NODES + 1)
 
 
+def test_grids_above_the_node_cap_are_rejected_before_allocating():
+    # building a spec allocates nothing, so the cap itself is accepted here
+    from qcurves.curves import MAX_GRID_NODES
+    QuadratureSpec(panels=MAX_GRID_NODES // 16, nodes=16)
+    for panels, nodes in ((MAX_GRID_NODES // 16 + 1, 16), (10**15, 4)):
+        with pytest.raises(DomainError, match=f"at most {MAX_GRID_NODES} nodes"):
+            QuadratureSpec(panels=panels, nodes=nodes)
+    for grid_size in (MAX_GRID_NODES, 10**15):
+        with pytest.raises(DomainError, match=f"at most {MAX_GRID_NODES - 1}"):
+            curve_grid(_KIND_QF, "qz", grid_size)
+
+
 @pytest.mark.parametrize("panels,nodes", [(2.5, 4), (4.0, 4), (4, 4.0), (4, 2.5), ("4", 4)])
 def test_quadrature_spec_rejects_non_integer_counts(panels, nodes):
     with pytest.raises(DomainError):

@@ -253,6 +253,44 @@ STUDY_CHUNK = _draw_rows(SimulationConfig(), 0, 0, 0, 500)
 
 
 @pytest.mark.parametrize("reference,kind", MD_CASES)
+def test_newton_terms_match_plain_sums(reference, kind):
+    # F' and F'' against plain elementwise products and .sum(), within
+    # 1e-12 of the sum of the terms' error scales.  A term's scale is its
+    # magnitude with |m'| widened to |m'| + |u|: e = expm1(u) + 1 is good to
+    # eps absolute only, so m' = u*e to |u|*eps, which is most of e where
+    # e is tiny.  2048 terms summed in any order stay within about 5e-13 of
+    # that scale.  F equals the objective closure's bitwise, and no value
+    # depends on the block size.
+    config = MdConfig(curve=kind, reference=reference)
+    _, _, lr, w = md_estimation._cell_plan(STUDY_CHUNK.shape[1], reference, kind)
+    ref = _ref_rows(STUDY_CHUNK, reference, kind, strict=True)
+    seeds = md_estimation._start_rows(STUDY_CHUNK, True)
+    fitted = _md_rows(STUDY_CHUNK, config, False)[0]
+    every = np.arange(len(ref))
+    some = every[::7]
+    closure = md_estimation._objective_closure
+    for rows, beta in ((every, seeds), (every, fitted), (some, seeds[some] * 5.0),
+                       (some, seeds[some] / 5.0)):
+        f, g, h = md_estimation._newton_terms(ref, rows, lr, w, beta)
+        assert np.array_equal(f, closure(ref[rows], lr, w)(beta))
+        with mock.patch.object(md_estimation, "_BLOCK_ROWS", 3):
+            assert all(np.array_equal(a, b) for a, b in zip(
+                md_estimation._newton_terms(ref, rows, lr, w, beta), (f, g, h)))
+        u = lr / beta[:, None]
+        e = np.exp(u)
+        r = ref[rows] - (1.0 - e)
+        mp, mpp = u * e, -u * (1.0 + u) * e
+        g_terms = -2.0 * w * r * mp
+        h_terms = 2.0 * w * (mp * mp - r * mpp)
+        mp_err = np.abs(mp) + np.abs(u)
+        r_err = np.abs(ref[rows]) + 2.0
+        scale_g = 2.0 * (w * r_err * mp_err).sum(axis=1)
+        scale_h = 2.0 * (w * (mp_err * mp_err + r_err * np.abs(1.0 + u) * mp_err)).sum(axis=1)
+        assert np.all(np.abs(g - g_terms.sum(axis=1)) <= 1e-12 * scale_g)
+        assert np.all(np.abs(h - h_terms.sum(axis=1)) <= 1e-12 * scale_h)
+
+
+@pytest.mark.parametrize("reference,kind", MD_CASES)
 def test_early_finish_returns_the_objective_at_its_point(reference, kind):
     config = MdConfig(curve=kind, reference=reference)
     evaluated = []  # the shapes where F alone is evaluated
@@ -569,3 +607,40 @@ def test_interpolated_reference_vanishes_on_a_constant_row(value, n):
         for kind in CurveKind:
             assert np.all(_ref_rows(x_row, reference, kind, strict=True) == 0.0)
             assert np.all(curve_value(qf, kind, points) == 0.0)
+
+
+def _step_rows(n):
+    """Seven sorted rows of ``n`` values: distinct, tied, with zeros below
+    the denominator's orders, with the denominator quantile zero at some
+    nodes (row 3), constant, and two more distinct ones."""
+    rng = np.random.default_rng(n)
+    x = rng.weibull(1.0, (7, n)) + 0.25
+    x[1] = np.round(2.0 * x[1]) / 2.0 + 0.5
+    x[2, : n // 3] = 0.0
+    x[3, : n // 2 + 1] = 0.0
+    x[4] = 3.0
+    x.sort(axis=1)
+    return x
+
+
+@pytest.mark.parametrize("block_rows", (1, 3, 32))
+@pytest.mark.parametrize("n", (1, 2, 3, 30, 100, 1000))
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_pair_compressed_step_reference_equals_the_two_gathers(n, kind, block_rows):
+    from qcurves.empirical_qf import step_indices
+    x_rows = _step_rows(n)
+    u, v, _ = kind.orders(gauss_legendre_grid(GRID)[0])
+    num, den = x_rows[:, step_indices(n, u)], x_rows[:, step_indices(n, v)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = 1.0 - num / den
+    zero = (den == 0.0).any(axis=1)
+    assert zero.tolist() == [False, False, False, True, False, False, False]
+    expected[zero] = np.nan
+    ok = ~zero
+    with mock.patch.object(md_estimation, "_BLOCK_ROWS", block_rows):
+        ref = _ref_rows(x_rows, "empirical", kind, strict=False)
+        assert ref.tobytes() == expected.tobytes()
+        strict = _ref_rows(x_rows[ok], "empirical", kind, strict=True)
+        assert strict.tobytes() == expected[ok].tobytes()
+        with pytest.raises(DegenerateQuantile, match="denominator quantile is zero"):
+            _ref_rows(x_rows, "empirical", kind, strict=True)
