@@ -30,10 +30,12 @@ and one exp a point.  On the triangle s < t every min() in R(s, t)
 resolves (u_s <= u_t <= 1/2 <= v), so R(s, t) is a sum of products
 f_k(s) g_k(t) and each inner integral over s is a weighted row sum.  Every
 inner summand eta a u, eta b (1 - v) and eta b v shares the factor
-q = weight * eta * exp(lr/beta) / beta, which leaves u / ((1 - u) Lu),
-1 / Lv and v / ((1 - v) Lv) a point.  The factor 1/beta is applied once to
-the finished sums, and the logs log(1 - u) = -Lu and log(1 - v) = -Lv enter
-with no negation.
+q = eta * exp(lr/beta) / beta, which leaves u / ((1 - u) Lu), 1 / Lv and
+v / ((1 - v) Lv) a point.  The factor 1/beta is applied once to the finished
+sums, and the logs log(1 - u) = -Lu and log(1 - v) = -Lv enter with no
+negation.  The inner points s = t_i t_j are symmetric in i and j, so each is
+evaluated once, on the upper trapezoid of a tile of rows, and enters both
+its row's sum and, mirrored, its column's.
 """
 
 from __future__ import annotations
@@ -50,10 +52,14 @@ from .weibull import _check_positive, _eta_terms, _log_terms
 __all__ = ["KernelContext", "kernel_ab", "kernel_R", "md_asymptotic_variance",
            "AsymptoticVariance"]
 
-# values per block buffer of _double_integral: 64 KB, 32 outer nodes of the
-# default coarse grid.  Its seven buffers are allocated once a call and
-# reused for every block.
-_BLOCK_VALUES = 8 * 1024
+# a tile of _double_integral holds _TILE_VALUES // N rows of the N-node grid
+# (at least one, at most N), so the tiles depend on N alone.
+_TILE_VALUES = 2**15
+
+# values per block buffer of _double_integral, rounded down to whole tiles
+# (at least one): 256 KB, one tile on the default grids.  Its seven buffers
+# are allocated once a call and reused for every block.
+_BLOCK_VALUES = 2**15
 
 # Largest relative change of A under panel doubling that md_asymptotic_variance
 # accepts.
@@ -61,7 +67,7 @@ _DOUBLING_RTOL = 1e-6
 
 # Most nodes (panels x nodes) md_asymptotic_variance takes.  Its cost grows
 # with the square of the node count: the doubled grid then holds 16,384
-# nodes and one call takes about 7 s on one core of a 2-vCPU Xeon VM.
+# nodes and one call takes about 1.5 s on one core of a 2-vCPU AMD EPYC VM.
 MAX_VARIANCE_NODES = 8192
 
 
@@ -154,37 +160,52 @@ def _double_integral(ctx: KernelContext, panels: int, nodes: int) -> float:
         + b_s b_t (v_s w_t for qZ, w_s v_t for qD),
 
     so each outer node needs the inner sums of eta a u, eta b w and (qZ)
-    eta b v.  With q = weight * eta * e / beta (e = 1 - curve) they are the
-    sums of q u / ((1 - u) Lu), q / Lv and (q / Lv) v / w.  They are
-    computed in place in seven buffers of ``_BLOCK_VALUES`` values,
-    allocated once and reused for every block of outer nodes, and summed
-    row by row, so no result depends on the block size.  log(1 - u) and
-    log(w), which are -Lu and -Lv, enter as they are, and the factor
-    -1/beta is applied to the finished sums.
+    eta b v.  With q = eta * e / beta (e = 1 - curve) they are the
+    weighted sums of q u / ((1 - u) Lu), q / Lv and (q / Lv) v / w.
+
+    The points s_ij = t_i t_j are symmetric in i and j, so each is
+    evaluated once: a tile of rows [t0, t1) takes the factors at the
+    columns j >= t0 only, adds their row sums (weights tw_j) to rows t0 to
+    t1 - 1 and the column sums of its part j >= t1 (weights tw_i) to rows
+    j >= t1, the mirrored half.  That is no gather, scatter or transpose,
+    and about half the points of the full N x N grid.  The tile height,
+    ``_TILE_VALUES`` // N rows, depends on the node count N alone.  The
+    factors are computed in place in seven buffers of ``_BLOCK_VALUES``
+    values, allocated once a call; a block of whole tiles takes the columns
+    from its first row on, and each tile sums its own part, so no result
+    depends on the block size.  log(1 - u) and log(w), which are -Lu and
+    -Lv, enter as they are, and the factor -1/beta is applied to the
+    finished sums.
     """
     tp, tw = _graded_grid(panels, nodes)
-    qz = ctx.kind is CurveKind.QZ
-    sums = np.empty((3 if qz else 2, tp.size))
-    block = max(1, _BLOCK_VALUES // tp.size)
-    buffers = np.empty((7, block, tp.size))
-    for lo in range(0, tp.size, block):
-        rows = slice(lo, lo + block)
-        u, v, w, lu, lw, q, x = buffers[:, :min(block, tp.size - lo)]
-        u, v, w = ctx.kind.orders(np.multiply.outer(tp[rows], tp, out=u), out=(u, v, w))
+    n, k = tp.size, 3 if ctx.kind is CurveKind.QZ else 2
+    sums = np.zeros((k, n))
+    height = min(n, max(1, _TILE_VALUES // n))
+    rows = height * max(1, _BLOCK_VALUES // (height * n))
+    buffers = np.empty((7, rows * n))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = buffers[:, :(hi - lo) * (n - lo)].reshape(7, hi - lo, n - lo)
+        u, w, lu, q, lw, x, v = block
+        u, v, w = ctx.kind.orders(np.multiply.outer(tp[lo:hi], tp[lo:], out=u), out=(u, v, w))
         lu, lw, q = _log_terms(u, w, out=(lu, lw, q))  # -Lu, -Lv, lr
         e, q = _eta_terms(q, ctx.beta, out=x)
         q *= e
-        q *= tw
-        np.divide(q, lw, out=x).sum(axis=1, out=sums[1, rows])  # -q / Lv
-        if qz:  # (q / Lv) v / w
-            np.multiply(np.divide(v, w, out=v), x, out=v).sum(axis=1, out=sums[2, rows])
+        np.divide(q, lw, out=x)  # -q / Lv
+        if k == 3:  # (q / Lv) v / w
+            np.multiply(np.divide(v, w, out=v), x, out=v)
         # -u / ((1 - u) Lu)
         np.divide(u, np.multiply(np.subtract(1.0, u, out=lw), lu, out=lw), out=lw)
-        np.multiply(lw, q, out=lw).sum(axis=1, out=sums[0, rows])
+        lw *= q
+        for t0 in range(lo, hi, height):
+            t1 = min(t0 + height, hi)
+            p = block[4:4 + k, t0 - lo:t1 - lo, t0 - lo:]
+            sums[:, t0:t1] += np.einsum("kij,j->ki", p, tw[t0:])
+            sums[:, t1:] += np.einsum("i,kij->kj", tw[t0:t1], p[:, :, t1 - t0:])
     sums /= -ctx.beta
     eta_t, a_t, b_t, u_t, w_t = _point_terms(ctx, tp)
     row = sums[0] * (a_t * (1.0 - u_t) - b_t * w_t)
-    if qz:
+    if k == 3:
         row += sums[2] * b_t * w_t - sums[1] * a_t * u_t
     else:
         row -= sums[1] * (a_t * u_t - b_t * (1.0 - w_t))

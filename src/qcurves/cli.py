@@ -26,7 +26,7 @@ from .simulation import (
     render_tables,
     run_simulation,
 )
-from .weibull import WeibullParams, weibull_qf
+from .weibull import WeibullParams, _check_positive, weibull_qf
 
 _FIT_METHODS = tuple(SHAPE_METHODS) + tuple(_MD_METHODS)
 _KINDS = [kind.value for kind in CurveKind]
@@ -138,6 +138,8 @@ def _parse_list(text: str, kind):
 
 
 def _cmd_simulate(args) -> int:
+    if args.format == "markdown":  # before the study runs
+        _check_positive(args.scale, "scale")
     config = SimulationConfig(
         betas=_parse_list(args.betas, float),
         sizes=_parse_list(args.sizes, int),

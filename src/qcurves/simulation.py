@@ -432,8 +432,9 @@ def render_tables(report: SimulationReport, scale: float = 1000.0) -> str:
     """Render the report as one markdown pipe table per metric, with values
     times ``scale``.  Cells from estimator/cell pairs with more than 1%
     failed replications are marked ``*``; ``SimulationReport.to_csv`` is the
-    report's CSV form.
+    report's CSV form.  DomainError unless ``scale`` is finite and positive.
     """
+    _check_positive(scale, "scale")
     order = [e for e in ESTIMATOR_ORDER if e in report.estimators]
     cells = [(n, beta) for n in report.sizes for beta in report.betas]
     lines = []

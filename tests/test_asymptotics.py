@@ -44,8 +44,19 @@ def test_kernel_context_validation():
 
 
 # from where eta underflows to where beta**2 overflows; 1e-2 and 50 (qd)
-# give a finite variance, 50 (qz) and 1e5 miss the panel-doubling check
+# give a finite variance; 50 (qz), 1e5 and 1e-3 (qd) miss the panel-doubling
+# check
 EXTREME_SHAPES = (1e-300, 1e-20, 1e-3, 1e-2, 50.0, 1e5, 1e160, 1e300)
+
+# sigma2 at each of EXTREME_SHAPES, or the error md_asymptotic_variance raises
+EXTREME_OUTCOMES = {
+    "qz": dict(zip(EXTREME_SHAPES, (DomainError, DomainError, DomainError,
+                                    0.00013321001452347163, NonConvergence, NonConvergence,
+                                    DomainError, DomainError))),
+    "qd": dict(zip(EXTREME_SHAPES, (DomainError, DomainError, NonConvergence,
+                                    0.01795427153153546, 2142.427873901665, NonConvergence,
+                                    DomainError, DomainError))),
+}
 
 
 @pytest.mark.parametrize("kind", ["qz", "qd"])
@@ -56,12 +67,15 @@ def test_variance_is_finite_or_a_typed_error_at_any_shape(beta, kind, capsys):
     assert np.all(np.isfinite(eta_weibull(beta, p, kind)))
     s, t = np.meshgrid(p[1:-1], p[1:-1])
     assert np.all(np.isfinite(kernel_R(KernelContext(beta, kind), s, t)))
+    expected = EXTREME_OUTCOMES[kind][beta]
     try:
         result = md_asymptotic_variance(beta, kind)
     except QcurvesError as exc:
+        assert type(exc) is expected
         error = f"error: {exc}\n"
     else:
         error = None
+        assert result.sigma2 == pytest.approx(expected, rel=1e-14, abs=0)
         values = (result.sigma2, result.double_integral, result.eta_squared_integral)
         assert np.all(np.isfinite(values)) and min(values) > 0.0
     code = cli_main(["asymvar", "--beta", repr(beta), "--kind", kind])
@@ -212,6 +226,21 @@ def test_double_integral_matches_tensor_reference(beta, kind, panels, nodes):
     ctx = KernelContext(beta, CurveKind(kind))
     ref = _tensor_double_integral(ctx, panels, nodes)
     assert _double_integral(ctx, panels, nodes) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["qz", "qd"])
+def test_double_integral_does_not_depend_on_tile_grouping(kind):
+    # 13 tiles of 5 rows, the last of 4, grouped 1, 2, 6 and 13 to a block:
+    # the mirrored column sums of each tile reach every later row once
+    ctx = KernelContext(1.5, CurveKind(kind))
+    n = _graded_grid(16, 4)[0].size
+    ref = _tensor_double_integral(ctx, 16, 4)
+    with mock.patch.object(asymptotics, "_TILE_VALUES", 5 * n):
+        base = _double_integral(ctx, 16, 4)
+        for values in (1, 10 * n, 32 * n, 65 * n):
+            with mock.patch.object(asymptotics, "_BLOCK_VALUES", values):
+                assert _double_integral(ctx, 16, 4) == base
+    assert base == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("kind", ["qz", "qd"])

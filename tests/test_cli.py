@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -267,6 +268,18 @@ def test_simulate_markdown_default(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "MISE_qZ" in out and "|" in out
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_simulate_bad_scale_exit_3_before_the_study(scale, capsys):
+    args = ["simulate", "--betas", "1", "--sizes", "30", "--reps", "5", "--estimators", "ml",
+            f"--scale={scale}"]
+    with mock.patch("qcurves.cli.run_simulation", side_effect=AssertionError):
+        assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: scale must be finite and positive, "
+                                       f"got {float(scale)!r}\n")
+    # csv and json output do not use the scale
+    assert main(args + ["--format", "csv"]) == 0
 
 
 def test_asymvar(capsys):

@@ -448,6 +448,13 @@ def test_render_tables_markdown():
     assert "MISE_qZ" in md and "| hf |" in md.replace("|hf", "| hf")
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_render_tables_rejects_a_scale_that_is_not_finite_and_positive(scale):
+    report = run_simulation(small_config(replications=5))
+    with pytest.raises(DomainError, match="scale must be finite and positive"):
+        render_tables(report, scale=scale)
+
+
 def test_render_tables_flags_high_failure_cells():
     report = run_simulation(small_config(replications=20))
     # rebuild the report with one record marked as heavily failing

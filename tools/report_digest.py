@@ -13,8 +13,10 @@ without them says little.  The two recipes:
 
 For each recipe it prints the sha256 of ``to_json``, ``to_csv`` and
 ``render_tables``.  It then prints ``repr`` of the ``md_asymptotic_variance``
-sigma^2 at shapes 0.5/1/2/3 on both curve kinds, the points whose values
-``perfbench/gates.py`` holds as goldens.  Last it prints the bootstrap
+sigma^2, double integral A and A's relative change under panel doubling at
+shapes 0.5/1/2/3 on both curve kinds, the points whose sigma^2
+``perfbench/gates.py`` holds as goldens; a change to the quadrature kernel
+shows in A before it shows in sigma^2.  Last it prints the bootstrap
 ``ad_test`` of each guinea-pig group (999 replicates, seed 1, ``ml``):
 ``repr`` of its statistic, p-value and failed refits, so a change to the
 seeded streams shows in the bootstrap as well as in the studies.  The
@@ -24,12 +26,12 @@ digests any checkout:
     PYTHONPATH=src python tools/report_digest.py
     PYTHONPATH=/path/to/other/checkout/src python tools/report_digest.py
 
-``--dump FILE`` also writes each recipe's report records, the sigma^2
+``--dump FILE`` also writes each recipe's report records, the variance
 values and the ``ad_test`` entries to FILE as JSON.  ``--compare OLD NEW``
-runs nothing: it reads two such dumps and prints every record value (or
-standard error), sigma^2 or ``ad_test`` entry that moved,
-the largest absolute and relative moves, and every record whose failure
-count, flag or NaN pattern differs:
+runs nothing: it reads two such dumps and prints how many record values
+(or standard errors), variance values and ``ad_test`` entries moved, each
+moved variance value as old -> new, the largest absolute and relative
+moves, and every record whose failure count, flag or NaN pattern differs:
 
     PYTHONPATH=src python tools/report_digest.py --dump new.json
     PYTHONPATH=src python tools/report_digest.py --compare old.json new.json
@@ -54,6 +56,7 @@ RECIPES = {
     "default-537": SimulationConfig(replications=537),
 }
 SIGMA2_POINTS = [(kind, beta) for kind in ("qz", "qd") for beta in (0.5, 1.0, 2.0, 3.0)]
+VARIANCE_FIELDS = ("sigma2", "double_integral", "rel_change")
 AD_TEST = {"bootstrap_reps": 999, "seed": 1, "method": "ml"}
 AD_FIELDS = ("statistic", "p_value", "failed_refits")
 
@@ -66,12 +69,12 @@ def simd_target() -> str:
 
 
 def digest(dump_path=None):
-    """Print the digests, sigma^2 values and ``ad_test`` entries; with
+    """Print the digests, variance values and ``ad_test`` entries; with
     ``dump_path``, write the records and those values there."""
     print(f"qcurves {qcurves.__version__} from {qcurves.__file__}")
     print(f"numpy {np.__version__}, SIMD {simd_target()}")
-    dump = {"numpy": np.__version__, "simd": simd_target(), "recipes": {}, "sigma2": {},
-            "ad_test": {}}
+    dump = {"numpy": np.__version__, "simd": simd_target(), "recipes": {}, "ad_test": {},
+            **{field: {} for field in VARIANCE_FIELDS}}
     for name, config in RECIPES.items():
         report = run_simulation(config)
         for label, text in (("to_json", report.to_json()), ("to_csv", report.to_csv()),
@@ -80,9 +83,11 @@ def digest(dump_path=None):
             print(f"{name:<12} {label:<14} {digest}")
         dump["recipes"][name] = json.loads(report.to_json())["records"]
     for kind, beta in SIGMA2_POINTS:
-        sigma2 = md_asymptotic_variance(beta, kind).sigma2
-        print(f"sigma2 {kind} {beta:<5} {sigma2!r}")
-        dump["sigma2"][f"{kind} {beta}"] = sigma2
+        result = md_asymptotic_variance(beta, kind)
+        for field in VARIANCE_FIELDS:
+            value = getattr(result, field)
+            print(f"{field} {kind} {beta:<5} {value!r}")
+            dump[field][f"{kind} {beta}"] = value
     for group, data in load_guinea_pigs().items():
         result = ad_test(data, **AD_TEST)
         for field in AD_FIELDS:
@@ -100,8 +105,8 @@ def _record_key(record) -> str:
 
 def _moves(old: dict, new: dict):
     """(label, old value, new value) of every number that differs between
-    two dumps: record values and standard errors, then sigma^2 and the
-    ``ad_test`` entries; and the lines for records whose failures, flag or
+    two dumps: record values and standard errors, then the variance values
+    and the ``ad_test`` entries; and the lines for records whose failures, flag or
     NaN pattern differ."""
     moved, counts = [], []
     for recipe, records in old["recipes"].items():
@@ -121,7 +126,7 @@ def _moves(old: dict, new: dict):
                     counts.append(f"{recipe} {key}: {field} {a} -> {b}")
                 elif a != b and not math.isnan(a):
                     moved.append((f"{recipe} {key} {field}", a, b))
-    for section in ("sigma2", "ad_test"):
+    for section in (*VARIANCE_FIELDS, "ad_test"):
         for point, a in old.get(section, {}).items():
             b = new.get(section, {}).get(point)
             if b is None:
@@ -131,6 +136,10 @@ def _moves(old: dict, new: dict):
             elif b != a:
                 moved.append((f"{section} {point}", a, b))
     return moved, counts
+
+
+def _relative(a, b) -> float:
+    return abs(b - a) / abs(a) if a else math.inf
 
 
 def compare(old_path, new_path):
@@ -143,22 +152,25 @@ def compare(old_path, new_path):
         print(f"{side}: numpy {dump['numpy']}, SIMD {dump['simd']}")
     moved, counts = _moves(old, new)
     total = sum(len(records) for records in old["recipes"].values())
+    variance = ", ".join(f"{len(old.get(field, {}))} {field}" for field in VARIANCE_FIELDS)
     print(f"{len(moved)} values moved ({total} records with a value and an se each, "
-          f"{len(old['sigma2'])} sigma2 values and {len(old.get('ad_test', {}))} "
-          "ad_test entries)")
+          f"{variance} values and {len(old.get('ad_test', {}))} ad_test entries)")
     by_estimator = {}
     for label, _, _ in moved:
-        # recipe and estimator, "sigma2" and kind, or "ad_test" and group
+        # recipe and estimator, variance field and kind, or "ad_test" and group
         name = " ".join(label.split()[:2])
         by_estimator[name] = by_estimator.get(name, 0) + 1
     for name, count in sorted(by_estimator.items()):
         print(f"  {name}: {count}")
+    for label, a, b in moved:
+        if label.split()[0] in VARIANCE_FIELDS:
+            print(f"{label}: {a!r} -> {b!r} (rel {_relative(a, b):.3g})")
     if moved:
         absolute = max(moved, key=lambda m: abs(m[2] - m[1]))
-        relative = max(moved, key=lambda m: abs(m[2] - m[1]) / abs(m[1]) if m[1] else math.inf)
+        relative = max(moved, key=lambda m: _relative(m[1], m[2]))
         for what, (label, a, b) in (("absolute", absolute), ("relative", relative)):
             print(f"largest {what} move: {label}: {a!r} -> {b!r} "
-                  f"(abs {abs(b - a):.3g}, rel {abs(b - a) / abs(a) if a else math.inf:.3g})")
+                  f"(abs {abs(b - a):.3g}, rel {_relative(a, b):.3g})")
     print(f"{len(counts)} records with a different failure count, flag or NaN pattern")
     for line in counts:
         print(f"  {line}")
