@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import GRID, CurveKind, QuadratureSpec, gauss_legendre_grid
+from .curves import GRID, CurveKind, QuadratureSpec, _real_array, gauss_legendre_grid
 from .errors import DomainError, NonConvergence, _check_count
 from .weibull import _check_positive, _eta_terms, _log_terms
 
@@ -53,13 +53,9 @@ __all__ = ["KernelContext", "kernel_ab", "kernel_R", "md_asymptotic_variance",
            "AsymptoticVariance"]
 
 # a tile of _double_integral holds _TILE_VALUES // N rows of the N-node grid
-# (at least one, at most N), so the tiles depend on N alone.
+# (at least one, at most N), so the tiles depend on N alone.  Each of its
+# seven buffers holds one tile, 256 KB, and is reused for every tile.
 _TILE_VALUES = 2**15
-
-# values per block buffer of _double_integral, rounded down to whole tiles
-# (at least one): 256 KB, one tile on the default grids.  Its seven buffers
-# are allocated once a call and reused for every block.
-_BLOCK_VALUES = 2**15
 
 # Largest relative change of A under panel doubling that md_asymptotic_variance
 # accepts.
@@ -109,7 +105,7 @@ def kernel_ab(ctx: KernelContext, t):
     a(t) = [1 - curve(t)] * Q'(u_t)/Q(u_t) and likewise b(t) at v_t, with
     (u_t, v_t) the two quantile orders of the curve.  Scale free.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.atleast_1d(_real_array(t))
     _check_interior(t)
     _, a, b, _, _ = _point_terms(ctx, t)
     return a, b
@@ -119,14 +115,16 @@ def kernel_R(ctx: KernelContext, s, t):
     """Covariance R(s, t) of the limiting Gaussian process of the curve.
 
     Expansion of Cov(G(s), G(t)) for G(t) = a(t)B(u_t) - b(t)B(v_t) with
-    Cov(B(x), B(y)) = min(x, y) - x*y; broadcasts over s and t.
+    Cov(B(x), B(y)) = min(x, y) - x*y; broadcasts over s and t, and
+    DomainError where they do not broadcast.
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a_s, b_s = kernel_ab(ctx, s)
-    a_t, b_t = kernel_ab(ctx, t)
-    u_s, v_s, _ = ctx.kind.orders(np.atleast_1d(s))
-    u_t, v_t, _ = ctx.kind.orders(np.atleast_1d(t))
+    s, t = _real_array(s), _real_array(t)
+    try:
+        np.broadcast_shapes(s.shape, t.shape)
+    except ValueError:
+        raise DomainError(f"s and t of shapes {s.shape} and {t.shape} do not broadcast") from None
+    (a_s, b_s), (a_t, b_t) = kernel_ab(ctx, s), kernel_ab(ctx, t)
+    (u_s, v_s, _), (u_t, v_t, _) = (ctx.kind.orders(np.atleast_1d(x)) for x in (s, t))
 
     def cov(x, y):
         return np.minimum(x, y) - x * y
@@ -170,10 +168,8 @@ def _double_integral(ctx: KernelContext, panels: int, nodes: int) -> float:
     j >= t1, the mirrored half.  That is no gather, scatter or transpose,
     and about half the points of the full N x N grid.  The tile height,
     ``_TILE_VALUES`` // N rows, depends on the node count N alone.  The
-    factors are computed in place in seven buffers of ``_BLOCK_VALUES``
-    values, allocated once a call; a block of whole tiles takes the columns
-    from its first row on, and each tile sums its own part, so no result
-    depends on the block size.  log(1 - u) and log(w), which are -Lu and
+    factors of a tile are computed in place in seven buffers of one tile
+    each, allocated once a call.  log(1 - u) and log(w), which are -Lu and
     -Lv, enter as they are, and the factor -1/beta is applied to the
     finished sums.
     """
@@ -181,13 +177,12 @@ def _double_integral(ctx: KernelContext, panels: int, nodes: int) -> float:
     n, k = tp.size, 3 if ctx.kind is CurveKind.QZ else 2
     sums = np.zeros((k, n))
     height = min(n, max(1, _TILE_VALUES // n))
-    rows = height * max(1, _BLOCK_VALUES // (height * n))
-    buffers = np.empty((7, rows * n))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        block = buffers[:, :(hi - lo) * (n - lo)].reshape(7, hi - lo, n - lo)
-        u, w, lu, q, lw, x, v = block
-        u, v, w = ctx.kind.orders(np.multiply.outer(tp[lo:hi], tp[lo:], out=u), out=(u, v, w))
+    buffers = np.empty((7, height * n))
+    for t0 in range(0, n, height):
+        t1 = min(t0 + height, n)
+        tile = buffers[:, :(t1 - t0) * (n - t0)].reshape(7, t1 - t0, n - t0)
+        u, w, lu, q, lw, x, v = tile
+        u, v, w = ctx.kind.orders(np.multiply.outer(tp[t0:t1], tp[t0:], out=u), out=(u, v, w))
         lu, lw, q = _log_terms(u, w, out=(lu, lw, q))  # -Lu, -Lv, lr
         e, q = _eta_terms(q, ctx.beta, out=x)
         q *= e
@@ -197,11 +192,9 @@ def _double_integral(ctx: KernelContext, panels: int, nodes: int) -> float:
         # -u / ((1 - u) Lu)
         np.divide(u, np.multiply(np.subtract(1.0, u, out=lw), lu, out=lw), out=lw)
         lw *= q
-        for t0 in range(lo, hi, height):
-            t1 = min(t0 + height, hi)
-            p = block[4:4 + k, t0 - lo:t1 - lo, t0 - lo:]
-            sums[:, t0:t1] += np.einsum("kij,j->ki", p, tw[t0:])
-            sums[:, t1:] += np.einsum("i,kij->kj", tw[t0:t1], p[:, :, t1 - t0:])
+        p = tile[4:4 + k]
+        sums[:, t0:t1] += np.einsum("kij,j->ki", p, tw[t0:])
+        sums[:, t1:] += np.einsum("i,kij->kj", tw[t0:t1], p[:, :, t1 - t0:])
     sums /= -ctx.beta
     eta_t, a_t, b_t, u_t, w_t = _point_terms(ctx, tp)
     row = sums[0] * (a_t * (1.0 - u_t) - b_t * w_t)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._streams import STREAMS, seeded_uniforms
-from .empirical_qf import SortedSample, _as_sorted_sample, check_values
+from .empirical_qf import SortedSample, _as_sorted_sample
 from .errors import DomainError, _check_count
 from .shape_estimators import _ROW_KERNELS, _profile_scale_rows, fit_shape, profile_scale
 from .weibull import WeibullParams, _from_uniforms
@@ -87,7 +87,6 @@ def _fit_both(sample: SortedSample, method: str) -> WeibullParams:
 def _bootstrap_block(fitted, n, seed, reps, method):
     """Bootstrap statistics of replicates ``reps``, NaN where a refit failed."""
     x_rows = _from_uniforms(seeded_uniforms((seed,), reps, n), fitted)
-    check_values(x_rows)
     x_rows.sort(axis=1)
     beta = _ROW_KERNELS[method](x_rows, False)[0]
     return _ad_rows(x_rows, beta, _profile_scale_rows(x_rows, beta, False), False)

@@ -41,13 +41,14 @@ one per row, go through the seed (``_start_rows``), the reference rows, the
 refinement and one minimizer, which evaluates rows in cache-sized blocks of
 ``_BLOCK_ROWS`` rows on the fixed quadrature grid.  ``_ref_rows`` is the one
 producer of reference rows, for MD fits and for the study's plug-in ``hf``
-row alike: it gathers and divides a block of rows at a time, from one
-cached gather plan per sample size, reference and curve, and nothing caches
-its output.  The step reference takes a quotient once per distinct pair of
-order statistics (at most about n of them, against 2048 nodes) and expands
-the quotients to the grid.  A Newton pass (``_newton_terms``) forms F as
-the objective does, as a sum of weighted squares, and F', F'' as fused row
-dots, so F at a shape is the same number on every path.  A row
+row alike: it gathers and divides a block of rows at a time, from the one
+cached plan per sample size, reference and curve (``_cell_plan``), and
+nothing caches its output.  The step reference takes a quotient once per
+distinct pair of order statistics (at most about n of them, against 2048
+nodes) and expands the quotients to the grid.  A Newton pass
+(``_newton_terms``) forms F as the objective does, as a sum of weighted
+squares, and F', F'' as fused row dots, so F at a shape is the same number
+on every path.  A row
 ``_md_rows`` cannot fit is NaN, or with ``strict`` raises the typed error.
 ``md_fit`` is its one-row strict call and the Monte Carlo study calls it on
 chunks of replicates, so fits are deterministic and a batched fit of one
@@ -87,9 +88,12 @@ _TOL = 1e-8
 _MAX_EXPANSIONS = 3
 
 # The start's refinement (see _refine_starts): the node of each GRID panel
-# on its subgrid (one of the two central ones) and the Newton passes there.
+# on its subgrid (one of the two central ones), the Newton passes there and
+# the subgrid's weights, the panels' total weights.
 _COARSE_NODE = 3
 _COARSE_PASSES = 2
+_PANEL_WEIGHTS = gauss_legendre_grid(GRID)[1].reshape(-1, GRID.nodes).sum(axis=1)
+_PANEL_WEIGHTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -121,23 +125,30 @@ def _cell_plan(n: int, reference: str, kind: CurveKind):
 
     ``reference`` is ``empirical`` (step quantile function) or a
     plotting-position scheme (``hf``, ``wg``) for the interpolated one.
-    Returns (num, den, lr, weights): the gathers of the quantiles at the
-    curve's orders u and v (``CurveKind.orders``) of the ``GRID`` points,
-    each ``(idx,)`` for the step function or ``interp_plan``'s
-    ``(j0, j1, frac)`` for an interpolant, then the model's log-ratio row
-    (the curve at shape b is 1 - exp(lr/b)) and the quadrature weights.  All
-    arrays are read-only.
+    Returns (num, den, lr, weights, expand).  For the step function, num and
+    den are the gathers ``(idx,)`` of the distinct (numerator, denominator)
+    pairs of order statistics at the curve's orders u and v
+    (``CurveKind.orders``) of the ``GRID`` points, at most about n pairs
+    (n/2 on the default grid) against 2048 points, and ``expand`` is the
+    pair of each point.  For an interpolant they are ``interp_plan``'s
+    ``(j0, j1, frac)`` at the points and ``expand`` is None.  Then come the
+    model's log-ratio row (the curve at shape b is 1 - exp(lr/b)) and the
+    quadrature weights.  All arrays are read-only.
     """
     points, weights = gauss_legendre_grid(GRID)
     orders = kind.orders(points)[:2]
+    expand = None
     if reference == "empirical":
-        gathers = [(step_indices(n, q),) for q in orders]
+        num, den = (step_indices(n, q) for q in orders)
+        keys, expand = np.unique(num * n + den, return_inverse=True)
+        expand.flags.writeable = False
+        gathers = [(idx,) for idx in np.divmod(keys, n)]
     else:
         gathers = [interp_plan(plotting_positions(n, reference), q) for q in orders]
     lr = _log_ratio(points, kind)
     for arr in (lr, *gathers[0], *gathers[1]):
         arr.flags.writeable = False
-    return (*gathers, lr, weights)
+    return (*gathers, lr, weights, expand)
 
 
 # Rows per block.  At the grid's 2048 nodes a block temporary is
@@ -181,42 +192,22 @@ def _gather(x_rows: np.ndarray, plan: tuple, out=None) -> np.ndarray:
     return _interpolate(x_rows, plan, out)
 
 
-@lru_cache(maxsize=64)
-def _step_pairs(n: int, kind: CurveKind):
-    """The step reference's distinct (numerator, denominator) index pairs
-    for sorted rows of ``n`` values, beside ``_cell_plan``'s plan.
-
-    Returns (num, den, expand): the pairs' step gathers ``(idx,)`` and the
-    pair of each ``GRID`` point.  There are at most about n pairs (n/2 for
-    the default grid) against the grid's 2048 points.  Read-only arrays.
-    """
-    (num,), (den,), _, _ = _cell_plan(n, "empirical", kind)
-    keys, expand = np.unique(num * n + den, return_inverse=True)
-    num, den = np.divmod(keys, n)
-    for arr in (num, den, expand):
-        arr.flags.writeable = False
-    return (num,), (den,), expand
-
-
 def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
               strict: bool) -> np.ndarray:
     """Reference curve 1 - q(num)/q(den) of every sorted row on the grid.
 
     The rows are gathered and divided into one new array block by block, so
     that a block's temporaries (``_BLOCK_ROWS`` rows) stay in cache.  The
-    step (``empirical``) reference divides once per distinct index pair
-    (``_step_pairs``) and expands the block's ratios to the grid with one
-    ``take``; each value is the same quotient of the same two order
-    statistics, so it equals the grid-wide division bitwise.  A row
+    step (``empirical``) reference divides once per distinct index pair of
+    its plan (``_cell_plan``) and expands the block's ratios to the grid
+    with one ``take``; each value is the same quotient of the same two
+    order statistics, so it equals the grid-wide division bitwise.  A row
     whose denominator quantile is zero somewhere raises DegenerateQuantile
     with ``strict``; otherwise it is NaN in every column, without a
     warning.  A one-row call is the reference of ``md_fit`` and
     equals ``curve_value`` of the matching quantile function bitwise.
     """
-    num, den, lr, _ = _cell_plan(x_rows.shape[1], reference, kind)
-    expand = None
-    if reference == "empirical":
-        num, den, expand = _step_pairs(x_rows.shape[1], kind)
+    num, den, lr, _, expand = _cell_plan(x_rows.shape[1], reference, kind)
     out = np.empty((x_rows.shape[0], lr.size))
     for b0, b1 in _row_blocks(len(out)):
         den_rows = _gather(x_rows[b0:b1], den)
@@ -304,36 +295,25 @@ def _first_bracket(seeds: np.ndarray):
     return x - math.log(_BRACKET_FACTOR), x + math.log(_BRACKET_FACTOR)
 
 
-@lru_cache(maxsize=None)
-def _coarse_grid(kind: CurveKind):
-    """The refinement's subgrid for ``kind``: the model's log-ratio row at
-    node ``_COARSE_NODE`` of each ``GRID`` panel, and the panels' total
-    weights.  Read-only arrays."""
-    points, weights = gauss_legendre_grid(GRID)
-    lr = _log_ratio(points, kind)[_COARSE_NODE::GRID.nodes].copy()
-    panel_weights = weights.reshape(-1, GRID.nodes).sum(axis=1)
-    for arr in (lr, panel_weights):
-        arr.flags.writeable = False
-    return lr, panel_weights
-
-
-def _refine_starts(ref: np.ndarray, kind: CurveKind, seeds: np.ndarray) -> np.ndarray:
+def _refine_starts(ref: np.ndarray, lr: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """The minimizer's start of every row of ``ref``: its seed shape moved
-    by ``_COARSE_PASSES`` Newton passes on log-shape, on the subgrid of
-    ``_coarse_grid`` and the reference's values at its nodes, copied
-    contiguous once so that neither pass reads the whole reference.
+    by ``_COARSE_PASSES`` Newton passes on log-shape, on the subgrid of node
+    ``_COARSE_NODE`` of each ``GRID`` panel with the panels' total weights
+    (``_PANEL_WEIGHTS``).  The plan's log-ratio row ``lr`` (256 values) and
+    the reference's values at the subgrid's nodes are copied contiguous
+    once, so that neither pass reads a whole row.
 
     A row keeps its seed wherever a pass gives F'' <= 0, a step that is not
     finite or a point outside its ``_first_bracket``.  Each row's start
     depends on that row alone.
     """
-    lr, weights = _coarse_grid(kind)
+    lr = lr[_COARSE_NODE::GRID.nodes].copy()
     coarse = np.ascontiguousarray(ref[:, _COARSE_NODE::GRID.nodes])
     x = np.log(seeds)
     lo, hi = _first_bracket(seeds)
     rows, beta = np.arange(seeds.size), seeds
     for _ in range(_COARSE_PASSES):
-        _, g, h = _newton_terms(coarse, rows, lr, weights, beta)
+        _, g, h = _newton_terms(coarse, rows, lr, _PANEL_WEIGHTS, beta)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x = x - g / h
             keep = (h > 0.0) & (x > lo[rows]) & (x < hi[rows])
@@ -348,7 +328,7 @@ def md_objective(sample: SortedSample, beta: float, config: MdConfig = MdConfig(
     """Squared L2 distance between the reference and model curves at ``beta``."""
     _check_positive(beta)
     x_rows = _as_sorted_sample(sample).values[None, :]
-    _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve)
+    _, _, lr, weights, _ = _cell_plan(x_rows.shape[1], config.reference, config.curve)
     ref = _ref_rows(x_rows, config.reference, config.curve, strict=True)
     return float(_objective_closure(ref, lr, weights)(np.array([beta], dtype=float))[0])
 
@@ -559,7 +539,7 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     """
     seeds = _start_rows(x_rows, strict)
     ref = _ref_rows(x_rows, config.reference, config.curve, strict)
-    _, _, lr, weights = _cell_plan(x_rows.shape[1], config.reference, config.curve)
+    _, _, lr, weights, _ = _cell_plan(x_rows.shape[1], config.reference, config.curve)
     shapes = np.full(seeds.shape, np.nan)
     objectives = np.full(seeds.shape, np.nan)
     starts = seeds.copy()
@@ -567,7 +547,7 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     evals = 0
     if np.any(ok):
         ref_ok = ref if ok.all() else ref[ok]
-        starts[ok] = _refine_starts(ref_ok, config.curve, seeds[ok])
+        starts[ok] = _refine_starts(ref_ok, lr, seeds[ok])
         shapes[ok], objectives[ok], _, evals = _minimize_log(
             ref_ok, lr, weights, starts[ok], seeds[ok], strict)
     return shapes, evals, objectives, starts

@@ -163,10 +163,9 @@ def _draw_rows(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int):
     return x_rows
 
 
-def _curve_rows(beta_rows: np.ndarray, lr: np.ndarray) -> np.ndarray:
-    """Model curves 1 - exp(lr/b) of every row's shape, in a new array."""
-    with np.errstate(invalid="ignore"):
-        out = np.expm1(np.divide(lr, beta_rows[:, None]))
+def _curve_rows(beta: float, lr: np.ndarray) -> np.ndarray:
+    """Model curve 1 - exp(lr/b) at the shape ``beta``, a new row."""
+    out = np.expm1(lr / beta)
     return np.negative(out, out=out)
 
 
@@ -189,8 +188,8 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
     truths = []  # (kind, lr, weights, true curve, true index) per curve
     for kind in (CurveKind.QZ, CurveKind.QD):
         # every plan of a curve carries the same lr and weights
-        _, _, lr, w = _cell_plan(n, "empirical", kind)
-        truth = _curve_rows(np.array([beta]), lr)[0]
+        _, _, lr, w, _ = _cell_plan(n, "empirical", kind)
+        truth = _curve_rows(beta, lr)
         truths.append((kind, lr, w, truth, float((w * truth).sum())))
 
     x_rows = _draw_rows(config, ib, jn, r0, r1)
@@ -306,18 +305,23 @@ class SimulationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationReport":
-        payload = json.loads(text)
-        return cls(
-            betas=tuple(payload["betas"]),
-            sizes=tuple(payload["sizes"]),
-            replications=payload["replications"],
-            estimators=tuple(payload["estimators"]),
-            master_seed=payload["master_seed"],
-            quadrature_panels=payload["quadrature"]["panels"],
-            quadrature_nodes=payload["quadrature"]["nodes"],
-            version=payload["version"],
-            records=tuple(payload["records"]),
-        )
+        """The report of ``to_json``'s text; DomainError for text that is not
+        JSON or lacks one of its fields."""
+        try:
+            payload = json.loads(text)
+            return cls(
+                betas=tuple(payload["betas"]),
+                sizes=tuple(payload["sizes"]),
+                replications=payload["replications"],
+                estimators=tuple(payload["estimators"]),
+                master_seed=payload["master_seed"],
+                quadrature_panels=payload["quadrature"]["panels"],
+                quadrature_nodes=payload["quadrature"]["nodes"],
+                version=payload["version"],
+                records=tuple(payload["records"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"not a simulation report: {exc!r}") from None
 
     def to_csv(self) -> str:
         buf = StringIO()

@@ -72,15 +72,17 @@ def pdf(params: WeibullParams, x):
     def density(x):
         out = np.zeros_like(x)
         pos = x > 0.0
-        # an overflow rounds the density to inf near 0 (beta < 1), and where
-        # z**beta overflows the density rounds to zero
+        # beta z**beta exp(-z**beta) / x, with z**beta and the division by x
+        # taken in logs, so that no factor over- or underflows where the
+        # density does not; an overflow rounds the density to inf near 0
+        # (beta < 1), and where z**beta overflows the density rounds to zero
         with np.errstate(over="ignore"):
-            z = x[pos] / params.sigma
-            zb = z**params.beta
+            log_x = np.log(x[pos])
+            log_zb = params.beta * (log_x - math.log(params.sigma))
+            zb = np.exp(log_zb)
             keep = zb < np.inf
             pos[pos] = keep
-            z, zb = z[keep], zb[keep]
-            out[pos] = (params.beta / params.sigma) * zb / z * np.exp(-zb)
+            out[pos] = params.beta * np.exp(log_zb[keep] - log_x[keep] - zb[keep])
         if params.beta < 1.0:
             out[x == 0.0] = np.inf
         elif params.beta == 1.0:
@@ -111,8 +113,9 @@ def quantile(params: WeibullParams, p):
     """
 
     def q(p):
-        with np.errstate(divide="ignore"):
-            # -log1p(-p) keeps precision for small p and gives +inf at p=1
+        # -log1p(-p) keeps precision for small p and gives +inf at p=1; a
+        # quantile beyond the float range is +inf
+        with np.errstate(divide="ignore", over="ignore"):
             return params.sigma * (-np.log1p(-p)) ** (1.0 / params.beta)
 
     return _on_unit_interval(p, q, "quantile order")
@@ -126,7 +129,8 @@ def quantile_density(params: WeibullParams, p):
 
     def density(p):
         u = -np.log1p(-p)
-        return (params.sigma / params.beta) * u ** (1.0 / params.beta - 1.0) / (1.0 - p)
+        with np.errstate(over="ignore"):  # a density beyond the float range is +inf
+            return (params.sigma / params.beta) * u ** (1.0 / params.beta - 1.0) / (1.0 - p)
 
     return _elementwise(p, density, lambda p: (p <= 0.0) | (p >= 1.0) | np.isnan(p),
                         "quantile density needs p in the open interval (0, 1)")
@@ -139,12 +143,21 @@ def sample(params: WeibullParams, n: int, rng: np.random.Generator) -> np.ndarra
 
 def _from_uniforms(u: np.ndarray, params: WeibullParams) -> np.ndarray:
     """The inverse transform sigma * (-log(1 - u))**(1/beta) of uniforms ``u``
-    in [0, 1), computed in place in ``u`` and returned."""
+    in [0, 1), computed in place in ``u`` and returned.
+
+    -log(1 - u) lies in [0, 36.74] for a 53-bit uniform, so a draw can only
+    go wrong by overflowing to +inf (at sigma = 1, possible once beta is
+    below about 0.0051); DomainError naming the parameters if one does.
+    """
     np.negative(u, out=u)
     np.log1p(u, out=u)
     np.negative(u, out=u)
-    u **= 1.0 / params.beta
-    u *= params.sigma
+    with np.errstate(over="ignore"):
+        u **= 1.0 / params.beta
+        u *= params.sigma
+    if u.max(initial=0.0) == np.inf:
+        raise DomainError(f"Weibull draws overflow at shape {params.beta!r} "
+                          f"and scale {params.sigma!r}")
     return u
 
 

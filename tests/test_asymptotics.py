@@ -228,29 +228,16 @@ def test_double_integral_matches_tensor_reference(beta, kind, panels, nodes):
     assert _double_integral(ctx, panels, nodes) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("rows", [1, 5, 7, 32])
 @pytest.mark.parametrize("kind", ["qz", "qd"])
-def test_double_integral_does_not_depend_on_tile_grouping(kind):
-    # 13 tiles of 5 rows, the last of 4, grouped 1, 2, 6 and 13 to a block:
-    # the mirrored column sums of each tile reach every later row once
+def test_double_integral_tiles_match_tensor_reference(kind, rows):
+    # 64 rows in tiles of 1, 5, 7 and 32 rows (the last tile shorter for 5
+    # and 7): the mirrored column sums of each tile reach every later row once
     ctx = KernelContext(1.5, CurveKind(kind))
     n = _graded_grid(16, 4)[0].size
     ref = _tensor_double_integral(ctx, 16, 4)
-    with mock.patch.object(asymptotics, "_TILE_VALUES", 5 * n):
-        base = _double_integral(ctx, 16, 4)
-        for values in (1, 10 * n, 32 * n, 65 * n):
-            with mock.patch.object(asymptotics, "_BLOCK_VALUES", values):
-                assert _double_integral(ctx, 16, 4) == base
-    assert base == pytest.approx(ref, rel=1e-13, abs=0)
-
-
-@pytest.mark.parametrize("kind", ["qz", "qd"])
-def test_double_integral_does_not_depend_on_block_size(kind):
-    ctx = KernelContext(1.5, CurveKind(kind))
-    n = _graded_grid(16, 4)[0].size
-    base = _double_integral(ctx, 16, 4)
-    for rows in (1, 7, 32, n):
-        with mock.patch.object(asymptotics, "_BLOCK_VALUES", rows * n):
-            assert _double_integral(ctx, 16, 4) == base
+    with mock.patch.object(asymptotics, "_TILE_VALUES", rows * n):
+        assert _double_integral(ctx, 16, 4) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def test_variance_on_fine_qd_grid():

@@ -241,6 +241,27 @@ def test_simulate_repeated_betas_exit_3(capsys):
     assert "betas must not repeat a value" in capsys.readouterr().err
 
 
+def test_simulate_overflowing_draws_exit_3(capsys):
+    # at shape 0.001 a draw overflows to +inf once its uniform exceeds about 0.87
+    code = main(["simulate", "--betas", "0.001", "--sizes", "30", "--reps", "20",
+                 "--format", "csv"])
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: Weibull draws overflow at shape 0.001 "
+                                       "and scale 1.0\n")
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (["index", "--beta", "0.001"], ["qzi = 0.99999999999999978", "qdi = 0.99965342651088185"]),
+    (["curve", "--beta", "1e-3", "--kind", "qd", "--grid", "4"],
+     ["p,value", "0,1", "0.25,1", "0.5,1", "0.75,1", "1,0"]),
+])
+def test_tiny_shape_closed_forms_print_no_numpy_warnings(argv, lines, capsys):
+    # the quantiles overflow to +inf, which the curves take as they are
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == lines and err == ""
+
+
 def test_simulate_json_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["simulate", "--betas", "1,2", "--sizes", "30", "--reps", "20",

@@ -123,7 +123,8 @@ def test_md_scale_invariance_generic():
 def _refined(sample, seed, config=MdConfig()):
     """The refinement of ``seed`` on the reference of ``sample``."""
     ref = _ref_rows(sample.values[None, :], config.reference, config.curve, strict=True)
-    return md_estimation._refine_starts(ref, config.curve, np.array([seed]))[0]
+    lr = md_estimation._cell_plan(sample.n, config.reference, config.curve)[2]
+    return md_estimation._refine_starts(ref, lr, np.array([seed]))[0]
 
 
 def test_md_fit_start_is_pe_else_lm():
@@ -240,8 +241,8 @@ def test_nonpositive_curvature_at_start_moves_without_golden():
 
 def _chunk_minimum(x_rows, config):
     """(ref, lr, weights) of ``_md_rows`` for these rows, and its minimizer's output."""
-    _, _, lr, weights = md_estimation._cell_plan(x_rows.shape[1], config.reference,
-                                                 config.curve)
+    _, _, lr, weights, _ = md_estimation._cell_plan(x_rows.shape[1], config.reference,
+                                                    config.curve)
     ref = _ref_rows(x_rows, config.reference, config.curve, strict=True)
     seeds = md_estimation._start_rows(x_rows, True)
     return (ref, lr, weights), md_estimation._minimize_log(ref, lr, weights, seeds, seeds,
@@ -262,7 +263,7 @@ def test_newton_terms_match_plain_sums(reference, kind):
     # that scale.  F equals the objective closure's bitwise, and no value
     # depends on the block size.
     config = MdConfig(curve=kind, reference=reference)
-    _, _, lr, w = md_estimation._cell_plan(STUDY_CHUNK.shape[1], reference, kind)
+    _, _, lr, w, _ = md_estimation._cell_plan(STUDY_CHUNK.shape[1], reference, kind)
     ref = _ref_rows(STUDY_CHUNK, reference, kind, strict=True)
     seeds = md_estimation._start_rows(STUDY_CHUNK, True)
     fitted = _md_rows(STUDY_CHUNK, config, False)[0]
@@ -319,7 +320,7 @@ def test_early_finish_returns_the_objective_at_its_point(reference, kind):
 def _md_start_at(shape):
     """Patch the minimizer's start of every row to ``shape``."""
     return mock.patch.object(md_estimation, "_refine_starts",
-                             lambda ref, kind, seeds: np.full(len(seeds), shape))
+                             lambda ref, lr, seeds: np.full(len(seeds), shape))
 
 
 # (row of STUDY_CHUNK, curve, reference): the eight fits whose residual was

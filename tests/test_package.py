@@ -13,8 +13,10 @@ import qcurves
 from qcurves import errors
 from qcurves import (
     DomainError,
+    KernelContext,
     QuadratureSpec,
     SimulationConfig,
+    SimulationReport,
     SortedSample,
     WeibullParams,
     ad_test,
@@ -23,6 +25,8 @@ from qcurves import (
     curve_grid,
     curve_value,
     empirical_qf,
+    kernel_R,
+    kernel_ab,
     md_asymptotic_variance,
     md_objective,
     pdf,
@@ -104,6 +108,7 @@ def test_counts_and_seeds_must_be_integers_at_their_minimum(call, minimum):
 
 _PARAMS = WeibullParams(1.0)
 _SAMPLE = SortedSample(_X)
+_KERNEL = KernelContext(1.0, "qz")
 
 # (entry point taking one value, a valid value of it); non-real values and
 # bools are a DomainError at each, never a TypeError or ValueError
@@ -119,6 +124,8 @@ VALUE_CALLS = {
     "quantile": (lambda v: quantile(_PARAMS, v), 0.5),
     "quantile_density": (lambda v: quantile_density(_PARAMS, v), 0.5),
     "curve_value": (lambda v: curve_value(empirical_qf(_SAMPLE), "qz", v), 0.5),
+    "kernel_ab": (lambda v: kernel_ab(_KERNEL, v)[0][0], 0.5),
+    "kernel_R": (lambda v: kernel_R(_KERNEL, v, 0.5)[0], 0.3),
 }
 
 
@@ -130,3 +137,18 @@ def test_non_real_values_are_domain_errors(call, valid):
     # NumPy scalars are real numbers
     assert call(np.float64(valid)) == call(valid)
     assert call(np.float32(valid)) == call(float(np.float32(valid)))
+
+
+# bad inputs that NumPy or the json module would reject with an untyped
+# ValueError or KeyError
+ENTRY_ERRORS = {
+    "kernel_R.shapes": lambda: kernel_R(_KERNEL, [0.1, 0.2], [0.3, 0.4, 0.5]),
+    "from_json.fields": lambda: SimulationReport.from_json("{}"),
+    "from_json.text": lambda: SimulationReport.from_json("not json"),
+}
+
+
+@pytest.mark.parametrize("call", list(ENTRY_ERRORS.values()), ids=list(ENTRY_ERRORS))
+def test_bad_inputs_at_entry_points_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()

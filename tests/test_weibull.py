@@ -57,17 +57,32 @@ def test_cdf_matches_scipy():
                        rtol=1e-12)
 
 
-@pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
-@pytest.mark.parametrize("fn,x,expected", [
+# (function, x, expected, params); the last four pdf values are those of a
+# 50-digit mpmath evaluation, where x/sigma or a factor of the density over-
+# or underflows although the density does not
+EDGE_VALUES = [
     (pdf, np.nan, None), (pdf, -np.inf, 0.0), (pdf, 0.0, 0.0), (pdf, np.inf, 0.0),
     (pdf, 1e300, 0.0),
     (cdf, np.nan, None), (cdf, -np.inf, 0.0), (cdf, 0.0, 0.0), (cdf, np.inf, 1.0),
     (cdf, 1e300, 1.0),
+]
+EXTREME_PDF_VALUES = [
+    (pdf, 1e-100, 0.0, WeibullParams(3.0, 1e-200)), (pdf, 1e-300, 0.0, WeibullParams(2.0, 1e200)),
+    (pdf, 1.0, 0.0, WeibullParams(0.5, 1e-300)), (pdf, 1e-300, 0.5, WeibullParams(0.5, 1e300)),
+]
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize("fn,x,expected,params", [
+    *(pytest.param(fn, x, expected, WeibullParams(2.0), id=f"{fn.__name__}-{x}-{expected}")
+      for fn, x, expected in EDGE_VALUES),
+    *(pytest.param(fn, x, expected, params,
+                   id=f"{fn.__name__}-{x}-{expected}-beta{params.beta}-sigma{params.sigma}")
+      for fn, x, expected, params in EXTREME_PDF_VALUES),
 ])
-def test_pdf_and_cdf_edge_values(fn, x, expected, as_array):
+def test_pdf_and_cdf_edge_values(fn, x, expected, params, as_array):
     # the suite turns numpy's RuntimeWarnings into errors, so an inf/inf or
     # an overflow inside the density fails here too
-    params = WeibullParams(2.0)
     arg = np.array([0.5, x]) if as_array else x
     if expected is None:
         with pytest.raises(DomainError, match="must not be NaN"):
@@ -116,6 +131,19 @@ def test_sample_distribution_ks():
     ks = stats.kstest(x, lambda v: cdf(params, v))
     assert ks.statistic < 0.01
     assert ks.pvalue > 0.001
+
+
+def test_sample_raises_where_draws_overflow():
+    # at shape 0.001 a draw overflows to +inf once its uniform exceeds about 0.87
+    with pytest.raises(DomainError, match="draws overflow at shape 0.001"):
+        sample(WeibullParams(1e-3), 50, np.random.default_rng(0))
+
+
+def test_quantile_forms_overflow_to_inf_without_a_warning():
+    params = WeibullParams(1e-3)
+    assert quantile(params, 0.999) == np.inf
+    assert quantile_density(params, 0.9) == np.inf
+    assert quantile(WeibullParams(1.0, 1e308), 0.999) == np.inf
 
 
 def test_sample_reproducible():

@@ -31,7 +31,8 @@ values and the ``ad_test`` entries to FILE as JSON.  ``--compare OLD NEW``
 runs nothing: it reads two such dumps and prints how many record values
 (or standard errors), variance values and ``ad_test`` entries moved, each
 moved variance value as old -> new, the largest absolute and relative
-moves, and every record whose failure count, flag or NaN pattern differs:
+moves, and every record whose failure count, flag or NaN pattern differs or
+that only one dump holds:
 
     PYTHONPATH=src python tools/report_digest.py --dump new.json
     PYTHONPATH=src python tools/report_digest.py --compare old.json new.json
@@ -107,15 +108,16 @@ def _moves(old: dict, new: dict):
     """(label, old value, new value) of every number that differs between
     two dumps: record values and standard errors, then the variance values
     and the ``ad_test`` entries; and the lines for records whose failures, flag or
-    NaN pattern differ."""
+    NaN pattern differ, and for records or points that only one dump holds."""
     moved, counts = [], []
-    for recipe, records in old["recipes"].items():
-        new_records = {_record_key(r): r for r in new["recipes"].get(recipe, [])}
-        for record in records:
-            key = _record_key(record)
-            other = new_records.get(key)
-            if other is None:
-                counts.append(f"{recipe} {key}: missing from the new dump")
+    for recipe in {**old["recipes"], **new["recipes"]}:
+        old_records, new_records = ({_record_key(r): r for r in dump["recipes"].get(recipe, [])}
+                                    for dump in (old, new))
+        for key in {**old_records, **new_records}:
+            record, other = old_records.get(key), new_records.get(key)
+            if record is None or other is None:
+                side = "old" if record is None else "new"
+                counts.append(f"{recipe} {key}: missing from the {side} dump")
                 continue
             for field in ("failures", "flagged"):
                 if record[field] != other[field]:
@@ -127,10 +129,12 @@ def _moves(old: dict, new: dict):
                 elif a != b and not math.isnan(a):
                     moved.append((f"{recipe} {key} {field}", a, b))
     for section in (*VARIANCE_FIELDS, "ad_test"):
-        for point, a in old.get(section, {}).items():
-            b = new.get(section, {}).get(point)
-            if b is None:
-                counts.append(f"{section} {point}: missing from the new dump")
+        old_points, new_points = old.get(section, {}), new.get(section, {})
+        for point in {**old_points, **new_points}:
+            a, b = old_points.get(point), new_points.get(point)
+            if a is None or b is None:
+                side = "old" if a is None else "new"
+                counts.append(f"{section} {point}: missing from the {side} dump")
             elif point.endswith("failed_refits") and b != a:
                 counts.append(f"{section} {point}: {a} -> {b}")
             elif b != a:
