@@ -15,14 +15,14 @@ never moves the bracket off a minimum the seed's bracket holds.  A row
 finishes once its Newton step is below the tolerance, or one pass sooner
 once its last two full steps predict a next step far below it; there F is
 evaluated once more, so the reported objective is F at the returned
-shape.  Where a step raises F the row goes back and halves it, and
-where the curvature is not positive or the Newton iterate leaves the
-bracket it moves halfway toward the bracket edge; a small budget of such
-moves is shared.  Only a row that spends that budget,
-in practice one whose minimum lies outside the bracket, falls back to a
-golden-section search, which expands the bracket while the minimum lands on
-an edge.  The seed, the refinement's subgrid and passes, the bracket
-factor, the tolerance, the move budget and the expansion count are fixed,
+shape.  Each row keeps the part of its bracket where F' changes sign;
+where the curvature is not positive or the Newton iterate leaves that
+part, the row moves to its midpoint, as the shape estimators' root finder
+does.  Only a row still moving after a cap of Newton passes, in practice
+one whose minimum lies outside the bracket, falls back to a golden-section
+search, which expands the bracket while the minimum lands on an edge.  The
+seed, the refinement's subgrid and passes, the bracket factor, the
+tolerance, the pass cap and the expansion count are fixed,
 and the L2 distance is integrated on the package's one grid
 (``curves.GRID``, 256 panels of 8 nodes): a configuration names only the
 curve and the reference.  A fit's ``iterations`` count the minimizer's
@@ -160,10 +160,8 @@ def _cell_plan(n: int, reference: str, kind: CurveKind):
 _BLOCK_ROWS = 32
 
 # Newton passes after which a row still moving goes to the golden search,
-# the halved and edge moves a row may make before it goes there, and the
-# factor on _TOL below which a predicted next step ends a row early.
+# and the factor on _TOL below which a predicted next step ends a row early.
 _NEWTON_PASSES = 20
-_SAFE_MOVES = 4
 _EARLY_FACTOR = 0.01
 
 
@@ -377,29 +375,32 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
     evaluation at exp(x), and each row returns the shape at which its
     reported F was evaluated.  Each row runs Newton's method from its start,
     each pass evaluating F, F' and F'' (derivatives in x) at the row's
-    point.  A pass does one of these:
+    point, inside a sign bracket (a, b) of F': the part of the row's first
+    bracket, ``_first_bracket`` of its ``seed``, that still holds the
+    minimum.  The sign bracket starts as the first bracket, which must hold
+    the start (``_refine_starts`` keeps it there), and after each pass its
+    end a moves to the point where F' < 0 and its end b where F' > 0.  A
+    pass then does one of these:
 
     - finish with the point, once the Newton step is shorter than ``_TOL``;
     - finish early with the point plus the Newton step, once that step and
       the full step before it predict a next step below ``_EARLY_FACTOR``
       times ``_TOL`` (|s_k|^3 / |s_k-1|^2 for a quadratically converging
       row).  F is evaluated there once, and the point is kept if F rose;
-    - take the full Newton step, when F'' > 0 and the step stays inside the
-      first bracket, ``_first_bracket`` of the row's ``seed``, which must
-      hold its start (``_refine_starts`` keeps it there);
-    - otherwise move halfway from the point toward the bracket edge on the
-      descent side (-sign F');
-    - and when F rose above the previous point's, go back there and halve
-      the move instead.
+    - take the full Newton step, when F'' > 0 and the step lands inside
+      (a, b);
+    - otherwise move to the midpoint of (a, b).
 
-    Halved and edge moves share a budget of ``_SAFE_MOVES`` per row.  A row
-    that needs one more, or is still moving after ``_NEWTON_PASSES`` passes,
-    goes to the golden search on log-shape.  That search starts on the
-    first bracket and, while its minimum sits on the bracket edge,
-    re-centres and doubles the bracket up to ``_MAX_EXPANSIONS`` times.
-    Rows drop out as they finish, so every row's result depends on that row
-    alone.  No row ends worse than its start: where the start's objective
-    is not above the minimum found, the start is returned.
+    This is the safeguard of the shape estimators' root finder
+    (``_bracketed_root``), applied to F'.  A row whose minimum lies outside
+    its first bracket bisects toward that edge.  A row still moving after
+    ``_NEWTON_PASSES`` passes goes to the golden search on log-shape.  That
+    search starts on the first bracket and, while its minimum sits on the
+    bracket edge, re-centres and doubles the bracket up to
+    ``_MAX_EXPANSIONS`` times.  Rows drop out as they finish, so every
+    row's result depends on that row alone.  No row ends worse than its
+    start: where the start's objective is not above the minimum found, the
+    start is returned.
 
     Returns (shapes, fmin, pending, evaluations).  ``pending`` marks rows
     still pinned to a bracket edge, whose shape and fmin are NaN; with
@@ -414,12 +415,10 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
     pending = np.zeros(start.shape, dtype=bool)  # rows for the golden search
     rows = np.arange(start.size)
     x, beta = np.log(start), start
-    # per active row: the last accepted point and its F, the move from it to
-    # x, the full Newton step that move was (NaN for any other move) and the
-    # halved or edge moves used
-    x_prev, f_prev = x, np.full_like(start, np.inf)
-    move, s_prev = np.full((2, start.size), np.nan)
-    used = np.zeros(start.shape, dtype=np.int64)
+    # per active row: the sign bracket (a, b) of F' and the full Newton step
+    # that led to x (NaN for a bisection)
+    a, b = lo, hi
+    s_prev = np.full_like(start, np.nan)
     early_tol = _EARLY_FACTOR * _TOL
     evals = 0
     for _ in range(_NEWTON_PASSES):
@@ -429,13 +428,14 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
         if evals == 0:
             f_start[:] = f
         evals += 1
-        accept = f <= f_prev
-        newton = accept & (h > 0.0)
+        a = np.where(g < 0.0, x, a)
+        b = np.where(g > 0.0, x, b)
+        newton = h > 0.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = -g / h
             done = newton & (np.abs(step) < _TOL)
             x_full = x + step
-            full = newton & ~done & (x_full > lo[rows]) & (x_full < hi[rows])
+            full = newton & ~done & (x_full > a) & (x_full < b)
             early = full & (np.abs(step) ** 3 < early_tol * s_prev ** 2)
         shapes[rows[done]] = beta[done]
         fmin[rows[done]] = f[done]
@@ -446,27 +446,10 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
             better = f_end <= f_at
             shapes[idx] = np.where(better, b_end, beta[early])
             fmin[idx] = np.where(better, f_end, f_at)
-        go = full & ~early
-        odd = ~(done | full)  # rows that rose, need an edge move or stop
-        if odd.any():
-            rise = odd & ~accept
-            # halfway to the edge on the descent side; none where F' is 0 or NaN
-            edge = odd & accept & (np.abs(g) > 0.0)
-            safe = (rise | edge) & (used < _SAFE_MOVES)
-            pending[rows[odd & ~safe]] = True
-            go |= safe
-            move = np.where(full, step, np.where(
-                rise, 0.5 * move, 0.5 * (np.where(g < 0.0, hi[rows], lo[rows]) - x)))
-            s_prev = np.where(full, step, np.nan)
-            x_prev = np.where(accept, x, x_prev)
-            f_prev = np.where(accept, f, f_prev)
-            used = used + safe
-        else:  # every row still moving takes its full step
-            move = s_prev = step
-            x_prev, f_prev = x, f
-        rows, x_prev, f_prev, move, s_prev, used = (
-            rows[go], x_prev[go], f_prev[go], move[go], s_prev[go], used[go])
-        x = x_prev + move
+        go = ~(done | early)
+        x = np.where(full, x_full, 0.5 * (a + b))
+        s_prev = np.where(full, step, np.nan)
+        rows, x, a, b, s_prev = rows[go], x[go], a[go], b[go], s_prev[go]
         beta = np.exp(x)
     pending[rows] = True
 

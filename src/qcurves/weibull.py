@@ -124,13 +124,15 @@ def quantile(params: WeibullParams, p):
 def quantile_density(params: WeibullParams, p):
     """Derivative Q'(p) = (sigma/beta) * (-log(1-p))**(1/beta-1) / (1-p).
 
-    Defined for p in (0, 1).
+    Defined for p in (0, 1).  The power is divided by beta before sigma
+    multiplies it, so at a subnormal shape, where 1/beta overflows, the
+    density is 0 where -log(1-p) < 1 and +inf where it is above 1.
     """
 
     def density(p):
         u = -np.log1p(-p)
         with np.errstate(over="ignore"):  # a density beyond the float range is +inf
-            return (params.sigma / params.beta) * u ** (1.0 / params.beta - 1.0) / (1.0 - p)
+            return params.sigma * (u ** (1.0 / params.beta - 1.0) / params.beta) / (1.0 - p)
 
     return _elementwise(p, density, lambda p: (p <= 0.0) | (p >= 1.0) | np.isnan(p),
                         "quantile density needs p in the open interval (0, 1)")

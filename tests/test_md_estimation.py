@@ -167,31 +167,35 @@ def test_typical_fit_takes_few_newton_passes():
 
 def test_far_start_converges_through_golden_fallback():
     # the ls start is 0.15 away in log-shape, beyond the 1.05 bracket
-    # (+-0.049): the Newton iterate leaves the bracket, the row spends its
-    # halved and edge moves against the edge, and the golden search with
-    # expansions takes over
+    # (+-0.049): F' < 0 across the bracket, so the Newton iterate leaves
+    # the sign bracket and the row bisects toward its edge until the pass
+    # cap, and the golden search with expansions takes over
     s = weib_sorted(2.0, 200, seed=13)
     near = md_fit(s, MdConfig())
-    golden_calls = []
-    golden = md_estimation._golden
-
-    def counted(*args):
-        golden_calls.append(args)
-        return golden(*args)
-
-    with mock.patch.object(md_estimation, "_golden", counted), md_start_from("ls"), \
-            md_narrow_bracket(8):
+    golden_calls, counted = _recorded_golden()
+    with counted, md_start_from("ls"), md_narrow_bracket(8):
         far = md_fit(s, MdConfig())
     assert len(golden_calls) > 1  # the first bracket and at least one expansion
     assert abs(math.log(far.beta_hat / near.beta_hat)) < 1e-7
     assert far.residual == md_objective(s, far.beta_hat, MdConfig())
 
 
+def _recorded_golden():
+    """Patch ``_golden`` to record the arguments of each call."""
+    calls, golden = [], md_estimation._golden
+
+    def counted(*args):
+        calls.append(args)
+        return golden(*args)
+
+    return calls, mock.patch.object(md_estimation, "_golden", counted)
+
+
 def _traced_fit(sample, config):
     """md_fit, with (F, F', F'') of every Newton pass of the minimizer (on
     the full grid, not the start's refinement) and the golden calls."""
-    passes, golden_calls = [], []
-    terms, golden = md_estimation._newton_terms, md_estimation._golden
+    passes, terms = [], md_estimation._newton_terms
+    golden_calls, counted = _recorded_golden()
 
     def traced_terms(ref, rows, lr, weights, beta):
         out = terms(ref, rows, lr, weights, beta)
@@ -199,11 +203,7 @@ def _traced_fit(sample, config):
             passes.append([float(v[0]) for v in out])
         return out
 
-    def counted(*args):
-        golden_calls.append(args)
-        return golden(*args)
-
-    with mock.patch.multiple(md_estimation, _newton_terms=traced_terms, _golden=counted):
+    with mock.patch.object(md_estimation, "_newton_terms", traced_terms), counted:
         fit = md_fit(sample, config)
     return fit, passes, golden_calls
 
@@ -215,9 +215,10 @@ def _golden_only(sample, config):
     return min(fit.residual, md_objective(sample, fit.start, config))
 
 
-def test_rise_on_the_first_step_halves_without_golden():
-    # the first full Newton step from the refined start raises F; the row
-    # goes back halfway and finishes on Newton
+def test_rise_on_the_first_step_finishes_without_golden():
+    # the first full Newton step from the refined start overshoots and
+    # raises F; F' > 0 there, so that point closes the sign bracket and the
+    # row finishes on Newton inside it
     s = weib_sorted(0.5, 10, seed=3)
     config = MdConfig(curve="qz", reference="empirical")
     fit, passes, golden_calls = _traced_fit(s, config)
@@ -228,8 +229,8 @@ def test_rise_on_the_first_step_halves_without_golden():
 
 
 def test_nonpositive_curvature_at_start_moves_without_golden():
-    # F'' <= 0 at the start: the row moves halfway toward the bracket edge
-    # on the descent side and finishes on Newton
+    # F'' <= 0 at the start: the row moves to the midpoint of the start and
+    # the bracket edge on the descent side, and finishes on Newton
     s = weib_sorted(0.5, 10, seed=7)
     config = MdConfig(curve="qz", reference="empirical")
     fit, passes, golden_calls = _traced_fit(s, config)
@@ -251,6 +252,30 @@ def _chunk_minimum(x_rows, config):
 
 # the first 500-row chunk of the default study's cell beta = 0.5, n = 30
 STUDY_CHUNK = _draw_rows(SimulationConfig(), 0, 0, 0, 500)
+
+
+@pytest.mark.parametrize("reference,kind", MD_CASES)
+def test_rows_with_a_sign_change_on_their_bracket_never_reach_golden(reference, kind):
+    # F'(lo) < 0 < F'(hi) on the first bracket: the sign bracket of F' then
+    # holds a minimum from the first pass on, and Newton steps inside it or
+    # bisections finish the row before the pass cap.  Rows are fitted each
+    # on its own, so these rows alone make the same calls they make in the
+    # chunk; two qd rows of the step reference lack the sign change and
+    # reach the golden search there.
+    config = MdConfig(curve=kind, reference=reference)
+    _, _, lr, w, _ = md_estimation._cell_plan(STUDY_CHUNK.shape[1], reference, kind)
+    ref = _ref_rows(STUDY_CHUNK, reference, kind, strict=True)
+    lo, hi = md_estimation._first_bracket(md_estimation._start_rows(STUDY_CHUNK, True))
+    every = np.arange(len(ref))
+    g_lo, g_hi = (md_estimation._newton_terms(ref, every, lr, w, np.exp(end))[1]
+                  for end in (lo, hi))
+    inside = (g_lo < 0.0) & (g_hi > 0.0)
+    assert inside.sum() >= len(inside) - 2
+    golden_calls, counted = _recorded_golden()
+    with counted:
+        shapes = _md_rows(STUDY_CHUNK[inside], config, False)[0]
+    assert not golden_calls
+    assert np.all((np.log(shapes) > lo[inside]) & (np.log(shapes) < hi[inside]))
 
 
 @pytest.mark.parametrize("reference,kind", MD_CASES)
@@ -356,8 +381,8 @@ def test_rows_lie_within_twice_tol_of_a_tight_tolerance_run(reference, kind):
 
 
 def test_batched_fits_equal_scalar_fits_on_every_path():
-    # seeds 3 and 7 halve on a rise and move toward the edge (see above);
-    # most rows finish early
+    # seed 3 overshoots on its first step and seed 7 bisects its sign
+    # bracket at the start (see above); most rows finish early
     x_rows = np.vstack([weib_sorted(0.5, 10, seed=k).values for k in range(12)])
     for reference, kind in MD_CASES:
         config = MdConfig(curve=kind, reference=reference)
@@ -432,7 +457,7 @@ def test_bracket_is_centred_on_the_seed_not_the_refined_start():
 
 def test_refined_start_needs_few_full_grid_passes():
     # the first 500-row chunk of every cell of the default study, 16,000 MD
-    # rows in all: 55,281 full-grid row-passes from the pe/lm seed, 34,764
+    # rows in all: 55,727 full-grid row-passes from the pe/lm seed, 34,981
     # from the refined start
     config = SimulationConfig()
     chunks = [_draw_rows(config, ib, jn, 0, 500)

@@ -144,6 +144,13 @@ def test_quantile_forms_overflow_to_inf_without_a_warning():
     assert quantile(params, 0.999) == np.inf
     assert quantile_density(params, 0.9) == np.inf
     assert quantile(WeibullParams(1.0, 1e308), 0.999) == np.inf
+    # at a subnormal shape 1/beta overflows: the density is 0 where
+    # -log(1-p) < 1 (p < 1 - 1/e) and +inf above it, with no "invalid value"
+    for beta in (1e-310, 5e-324):
+        assert quantile_density(WeibullParams(beta), 0.5) == 0.0
+        assert quantile_density(WeibullParams(beta), 0.9) == np.inf
+        assert np.array_equal(quantile_density(WeibullParams(beta), np.array([0.1, 0.7, 0.99])),
+                              [0.0, np.inf, np.inf])
 
 
 def test_sample_reproducible():
