@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .asymptotics import md_asymptotic_variance
-from .curves import CurveKind, curve_grid, curve_index
+from .curves import CurveKind, CurveSamples, _unit_grid, curve_value, gauss_legendre_grid
 from .empirical_qf import SortedSample, empirical_qf, plotting_position_qf
 from .errors import DomainError, QcurvesError
 from .gof import ad_test
@@ -26,7 +26,7 @@ from .simulation import (
     render_tables,
     run_simulation,
 )
-from .weibull import WeibullParams, _check_positive, weibull_qf
+from .weibull import _check_positive, closed_curve
 
 _FIT_METHODS = tuple(SHAPE_METHODS) + tuple(_MD_METHODS)
 _KINDS = [kind.value for kind in CurveKind]
@@ -105,28 +105,33 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _source_qf(args):
+def _source_curve(args):
+    """The curve of ``curve``/``index`` as a function of (kind, p): the
+    closed form at ``--beta``, else the curve of the ``--data`` sample's
+    quantile function."""
     if args.beta is not None:
-        return weibull_qf(WeibullParams(args.beta, 1.0))
+        beta = _check_positive(args.beta)
+        return lambda kind, p: closed_curve(beta, p, kind)
     if args.data is None:
         raise DomainError("provide either --beta or --data")
-    return _data_qf(_read_data(args.data, args.column), args.qf)
+    qf = _data_qf(_read_data(args.data, args.column), args.qf)
+    return lambda kind, p: curve_value(qf, kind, p)
 
 
 def _cmd_curve(args) -> int:
-    qf = _source_qf(args)
-    samples = curve_grid(qf, args.kind, args.grid)
-    sys.stdout.write(samples.to_csv())
+    curve = _source_curve(args)
+    p = _unit_grid(args.grid)
+    sys.stdout.write(CurveSamples(p, curve(args.kind, p), args.kind).to_csv())
     return 0
 
 
 def _cmd_index(args) -> int:
-    qf = _source_qf(args)
+    curve = _source_curve(args)
+    points, weights = gauss_legendre_grid()
     kinds = [CurveKind(args.kind)] if args.kind else list(CurveKind)
-    pairs = []
-    for kind in kinds:
-        pairs.append((kind.value + "i", curve_index(qf, kind)))
-    _emit(sys.stdout, pairs)
+    # summed as curve_index sums, so a --data index equals it bitwise
+    _emit(sys.stdout, [(kind.value + "i", float((weights * curve(kind, points)).sum()))
+                       for kind in kinds])
     return 0
 
 

@@ -244,9 +244,16 @@ class CurveSamples:
         return cls(p=p, values=values, kind=kind)
 
 
+def _unit_grid(grid_size: int) -> np.ndarray:
+    """``grid_size + 1`` equally spaced points of [0, 1] incl. endpoints;
+    DomainError, before anything is allocated, when that exceeds
+    ``MAX_GRID_NODES`` points."""
+    _check_count(grid_size, 1, "grid size", MAX_GRID_NODES - 1)
+    return np.linspace(0.0, 1.0, grid_size + 1)
+
+
 def curve_grid(qf, kind, grid_size: int = 200) -> CurveSamples:
     """Sample the curve on ``grid_size + 1`` equally spaced points incl.
     endpoints; DomainError when that exceeds ``MAX_GRID_NODES`` points."""
-    _check_count(grid_size, 1, "grid size", MAX_GRID_NODES - 1)
-    p = np.linspace(0.0, 1.0, grid_size + 1)
+    p = _unit_grid(grid_size)
     return CurveSamples(p=p, values=curve_value(qf, kind, p), kind=kind)

@@ -45,10 +45,11 @@ row alike: it gathers and divides a block of rows at a time, from the one
 cached plan per sample size, reference and curve (``_cell_plan``), and
 nothing caches its output.  The step reference takes a quotient once per
 distinct pair of order statistics (at most about n of them, against 2048
-nodes) and expands the quotients to the grid.  A Newton pass
-(``_newton_terms``) forms F as the objective does, as a sum of weighted
-squares, and F', F'' as fused row dots, so F at a shape is the same number
-on every path.  A row
+nodes) and expands the quotients to the grid.  F is formed in one place,
+``_newton_terms``, as a sum of weighted squares: a Newton pass takes F', F''
+beside it as fused row dots, and the objective (``_objective_closure``,
+``md_objective``) takes F alone by the same steps, so F at a shape is the
+same number on every path.  A row
 ``_md_rows`` cannot fit is NaN, or with ``strict`` raises the typed error.
 ``md_fit`` is its one-row strict call and the Monte Carlo study calls it on
 chunks of replicates, so fits are deterministic and a batched fit of one
@@ -222,42 +223,19 @@ def _ref_rows(x_rows: np.ndarray, reference: str, kind: CurveKind,
     return out
 
 
-def _objective_closure(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray):
-    """Batched objective f(beta): rows of ``ref`` against model curves
-    1-exp(lr/b) at the shapes ``beta``, one per row.
-
-    Rows are evaluated block by block in one reused temporary, with the
-    same arithmetic as the objective term of ``_newton_terms``.
-    """
-
-    def f(beta: np.ndarray) -> np.ndarray:
-        out = np.empty(beta.shape)
-        diff_buf, t_buf = _block_buffers(2, beta.size, lr.size)
-        for b0, b1 in _row_blocks(beta.size):
-            diff, t = diff_buf[: b1 - b0], t_buf[: b1 - b0]
-            np.divide(lr, beta[b0:b1, None], out=diff)
-            np.expm1(diff, out=diff)
-            diff += ref[b0:b1]  # ref - model, the model being -expm1(lr/b)
-            np.multiply(diff, weights, out=t)
-            t *= diff
-            t.sum(axis=-1, out=out[b0:b1])
-        return out
-
-    return f
-
-
 def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
-                  weights: np.ndarray, beta: np.ndarray):
+                  weights: np.ndarray, beta: np.ndarray, derivatives: bool = True):
     """Objective F and its log-shape derivatives F', F'' for the rows
-    ``ref[rows]`` at the shapes ``beta``.
+    ``ref[rows]`` at the shapes ``beta``; F alone without ``derivatives``.
 
     With u = lr/b, e = exp(u), the model m = 1 - e and the residual
     r = ref - m: m' = u*e, m'' = -u*(1 + u)*e, F = sum w*r^2,
     F' = -2 sum w*r*m' and F'' = 2 sum w*(m'^2 - r*m'')
     = 2 sum m'*(w*m' + w*r*(1 + u)).  All three come from one expm1 per
-    node.  F is formed and summed as in ``_objective_closure``, which it
-    equals bitwise; F' and F'' are fused row dots (``np.einsum``, no BLAS),
-    each row reduced on its own, so no value depends on the block.
+    node.  This is the one place where F is formed, by the same steps with
+    or without the derivatives, so F at a shape is the same number on every
+    path.  F' and F'' are fused row dots (``np.einsum``, no BLAS), each row
+    reduced on its own, so no value depends on the block.
     """
     f, g, h = np.empty((3, rows.size))
     u_buf, r_buf, mp_buf, t_buf = _block_buffers(4, rows.size, lr.size)
@@ -267,8 +245,9 @@ def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
         u, r, mp, t = u_buf[:k], r_buf[:k], mp_buf[:k], t_buf[:k]
         np.divide(lr, beta[b0:b1, None], out=u)
         np.expm1(u, out=r)
-        np.add(r, 1.0, out=mp)
-        mp *= u  # m'
+        if derivatives:
+            np.add(r, 1.0, out=mp)
+            mp *= u  # m'
         if every:
             r += ref[b0:b1]  # ref - m
         else:
@@ -277,13 +256,23 @@ def _newton_terms(ref: np.ndarray, rows: np.ndarray, lr: np.ndarray,
         np.multiply(r, weights, out=t)  # w*r
         r *= t
         r.sum(axis=-1, out=f[b0:b1])
+        if not derivatives:
+            continue
         np.einsum("ij,ij->i", t, mp, out=g[b0:b1])
         u += 1.0
         u *= t  # w*r*(1 + u)
         np.multiply(mp, weights, out=r)
         r += u
         np.einsum("ij,ij->i", mp, r, out=h[b0:b1])
-    return f, -2.0 * g, 2.0 * h
+    return (f, -2.0 * g, 2.0 * h) if derivatives else f
+
+
+def _objective_closure(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray):
+    """Batched objective f(beta): F of the rows of ``ref`` against model
+    curves 1-exp(lr/b) at the shapes ``beta``, one per row, from
+    ``_newton_terms`` without the derivatives."""
+    rows = np.arange(len(ref))
+    return lambda beta: _newton_terms(ref, rows, lr, weights, beta, derivatives=False)
 
 
 def _first_bracket(seeds: np.ndarray):

@@ -11,13 +11,13 @@ from qcurves import (
     SimulationReport,
     SortedSample,
     closed_curve,
-    curve_index,
     fit_shape,
     plotting_position_qf,
     weibull_qf,
     WeibullParams,
 )
 from qcurves._gauss_legendre import MAX_NODES
+from qcurves.curves import gauss_legendre_grid
 from qcurves.cli import _FIT_METHODS, main
 from qcurves.weibull import sample as weibull_sample
 
@@ -123,10 +123,10 @@ def test_curve_closed_form(capsys):
     p = np.array([float(line.split(",")[0]) for line in lines[1:]])
     vals = np.array([float(line.split(",")[1]) for line in lines[1:]])
     assert np.array_equal(p, np.linspace(0.0, 1.0, 11))
+    assert np.array_equal(vals, closed_curve(2.0, p, "qd"))
     from qcurves import curve_grid
     expect = curve_grid(weibull_qf(WeibullParams(2.0, 1.0)), "qd", 10).values
-    assert np.array_equal(vals, expect)
-    assert np.allclose(vals, closed_curve(2.0, p, "qd"), atol=1e-12)
+    assert np.allclose(vals, expect, rtol=0.0, atol=1e-12)
 
 
 def test_curve_from_data_with_qf(data_file, capsys):
@@ -140,12 +140,35 @@ def test_curve_from_data_with_qf(data_file, capsys):
     assert np.array_equal(vals, curve_grid(qf, "qz", 8).values)
 
 
+def _closed_index(beta, kind):
+    points, weights = gauss_legendre_grid()
+    return float((weights * closed_curve(beta, points, kind)).sum())
+
+
 def test_index_both_kinds_default(capsys):
     assert main(["index", "--beta", "2"]) == 0
     pairs = parse_pairs(capsys.readouterr().out)
-    qf = weibull_qf(WeibullParams(2.0, 1.0))
-    assert float(pairs["qzi"]) == curve_index(qf, "qz")
-    assert float(pairs["qdi"]) == curve_index(qf, "qd")
+    assert float(pairs["qzi"]) == _closed_index(2.0, "qz")
+    assert float(pairs["qdi"]) == _closed_index(2.0, "qd")
+
+
+def test_index_at_a_huge_shape_matches_mpmath(capsys):
+    # the quantile ratio q(u)/q(v) lies within about 1e-5 of 1 here, so a
+    # curve of 1 minus that ratio loses five or more digits (qzi was off by
+    # 5.6e-12 relative); the closed form keeps them
+    mpmath = pytest.importorskip("mpmath")
+    assert main(["index", "--beta", "1e6"]) == 0
+    pairs = parse_pairs(capsys.readouterr().out)
+    points, weights = gauss_legendre_grid()
+    with mpmath.workdps(40):
+        for kind in ("qz", "qd"):
+            total = 0
+            for p, w in zip(points, weights):
+                u = mpmath.mpf(p) / 2
+                one_minus_v = (1 - mpmath.mpf(p)) / 2 if kind == "qz" else u
+                ratio = mpmath.log1p(-u) / mpmath.log(one_minus_v)  # q(u)/q(v)
+                total += mpmath.mpf(w) * (1 - ratio ** mpmath.mpf("1e-6"))
+            assert float(pairs[kind + "i"]) == pytest.approx(float(total), rel=1e-15, abs=0)
 
 
 def test_index_single_kind(data_file, capsys):
@@ -252,11 +275,13 @@ def test_simulate_overflowing_draws_exit_3(capsys):
 
 @pytest.mark.parametrize("argv,lines", [
     (["index", "--beta", "0.001"], ["qzi = 0.99999999999999978", "qdi = 0.99965342651088185"]),
+    (["index", "--beta", "1e-4"], ["qzi = 0.99999999999999978", "qdi = 0.99997890254097788"]),
     (["curve", "--beta", "1e-3", "--kind", "qd", "--grid", "4"],
      ["p,value", "0,1", "0.25,1", "0.5,1", "0.75,1", "1,0"]),
 ])
 def test_tiny_shape_closed_forms_print_no_numpy_warnings(argv, lines, capsys):
-    # the quantiles overflow to +inf, which the curves take as they are
+    # the closed form, with no quantile: at these shapes the quantiles
+    # overflow to +inf, and at 1e-4 a denominator quantile underflows to zero
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert out.splitlines() == lines and err == ""

@@ -197,9 +197,9 @@ def _traced_fit(sample, config):
     passes, terms = [], md_estimation._newton_terms
     golden_calls, counted = _recorded_golden()
 
-    def traced_terms(ref, rows, lr, weights, beta):
-        out = terms(ref, rows, lr, weights, beta)
-        if lr.size == GRID.panels * GRID.nodes:
+    def traced_terms(ref, rows, lr, weights, beta, derivatives=True):
+        out = terms(ref, rows, lr, weights, beta, derivatives)
+        if derivatives and lr.size == GRID.panels * GRID.nodes:
             passes.append([float(v[0]) for v in out])
         return out
 
@@ -285,8 +285,9 @@ def test_newton_terms_match_plain_sums(reference, kind):
     # magnitude with |m'| widened to |m'| + |u|: e = expm1(u) + 1 is good to
     # eps absolute only, so m' = u*e to |u|*eps, which is most of e where
     # e is tiny.  2048 terms summed in any order stay within about 5e-13 of
-    # that scale.  F equals the objective closure's bitwise, and no value
-    # depends on the block size.
+    # that scale.  The objective closure's F, a pass without the
+    # derivatives, equals a derivative pass's bitwise, and no value depends
+    # on the block size.
     config = MdConfig(curve=kind, reference=reference)
     _, _, lr, w, _ = md_estimation._cell_plan(STUDY_CHUNK.shape[1], reference, kind)
     ref = _ref_rows(STUDY_CHUNK, reference, kind, strict=True)
@@ -396,11 +397,13 @@ def test_batched_fits_equal_scalar_fits_on_every_path():
 def _recorded_passes(coarse):
     """Patch ``_newton_terms`` to record (rows, shapes, F', F'') of each
     pass of the start's refinement (``coarse``), or else the row count of
-    each full-grid pass."""
+    each full-grid Newton pass."""
     passes, terms = [], md_estimation._newton_terms
 
-    def recorded(ref, rows, lr, weights, beta):
-        out = terms(ref, rows, lr, weights, beta)
+    def recorded(ref, rows, lr, weights, beta, derivatives=True):
+        out = terms(ref, rows, lr, weights, beta, derivatives)
+        if not derivatives:  # an objective evaluation, not a pass
+            return out
         if not coarse and lr.size == GRID.panels * GRID.nodes:
             passes.append(rows.size)
         elif coarse and lr.size == GRID.panels:
@@ -563,7 +566,9 @@ def _sorted_rows(draw, rows):
     return np.array([draw(row) for _ in range(rows)])
 
 
-@settings(max_examples=30, deadline=None)
+# print_blob: a failure prints an exact @reproduce_failure line, since the
+# example Hypothesis prints rounds the floats and may not fail again
+@settings(max_examples=30, deadline=None, print_blob=True)
 @given(base=_sorted_rows(3), e=st.floats(-300, 300))
 def test_md_rows_match_md_fit_on_ties_zeros_and_any_scale(base, e):
     x_rows = base * 10.0 ** e
