@@ -42,13 +42,16 @@ def _read_data(path: str, column: str | None) -> np.ndarray:
         raise DomainError(f"cannot read {path} as text: {exc}") from None
     rows = []
     for row in raw:
-        cells = [token for cell in row for token in cell.split()]
+        # an empty cell keeps its place as a missing value; trailing ones go
+        cells = [token for cell in row for token in cell.split() or [""]]
+        while cells and not cells[-1]:
+            cells.pop()
         if cells:
             rows.append(cells)
     if not rows:
         raise DomainError(f"no data found in {path}")
     try:
-        [float(c) for c in rows[0]]
+        [float(c) for c in rows[0] if c]
         has_header = False
     except ValueError:
         has_header = True

@@ -13,11 +13,11 @@ computed with composite Gauss-Legendre quadrature on one fixed grid
 (``GRID``, 256 panels of 8 nodes, also the grid of the MD distance and of
 the study) so that repeated runs are bit-identical.
 
-The grid is built from committed Gauss-Legendre nodes and weights, each
-correctly rounded to double (``_gauss_legendre.py``, generated offline with
-mpmath by ``tools/gen_gauss_legendre.py``).  No eigen-solver runs at import
-or call time, so the indices are the same on every host whatever its LAPACK.
-Rules of 1 to 16 nodes per panel are supported.
+The grid is built from Gauss-Legendre nodes and weights computed on first
+use in 50-digit decimal arithmetic and each rounded once to the nearest
+double (``_rule``).  No eigen-solver or libm routine decides a digit, so the
+indices are the same on every host whatever its LAPACK.  Rules of 1 to
+``MAX_NODES`` = 16 nodes per panel are supported.
 
 The curve kinds are defined here only: ``CurveKind`` owns the kind names,
 the quantile orders u, v and 1 - v and the endpoint values, and every curve
@@ -32,12 +32,12 @@ import io
 import math
 import reprlib
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from ._gauss_legendre import MAX_NODES, RULES
 from .errors import DegenerateQuantile, DomainError, _check_count
 
 __all__ = [
@@ -126,6 +126,9 @@ def _curve_eval(p, inner, ends):
     return _on_unit_interval(p, values, "curve argument")
 
 
+# Most nodes per panel of a quadrature rule.
+MAX_NODES = 16
+
 # Most points a quadrature grid or ``curve_grid`` holds: 2**20, 8 MB per
 # float array.  Larger counts are rejected before anything is allocated.
 MAX_GRID_NODES = 2 ** 20
@@ -135,9 +138,9 @@ MAX_GRID_NODES = 2 ** 20
 class QuadratureSpec:
     """Composite Gauss-Legendre rule: ``panels`` equal panels of ``nodes`` points.
 
-    The per-panel rule comes from a committed table of correctly rounded
-    nodes and weights, exactly symmetric about the panel midpoint, so
-    ``nodes`` must lie in 1..16; DomainError otherwise, when either count
+    The per-panel rule (``_rule``) has correctly rounded nodes and weights,
+    exactly symmetric about the panel midpoint, and ``nodes`` must lie in
+    1..``MAX_NODES``; DomainError otherwise, when either count
     is not an integer, or when the grid would hold more than
     ``MAX_GRID_NODES`` points.
     """
@@ -147,7 +150,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         _check_count(self.panels, 1, "quadrature panels")
-        if _check_count(self.nodes, 1, "quadrature nodes") not in RULES:
+        if _check_count(self.nodes, 1, "quadrature nodes") > MAX_NODES:
             raise DomainError(
                 f"quadrature supports 1 to {MAX_NODES} nodes per panel, got {self.nodes!r}")
         if self.panels * self.nodes > MAX_GRID_NODES:
@@ -156,9 +159,46 @@ class QuadratureSpec:
                 f"panels of {self.nodes!r}")
 
 
+def _legendre(n: int, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, in the current
+    decimal context; x must not be +-1."""
+    p_prev, p = 1, x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, n * (x * p - p_prev) / (x * x - 1)
+
+
+@lru_cache(maxsize=None)
+def _rule(n: int):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method finds the positive roots of P_n in 50-digit decimal
+    arithmetic, each started at cos(pi (k + 3/4) / (n + 1/2)); the weight of
+    a node x is 2 / ((1 - x^2) P_n'(x)^2).  Each value is rounded once to
+    the nearest double (``float`` of a Decimal is correctly rounded), so the
+    rule is the same on every host.  The negative nodes mirror the positive
+    ones and an odd rule's middle node is 0.0: the rule is exactly symmetric.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        upper = []
+        for k in range(n // 2):
+            x = Decimal(math.cos(math.pi * (k + 0.75) / (n + 0.5)))
+            for _ in range(20):  # every n <= 16 meets the step test by pass 6
+                p, dp = _legendre(n, x)
+                step = p / dp
+                if abs(step) < Decimal("1e-40"):
+                    break
+                x -= step
+            upper.append((float(x), float(2 / ((1 - x * x) * dp * dp))))
+        middle = [(0.0, float(2 / _legendre(n, Decimal(0))[1] ** 2))] if n % 2 else []
+    rows = [(-x, w) for x, w in upper] + middle + upper[::-1]
+    return tuple(x for x, _ in rows), tuple(w for _, w in rows)
+
+
 @lru_cache(maxsize=32)
 def _grid(panels: int, nodes: int):
-    x, w = (np.array(v) for v in RULES[nodes])
+    x, w = (np.array(v) for v in _rule(nodes))
     h = 1.0 / panels
     starts = np.arange(panels, dtype=float) * h
     points = (starts[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()

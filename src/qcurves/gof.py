@@ -84,9 +84,10 @@ def _fit_both(sample: SortedSample, method: str) -> WeibullParams:
     return WeibullParams(beta=beta, sigma=profile_scale(sample, beta))
 
 
-def _bootstrap_block(fitted, n, seed, reps, method):
-    """Bootstrap statistics of replicates ``reps``, NaN where a refit failed."""
-    x_rows = _from_uniforms(seeded_uniforms((seed,), reps, n), fitted)
+def _bootstrap_block(beta, n, seed, reps, method):
+    """Bootstrap statistics of replicates ``reps``, drawn at shape ``beta``
+    and unit scale; NaN where a refit failed."""
+    x_rows = _from_uniforms(seeded_uniforms((seed,), reps, n), WeibullParams(beta, 1.0))
     x_rows.sort(axis=1)
     beta = _ROW_KERNELS[method](x_rows, False)[0]
     return _ad_rows(x_rows, beta, _profile_scale_rows(x_rows, beta, False), False)
@@ -103,7 +104,10 @@ def ad_test(
     ``sample`` is a SortedSample or raw data.  Shape (by ``method``) and
     profile scale are estimated on the data, then on each of
     ``bootstrap_reps`` (at most 2**32) resamples drawn from the fitted
-    distribution; each resample is compared with its own refit.  Resample b
+    shape; each resample is compared with its own refit.  That comparison
+    does not depend on the scale, so the resamples are drawn at unit scale,
+    and the bootstrap overflows only where the study does, at shapes below
+    about 0.0051, however large the data.  Resample b
     is the inverse transform of the uniforms of
     ``Generator(PCG64(SeedSequence((seed, b))))``, so the result is
     reproducible and independent of evaluation order.  The resamples are
@@ -133,7 +137,7 @@ def ad_test(
     block = max(1, _BLOCK_VALUES // n)
     exceed = failed = 0
     for start in range(0, bootstrap_reps, block):
-        stats = _bootstrap_block(fitted, n, seed,
+        stats = _bootstrap_block(fitted.beta, n, seed,
                                  range(start, min(start + block, bootstrap_reps)), method)
         exceed += int(np.count_nonzero(stats > observed))
         failed += int(np.count_nonzero(np.isnan(stats)))

@@ -16,8 +16,7 @@ from qcurves import (
     weibull_qf,
     WeibullParams,
 )
-from qcurves._gauss_legendre import MAX_NODES
-from qcurves.curves import gauss_legendre_grid
+from qcurves.curves import MAX_NODES, gauss_legendre_grid
 from qcurves.cli import _FIT_METHODS, main
 from qcurves.weibull import sample as weibull_sample
 
@@ -194,6 +193,15 @@ def test_column_selection_and_header(data_file, capsys):
     assert main(["fit", "--data", path, "--column", "b", "--method", "lm"]) == 0
     pairs = parse_pairs(capsys.readouterr().out)
     assert pairs["n"] == "2"
+    # a leading empty cell is a missing value in its own column
+    path = data_file(None, name="gap.csv", text="a,b\n1,2\n,3\n4,5\n")
+    for column, expect in (("a", [1.0, 4.0]), ("b", [2.0, 3.0, 5.0])):
+        capsys.readouterr()
+        assert main(["fit", "--data", path, "--column", column, "--method", "lm"]) == 0
+        pairs = parse_pairs(capsys.readouterr().out)
+        assert pairs["n"] == str(len(expect))
+        beta = fit_shape(SortedSample.from_data(expect), "lm").beta_hat
+        assert float(pairs["beta_hat"]) == beta
 
 
 @pytest.mark.parametrize("header,column", [("\ufeffx,y", "x"), ("größe,y", "größe"),

@@ -148,16 +148,16 @@ def test_guinea_pig_groups():
 
 
 def reference_ad_test(sample, bootstrap_reps, seed, method):
-    """The bootstrap as a loop of scalar refits, one resample at a time, with
-    a refit that raises counted as failed; the batched ``ad_test`` must agree
-    with it bitwise."""
+    """The bootstrap as a loop of scalar refits, one resample at a time at the
+    fitted shape and unit scale, with a refit that raises counted as failed;
+    the batched ``ad_test`` must agree with it bitwise."""
     beta = fit_shape(sample, method).beta_hat
     fitted = WeibullParams(beta, profile_scale(sample, beta))
     observed = ad_statistic(sample, fitted)
     exceed = failed = 0
     for b in range(bootstrap_reps):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
-        draw = SortedSample.from_data(weibull_sample(fitted, sample.n, rng))
+        draw = SortedSample.from_data(weibull_sample(WeibullParams(beta, 1.0), sample.n, rng))
         try:
             refit_beta = fit_shape(draw, method).beta_hat
             refit = WeibullParams(refit_beta, profile_scale(draw, refit_beta))
@@ -202,6 +202,18 @@ def test_batched_bootstrap_matches_scalar_loop_across_blocks(method):
     n = 5000
     assert _BLOCK_VALUES // n < 7  # 20 replicates span at least three blocks
     assert_matches_reference(weib_sorted(0.8, n, 13, scale=40.0), 20, 6, method)
+
+
+def test_ad_test_does_not_overflow_at_the_top_of_the_float_range():
+    # the resamples are drawn at unit scale, so a sample whose fitted scale
+    # is about 5e307 gets the p-value of the unscaled one
+    control = np.asarray(load_guinea_pigs()["control"], dtype=float)
+    base = ad_test(control, 999, seed=1)
+    scaled = ad_test(control / control.max() * 1e308, 999, seed=1)
+    assert scaled.sigma_hat > 1e307
+    assert scaled.statistic == pytest.approx(base.statistic, rel=1e-12)
+    assert (scaled.p_value, scaled.failed_refits) == (base.p_value, base.failed_refits)
+    assert base.p_value == 1 / 999
 
 
 def tiny_shape_sample(beta):

@@ -1,9 +1,11 @@
-"""The README's Python examples run as written."""
+"""The README's Python and command-line examples run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 from qcurves import load_guinea_pigs
+from qcurves.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +24,18 @@ def test_readme_python_blocks_run_in_order():
         code = block.replace(*STUDY_REPLICATIONS)
         exec(compile(code, str(README), "exec"), namespace)
     assert namespace["report"].replications == 20
+
+
+def test_readme_command_line_block_runs(tmp_path, capsys):
+    # every line of the block exits 0, with lifetimes.txt the control group
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", README.read_text(),
+                      flags=re.MULTILINE | re.DOTALL).group(1)
+    data = tmp_path / "lifetimes.txt"
+    data.write_text("".join(f"{float(v)!r}\n" for v in load_guinea_pigs()["control"]))
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 9
+    for command in commands:
+        assert command[0] == "qcurves"
+        args = [str(data) if arg == "lifetimes.txt" else arg for arg in command[1:]]
+        assert main(args) == 0, command
+        assert capsys.readouterr().err == ""
