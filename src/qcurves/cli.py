@@ -8,13 +8,13 @@ codes: 0 success, 2 argument errors, 3 data or estimation failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from .asymptotics import md_asymptotic_variance
 from .curves import CurveKind, CurveSamples, _unit_grid, curve_value, gauss_legendre_grid
+from .datasets import _read_data
 from .empirical_qf import SortedSample, empirical_qf, plotting_position_qf
 from .errors import DomainError, QcurvesError
 from .gof import ad_test
@@ -30,50 +30,6 @@ from .weibull import _check_positive, closed_curve
 
 _FIT_METHODS = tuple(SHAPE_METHODS) + tuple(_MD_METHODS)
 _KINDS = [kind.value for kind in CurveKind]
-
-
-def _read_data(path: str, column: str | None) -> np.ndarray:
-    """Numeric column(s) from a text file; comma or whitespace separated."""
-    try:
-        # utf-8-sig also reads the byte-order mark of spreadsheet exports
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            raw = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DomainError(f"cannot read {path} as text: {exc}") from None
-    rows = []
-    for row in raw:
-        # an empty cell keeps its place as a missing value; trailing ones go
-        cells = [token for cell in row for token in cell.split() or [""]]
-        while cells and not cells[-1]:
-            cells.pop()
-        if cells:
-            rows.append(cells)
-    if not rows:
-        raise DomainError(f"no data found in {path}")
-    try:
-        [float(c) for c in rows[0] if c]
-        has_header = False
-    except ValueError:
-        has_header = True
-    if column is not None:
-        if not has_header:
-            raise DomainError("--column requires a file with a header row")
-        try:
-            idx = rows[0].index(column)
-        except ValueError:
-            raise DomainError(
-                f"column {column!r} not found; file has {', '.join(rows[0])}") from None
-        values = [row[idx] for row in rows[1:] if idx < len(row) and row[idx].strip()]
-    else:
-        body = rows[1:] if has_header else rows
-        if has_header and len(rows[0]) > 1:
-            raise DomainError(
-                f"file has columns {', '.join(rows[0])}; pick one with --column")
-        values = [cell for row in body for cell in row if cell.strip()]
-    try:
-        return np.array([float(v) for v in values])
-    except ValueError as exc:
-        raise DomainError(f"non-numeric value in {path}: {exc}") from None
 
 
 def _emit(stream, pairs):

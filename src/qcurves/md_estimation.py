@@ -380,13 +380,15 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
       (a, b);
     - otherwise move to the midpoint of (a, b).
 
-    This is the safeguard of the shape estimators' root finder
-    (``_bracketed_root``), applied to F'.  A row whose minimum lies outside
-    its first bracket bisects toward that edge.  A row still moving after
-    ``_NEWTON_PASSES`` passes goes to the golden search on log-shape.  That
-    search starts on the first bracket and, while its minimum sits on the
-    bracket edge, re-centres and doubles the bracket up to
-    ``_MAX_EXPANSIONS`` times.  Rows drop out as they finish, so every
+    The shape estimators' root finder (``_bracketed_root``) keeps a sign
+    bracket (lo, hi) of its falling residuals by the same convention: the
+    end on the point's side of the root moves to the point, and a Newton
+    step that would leave the bracket becomes its midpoint.  A row whose
+    minimum lies outside its first bracket bisects toward that edge.  A row
+    still moving after ``_NEWTON_PASSES`` passes goes to the golden search
+    on log-shape.  That search starts on the first bracket and, while its
+    minimum sits on the bracket edge, re-centres and doubles the bracket up
+    to ``_MAX_EXPANSIONS`` times.  Rows drop out as they finish, so every
     row's result depends on that row alone.  No row ends worse than its
     start: where the start's objective is not above the minimum found, the
     start is returned.

@@ -2,10 +2,11 @@
 
 All estimators are scale invariant and return only the shape; when a scale
 is needed downstream it is recovered as (mean(x**b))**(1/b) for the fitted
-shape b.  The ml, mml, bcml and me shape equations are solved by one root
-finder on the fixed shape bracket [1e-3, 1e3]: Newton steps in log-shape
-from b = 1, kept inside each row's sign-change bracket by bisection, so
-results are deterministic.
+shape b.  The residuals of the ml, mml, bcml and me shape equations fall as
+the shape grows, and one root finder solves them on the fixed shape bracket
+[1e-3, 1e3]: Newton steps in log-shape from b = 1, kept inside each row's
+sign bracket (lo, hi) by bisection as the MD minimizer keeps its own on F',
+so results are deterministic.
 
 Each estimator has one implementation, a row kernel in ``_ROW_KERNELS``
 called as ``kernel(x_rows, strict)``.  It maps sorted samples, one per row,
@@ -104,20 +105,26 @@ class EstimateResult:
 
 
 def _bracketed_root(f, rows, strict, ends=None):
-    """Vectorized safeguarded Newton root finder in log-shape on the bracket
-    [BRACKET_LO, BRACKET_HI].
+    """Vectorized safeguarded Newton root finder in log-shape, for residuals
+    that fall as the shape grows, on the bracket [BRACKET_LO, BRACKET_HI].
 
     ``f`` maps a 1-d array of ``rows`` shapes b to their residuals and the
-    residuals' derivatives with respect to log b.  Rows whose bracket shows no
-    sign change raise NoBracket (strict) or come back NaN.  Every other row
-    starts at b = 1, the log-midpoint of the bracket, and takes Newton steps
-    in log b inside its sign-change bracket, bisecting that bracket (in log b)
-    when a step would leave it.  A row settles at its evaluated point once the
-    next step or its bracket is below the tolerance in b, or once a step below
-    ``_STALL_STEP`` no longer halves, which means the residual has reached its
-    rounding floor.  Returns (roots, passes, |f(roots)|).  Runs inside a
-    kernel's errstate.  ``ends``, when the caller knows them, are the
-    residuals at BRACKET_LO and BRACKET_HI, which then are not evaluated.
+    residuals' derivatives with respect to log b.  A row is bracketed when
+    its residual is positive at BRACKET_LO and negative at BRACKET_HI; an
+    end where it is exactly zero is the root, and any other row raises
+    NoBracket (strict) or comes back NaN.  Each bracketed row starts at
+    b = 1, the log-midpoint of the bracket, inside a sign bracket (lo, hi)
+    in log b that starts as the whole bracket.  After each pass hi moves to
+    the point where the residual is negative and lo to it otherwise; the
+    pass then takes the Newton step when it lands inside (lo, hi) and moves
+    to the midpoint of (lo, hi) otherwise, as the MD minimizer
+    (``md_estimation._minimize_log``) does on F'.  A row settles at its
+    evaluated point once the next step or (lo, hi) is below the tolerance
+    in b, or once a step below ``_STALL_STEP`` no longer halves, which means
+    the residual has reached its rounding floor.  Returns (roots, passes,
+    |f(roots)|).  Runs inside a kernel's errstate.  ``ends``, when the
+    caller knows them, are the residuals at BRACKET_LO and BRACKET_HI, which
+    then are not evaluated.
     """
     if ends is None:
         ends = [f(np.full(rows, b))[0] for b in (BRACKET_LO, BRACKET_HI)]
@@ -125,17 +132,14 @@ def _bracketed_root(f, rows, strict, ends=None):
     root = np.full(rows, np.nan)
     root[f_lo == 0.0] = BRACKET_LO
     root[f_hi == 0.0] = BRACKET_HI
-    residual = np.where(np.isnan(root), np.nan, 0.0)
     active = np.isnan(root)
+    residual = np.where(active, np.nan, 0.0)
     # a NaN end value (a residual undefined for these data) is no sign change
-    no_bracket = active & ~(np.sign(f_lo) * np.sign(f_hi) < 0.0)
-    if no_bracket.any():
-        if strict:
-            raise NoBracket(f"no sign change on [{BRACKET_LO:g}, {BRACKET_HI:g}]")
-        active &= ~no_bracket
-    # the log-shape ends of each bracket where the residual is negative / positive
-    t_neg = np.where(f_lo < 0.0, _LOG_LO, _LOG_HI)
-    t_pos = np.where(f_lo < 0.0, _LOG_HI, _LOG_LO)
+    no_bracket = active & ~((f_lo > 0.0) & (f_hi < 0.0))
+    if strict and no_bracket.any():
+        raise NoBracket(f"no sign change on [{BRACKET_LO:g}, {BRACKET_HI:g}]")
+    active &= ~no_bracket
+    lo, hi = _LOG_LO, _LOG_HI
     t = np.zeros(rows)
     last_step = np.full(rows, np.inf)
     iterations = 0
@@ -148,22 +152,21 @@ def _bracketed_root(f, rows, strict, ends=None):
         delta = fx / dfx
         step = np.abs(delta)
         negative = fx < 0.0
-        t_neg = np.where(negative, t, t_neg)
-        t_pos = np.where(negative, t_pos, t)
-        tol = _XTOL + 4.0 * _EPS * b
-        settled = active & ((fx == 0.0) | (b * step < tol) | (b * np.abs(t_pos - t_neg) < tol)
+        hi = np.where(negative, t, hi)
+        lo = np.where(negative, lo, t)
+        settled = active & ((fx == 0.0) | (b * np.fmin(step, hi - lo) < _XTOL + 4.0 * _EPS * b)
                             | ((step < _STALL_STEP) & (step > 0.5 * last_step)))
-        root[settled] = b[settled]
-        residual[settled] = np.abs(fx[settled])
+        np.copyto(root, b, where=settled)
+        np.copyto(residual, np.abs(fx), where=settled)
         active &= ~settled
+        # every row, settled ones too, moves inside its (lo, hi), so its next
+        # point stays on the bracket and needs no freeze
         newton = t - delta
-        inside = (newton - t_neg) * (newton - t_pos) < 0.0
-        t = np.where(active, np.where(inside, newton, 0.5 * (t_neg + t_pos)), t)
+        t = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
         last_step = step
-    if active.any():
-        if strict:
-            raise NonConvergence(f"root finder hit the {_MAXITER}-iteration cap")
-        # leave unconverged entries NaN
+    if strict and active.any():
+        raise NonConvergence(f"root finder hit the {_MAXITER}-iteration cap")
+    # unconverged rows stay NaN
     return root, iterations, residual
 
 

@@ -1,6 +1,7 @@
 """Shape estimators: ML family, moment-type, regression-type, percentile."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -229,6 +230,18 @@ def test_bracketed_root_on_a_linear_residual(c):
     def f(b):
         return c - np.log(b), np.full(b.shape, -1.0)
 
+    # the root finder takes falling residuals only: a rising one is NoBracket
+    # unless an end is its exact root
+    def rising(b):
+        return np.log(b) - c, np.full(b.shape, 1.0)
+
+    ends = {math.log(1e-3): 1e-3, math.log(1e3): 1e3}
+    if c in ends:
+        assert _bracketed_root(rising, 1, True)[0][0] == ends[c]
+    else:
+        with pytest.raises(NoBracket):
+            _bracketed_root(rising, 1, True)
+        assert np.isnan(_bracketed_root(rising, 1, False)[0][0])
     if not math.log(1e-3) <= c <= math.log(1e3):
         with pytest.raises(NoBracket):
             _bracketed_root(f, 1, True)
@@ -238,6 +251,39 @@ def test_bracketed_root_on_a_linear_residual(c):
     assert abs(root[0] - math.exp(c)) < 1e-12 * math.exp(c)
     assert residual[0] == abs(f(root)[0][0])
     assert passes <= 3
+
+
+@st.composite
+def _hard_rows(draw, rows=3):
+    """Sorted rows of 2 to 1,000 values on a 0.01 grid, as few as one distinct
+    value (ties) and any share of zeros, scaled by 10**e for e in [-300, 300]."""
+    n = draw(st.integers(2, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(1, draw(st.integers(1, 10**4)) + 1, (rows, n)) / 100
+    x[rng.random((rows, n)) < draw(st.floats(0.0, 1.0))] = 0.0
+    return np.sort(x, axis=1) * 10.0 ** draw(st.floats(-300, 300))
+
+
+@pytest.mark.parametrize("method", ("ml", "mml", "me"))
+@settings(max_examples=40, deadline=None)
+@given(x_rows=_hard_rows())
+@example(x_rows=np.array([[0.0, 3.0], [3.0, 3.0], [1.0, 2.0]]) * 1e-300)
+@example(x_rows=np.array([[0.0, 3.0], [3.0, 3.0], [1.0, 2.0]]) * 1e300)
+def test_kernels_pass_the_root_finder_a_falling_residual(method, x_rows):
+    # _bracketed_root brackets only residuals that fall from 1e-3 to 1e3;
+    # every residual a kernel hands it does, or is NaN at an end
+    residuals = []
+
+    def spy(f, rows, strict, ends=None):
+        residuals.append(f)
+        return _bracketed_root(f, rows, strict, ends)
+
+    with mock.patch("qcurves.shape_estimators._bracketed_root", spy):
+        _ROW_KERNELS[method](x_rows, False)
+    (f,) = residuals
+    with np.errstate(all="ignore"):
+        f_lo, f_hi = (f(np.full(len(x_rows), b))[0] for b in (1e-3, 1e3))
+    assert np.all((f_lo >= f_hi) | np.isnan(f_lo) | np.isnan(f_hi)), (f_lo, f_hi)
 
 
 def test_root_passes_stay_few():
