@@ -78,7 +78,8 @@ class KernelContext:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", CurveKind(self.kind))
-        if _check_positive(self.beta) < np.finfo(float).tiny:
+        object.__setattr__(self, "beta", _check_positive(self.beta))
+        if self.beta < np.finfo(float).tiny:
             raise DomainError(f"shape must be a normal float, got {self.beta!r}")
 
 
@@ -245,6 +246,6 @@ def md_asymptotic_variance(beta: float, kind=CurveKind.QZ, panels: int = 64,
     if not (fine > 0.0 and c_sq > 0.0 and math.isfinite(fine / c_sq)):
         raise DomainError(f"asymptotic variance at shape {beta!r} under- or overflows")
     sigma2 = fine / c_sq
-    return AsymptoticVariance(beta=beta, kind=ctx.kind, sigma2=sigma2,
+    return AsymptoticVariance(beta=ctx.beta, kind=ctx.kind, sigma2=sigma2,
                               double_integral=fine, eta_squared_integral=c_val,
                               rel_change=rel)

@@ -82,13 +82,14 @@ class CurveKind(Enum):
 
 def _real_array(x) -> np.ndarray:
     """The float array of ``x``; DomainError when ``x`` holds booleans or
-    anything but real numbers, or is ragged."""
+    anything but real numbers, is ragged or holds an int beyond the float
+    range."""
     try:
         arr = np.asarray(x)
         if arr.dtype.kind not in "iufO":  # an object array converts element by element
             raise TypeError
         return arr.astype(float, copy=False)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"expected real numbers, got {reprlib.repr(x)}") from None
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .empirical_qf import (SortedSample, _as_sorted_sample, _interpolate, interp_plan,
                           plotting_positions)
 from .errors import DegenerateSample, DomainError, NoBracket, NonConvergence
+from .weibull import _check_positive
 
 __all__ = [
     "EstimateResult",
@@ -534,24 +535,22 @@ def _profile_scale_rows(x_rows, beta, strict):
     bad = _reject(strict, ~((beta > 0.0) & np.isfinite(beta)), DomainError,
                   "shape must be positive and finite")
     bad |= _reject(strict, x_rows[:, 0] <= 0.0, DomainError,
-                   "method requires strictly positive data")
+                   "profile scale requires strictly positive data")
     top = x_rows[:, -1]
     with np.errstate(all="ignore"):
         scaled = np.power(x_rows / top[:, None], beta[:, None]).mean(axis=1)
-    # Python's pow for the final root: numpy's power differs from it in the
-    # last bit for about 6% of arguments, which would move the fitted scales
-    return np.array([math.nan if skip else t * s ** (1.0 / b) for skip, t, s, b in
-                     zip(bad.tolist(), top.tolist(), scaled.tolist(), beta.tolist())])
+        return np.where(bad, np.nan, top * np.power(scaled, 1.0 / beta))
 
 
 def profile_scale(sample: SortedSample, beta: float) -> float:
     """Likelihood-maximizing scale for a fixed shape: (mean x^beta)^(1/beta).
 
     Computed on data rescaled by the sample maximum so x^beta cannot
-    overflow for large shapes.
+    overflow for large shapes.  DomainError unless ``beta`` is a finite
+    positive real number, not a bool, and the data are strictly positive.
     """
     x_rows = _as_sorted_sample(sample).values[None, :]
-    return float(_profile_scale_rows(x_rows, np.array([beta], dtype=float), True)[0])
+    return float(_profile_scale_rows(x_rows, np.array([_check_positive(beta)]), True)[0])
 
 
 def fit_shape(sample: SortedSample, method: str) -> EstimateResult:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,7 +57,7 @@ from .curves import GRID, CurveKind
 from .errors import DomainError, _check_count
 from .md_estimation import (MdConfig, _MD_METHODS, _block_buffers, _cell_plan, _md_rows,
                             _ref_rows, _row_blocks)
-from .shape_estimators import SHAPE_METHODS, _ROW_KERNELS
+from .shape_estimators import _ROW_KERNELS
 from .weibull import WeibullParams, _check_positive, _from_uniforms
 
 __all__ = [
@@ -84,13 +83,29 @@ METRICS = ("MISE_qZ", "MISE_qD", "MSE_qZI", "MSE_qDI", "BIAS_qZI", "BIAS_qDI")
 _CHUNK = 500
 
 
-def _entries(config, name: str) -> tuple:
-    """The field ``name`` of ``config`` as a tuple; DomainError naming the field
-    unless it is a collection other than a string."""
+def _entries(config, name: str, check) -> tuple:
+    """The field ``name`` of ``config`` as a tuple of ``check`` of each entry;
+    DomainError naming the field unless it is a collection other than a
+    string that holds at least one value and repeats none.  ``check`` raises
+    its own DomainError for a bad entry, before the repeat test."""
     value = getattr(config, name)
     if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
         raise DomainError(f"{name} must be a tuple or list, got {value!r}")
-    return tuple(value)
+    entries = tuple(check(v) for v in value)
+    if not entries:
+        raise DomainError(f"{name} must hold at least one value")
+    # a repeated value would run a second cell or fit that the report's
+    # lookups and tables cannot tell from the first
+    if len(set(entries)) < len(entries):
+        raise DomainError(f"{name} must not repeat a value, got {entries!r}")
+    return entries
+
+
+def _check_estimator(est):
+    """``est``; DomainError unless it names an estimator of the study."""
+    if not (isinstance(est, str) and est in ESTIMATOR_ORDER):
+        raise DomainError(f"unknown estimator {est!r}; valid: {', '.join(ESTIMATOR_ORDER)}")
+    return est
 
 
 @dataclass(frozen=True)
@@ -105,35 +120,15 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
-        betas = _entries(self, "betas")
-        for b in betas:
-            if isinstance(b, bool) or not isinstance(b, numbers.Real):
-                raise DomainError(f"betas must hold numbers, got {b!r}")
-        object.__setattr__(self, "betas", tuple(_check_positive(float(b)) for b in betas))
-        object.__setattr__(self, "sizes", tuple(_check_count(n, 2, "sample size")
-                                                for n in _entries(self, "sizes")))
-        object.__setattr__(self, "estimators", _entries(self, "estimators"))
+        for name, check in (("betas", lambda b: _check_positive(b, "betas shape")),
+                            ("sizes", lambda n: _check_count(n, 2, "sample size")),
+                            ("estimators", _check_estimator)):
+            object.__setattr__(self, name, _entries(self, name, check))
         # replication r draws from stream r of its cell
         for name, minimum, maximum in (("replications", 1, STREAMS), ("workers", 1, None),
                                        ("master_seed", 0, None)):
             object.__setattr__(self, name,
                                _check_count(getattr(self, name), minimum, name, maximum))
-        if not self.betas:
-            raise DomainError("need at least one shape value")
-        if not self.sizes:
-            raise DomainError("need at least one sample size")
-        if not self.estimators:
-            raise DomainError("need at least one estimator")
-        for est in self.estimators:
-            if est not in ESTIMATOR_ORDER:
-                raise DomainError(
-                    f"unknown estimator {est!r}; valid: {', '.join(ESTIMATOR_ORDER)}")
-        # a repeated value would run a second cell or fit that the report's
-        # lookups and tables cannot tell from the first
-        for name in ("betas", "sizes", "estimators"):
-            values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise DomainError(f"{name} must not repeat a value, got {values!r}")
 
 
 def _shape_rows(est: str, x_rows: np.ndarray, cache: dict, kind: CurveKind) -> np.ndarray:
@@ -417,8 +412,6 @@ def replicate_estimates(estimator: str, beta: float, n: int, replications: int,
     curve = CurveKind(curve)
     if estimator == "hf":
         raise DomainError("the hf curve estimator does not produce a shape estimate")
-    if estimator not in SHAPE_METHODS and estimator not in _MD_METHODS:
-        raise DomainError(f"unknown estimator {estimator!r}")
     config = SimulationConfig(
         betas=(beta,), sizes=(n,), replications=replications,
         estimators=(estimator,), master_seed=master_seed)
@@ -438,7 +431,7 @@ def render_tables(report: SimulationReport, scale: float = 1000.0) -> str:
     failed replications are marked ``*``; ``SimulationReport.to_csv`` is the
     report's CSV form.  DomainError unless ``scale`` is finite and positive.
     """
-    _check_positive(scale, "scale")
+    scale = _check_positive(scale, "scale")
     order = [e for e in ESTIMATOR_ORDER if e in report.estimators]
     cells = [(n, beta) for n in report.sizes for beta in report.betas]
     lines = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,19 @@ _NORMAL_MIN = np.finfo(float).tiny  # the smallest normal float
 
 
 def _check_positive(value: float, name: str = "shape") -> float:
-    """The parameter ``value``; DomainError unless it is a finite positive
-    real number (NumPy scalars included), not a bool."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value > 0.0)):
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
-    return value
+    """The parameter ``value`` as a float; DomainError unless it is a finite
+    positive real number (NumPy scalars included), not a bool.  Any real is
+    decided: an int beyond the float range is not finite here, and the error
+    shows a long value abridged.  A float32 comes back as the float it holds,
+    so no arithmetic on the parameter falls back to float32."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value) and value > 0.0)
+    except OverflowError:  # math.isfinite of an int beyond the float range
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be finite and positive, got {reprlib.repr(value)}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,8 @@ class WeibullParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        _check_positive(self.beta)
-        _check_positive(self.sigma, "scale")
+        object.__setattr__(self, "beta", _check_positive(self.beta))
+        object.__setattr__(self, "sigma", _check_positive(self.sigma, "scale"))
 
 
 def pdf(params: WeibullParams, x):
@@ -226,7 +234,7 @@ def qd_closed(beta: float, p):
 def closed_curve(beta: float, p, kind):
     """The closed-form curve of ``kind``: :func:`qz_closed` or :func:`qd_closed`."""
     kind = CurveKind(kind)
-    _check_positive(beta)
+    beta = _check_positive(beta)
     # below a shape of 1e-160 the curve is 1, as exp(lr/beta) in _eta_terms is 0
     return _curve_eval(p, lambda p: -np.expm1(_log_ratio(p, kind) / max(beta, 1e-160)),
                        kind.ends)
@@ -234,8 +242,7 @@ def closed_curve(beta: float, p, kind):
 
 def gini_weibull(beta: float) -> float:
     """Gini index of the Weibull model, 1 - 2**(-1/beta); scale free."""
-    _check_positive(beta)
-    return -math.expm1(-math.log(2.0) / beta)
+    return -math.expm1(-math.log(2.0) / _check_positive(beta))
 
 
 def eta_weibull(beta: float, p, kind="qz"):
@@ -246,7 +253,7 @@ def eta_weibull(beta: float, p, kind="qz"):
     curves (larger shape means a lower curve) and zero at the endpoints.
     """
     kind = CurveKind(kind)
-    _check_positive(beta)
+    beta = _check_positive(beta)
     return _curve_eval(p, lambda p: _eta_terms(_log_ratio(p, kind), beta)[1], (0.0, 0.0))
 
 
@@ -264,7 +271,7 @@ def _eta_terms(lr: np.ndarray, beta: float, out: np.ndarray | None = None):
     """
     e = np.exp(np.divide(lr, max(beta, 1e-160), out=out), out=out)
     eta = np.multiply(e, lr, out=None if out is None else lr)
-    if 1e-160 <= float(beta) < 1e154:
+    if 1e-160 <= beta < 1e154:
         eta /= beta**2
     else:
         eta.fill(0.0)

@@ -1,6 +1,7 @@
 """Package-wide contracts: the exported names, the modules an import loads
 and the typed count checks."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -25,15 +26,22 @@ from qcurves import (
     curve_grid,
     curve_value,
     empirical_qf,
+    eta_weibull,
+    fit_shape,
+    gini_weibull,
     kernel_R,
     kernel_ab,
     md_asymptotic_variance,
+    md_fit,
     md_objective,
     pdf,
     plotting_positions,
+    profile_scale,
     quantile,
     quantile_density,
+    render_tables,
     replicate_estimates,
+    run_simulation,
     sample,
 )
 
@@ -110,11 +118,26 @@ _PARAMS = WeibullParams(1.0)
 _SAMPLE = SortedSample(_X)
 _KERNEL = KernelContext(1.0, "qz")
 
-# (entry point taking one value, a valid value of it); non-real values and
-# bools are a DomainError at each, never a TypeError or ValueError
+
+@functools.cache
+def _report():
+    return run_simulation(SimulationConfig(betas=(1.0,), sizes=(10,), replications=5,
+                                           estimators=("ml",)))
+
+
+# (entry point taking one value, a valid value of it); non-real values, bools
+# and ints beyond the float range are a DomainError at each, never a
+# TypeError, ValueError or OverflowError
 VALUE_CALLS = {
     "WeibullParams": (WeibullParams, 2.0),
     "WeibullParams.sigma": (lambda v: WeibullParams(1.0, v), 2.0),
+    "gini_weibull": (gini_weibull, 2.0),
+    "eta_weibull": (lambda v: eta_weibull(v, 0.5), 2.0),
+    "profile_scale": (lambda v: profile_scale(_SAMPLE, v), 2.0),
+    "KernelContext": (lambda v: KernelContext(v, "qz"), 2.0),
+    "SimulationConfig.betas": (lambda v: SimulationConfig(betas=(v,)), 2.0),
+    "replicate_estimates": (lambda v: replicate_estimates("ml", v, 20, 5).tolist(), 2.0),
+    "render_tables": (lambda v: render_tables(_report(), v), 2.0),
     "md_objective": (lambda v: md_objective(_SAMPLE, v), 2.0),
     "md_asymptotic_variance": (md_asymptotic_variance, 2.0),
     "closed_curve": (lambda v: closed_curve(v, 0.5, "qz"), 2.0),
@@ -131,12 +154,15 @@ VALUE_CALLS = {
 
 @pytest.mark.parametrize("call,valid", list(VALUE_CALLS.values()), ids=list(VALUE_CALLS))
 def test_non_real_values_are_domain_errors(call, valid):
-    for bad in ("x", str(valid), True, np.bool_(False), None, 1j, [valid, "x"]):
+    for bad in ("x", str(valid), True, np.bool_(False), None, 1j, [valid, "x"],
+                10**400, -10**400):
         with pytest.raises(DomainError):
             call(bad)
-    # NumPy scalars are real numbers
+    # NumPy scalars are real numbers, and a float32 is taken as the float it
+    # holds, not computed with in float32
     assert call(np.float64(valid)) == call(valid)
-    assert call(np.float32(valid)) == call(float(np.float32(valid)))
+    for value in (valid, 0.3):
+        assert call(np.float32(value)) == call(float(np.float32(value)))
 
 
 # bad inputs that NumPy or the json module would reject with an untyped
@@ -145,6 +171,11 @@ ENTRY_ERRORS = {
     "kernel_R.shapes": lambda: kernel_R(_KERNEL, [0.1, 0.2], [0.3, 0.4, 0.5]),
     "from_json.fields": lambda: SimulationReport.from_json("{}"),
     "from_json.text": lambda: SimulationReport.from_json("not json"),
+    "SimulationConfig.estimators": lambda: SimulationConfig(estimators=(np.array(["ml", "hf"]),)),
+    # an int beyond the float range in a sample
+    "SortedSample": lambda: SortedSample([1.0, 10**400]),
+    "fit_shape": lambda: fit_shape([1.0, 2.0, 10**400], "ml"),
+    "md_fit": lambda: md_fit([1.0, 2.0, 10**400]),
 }
 
 

@@ -21,7 +21,7 @@ from qcurves import (
     profile_scale,
 )
 from qcurves.shape_estimators import _ROW_KERNELS, _bracketed_root, _lgamma_digamma_1p
-from qcurves.simulation import replicate_estimates
+from qcurves.simulation import SimulationConfig, _draw_rows, replicate_estimates
 from tests.conftest import weib_sorted
 
 ALL_METHODS = tuple(SHAPE_METHODS)
@@ -296,6 +296,17 @@ def test_root_passes_stay_few():
                 s = SortedSample.from_data(rng.weibull(beta, n))
                 for method in ("ml", "me"):
                     assert fit_shape(s, method).iterations <= 12, (method, n, beta)
+
+
+def test_root_finder_settles_rows_at_their_rounding_floor():
+    # at shape 200 the me residual reaches its rounding floor before the
+    # tolerance in b is met; the stall rule (a step below _STALL_STEP that no
+    # longer halves) settles those rows, where the chunk takes 19 passes with
+    # the rule and 28 without it
+    config = SimulationConfig(betas=(200.0,), sizes=(30,), replications=500)
+    beta, passes, _ = _ROW_KERNELS["me"](_draw_rows(config, 0, 0, 0, 500), False)
+    assert np.isfinite(beta).all()
+    assert passes <= 23
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
