@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import _on_unit_interval, _real_array
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_choice, _check_count
 
 __all__ = [
     "SortedSample",
@@ -75,9 +75,9 @@ def _as_sorted_sample(data) -> SortedSample:
 
 
 def plotting_positions(n: int, scheme: str = "hf") -> np.ndarray:
-    """Plotting positions p_1 < ... < p_n for the given scheme."""
-    if scheme not in _SCHEMES:
-        raise DomainError(f"unknown plotting-position scheme {scheme!r}")
+    """Plotting positions p_1 < ... < p_n for the given scheme, ``hf`` or
+    ``wg``; DomainError unless ``scheme`` is one of them, as a string."""
+    _check_choice(scheme, _SCHEMES, "plotting-position scheme")
     _check_count(n, 1, "number of observations")
     k = np.arange(1, n + 1, dtype=float)
     if scheme == "hf":

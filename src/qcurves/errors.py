@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and the count check.
+"""Exception types shared across the package, and the count and named-choice
+checks.
 
 All numerical / estimation failures raise subclasses of :class:`QcurvesError`
-so callers (and the CLI) can distinguish them from programming errors.
+so callers (and the CLI) can distinguish them from programming errors.  Every
+count, size and seed goes through ``_check_count``, and every choice made by
+name (a shape method, MD reference, plotting-position scheme or study
+estimator) through ``_check_choice``.
 """
 
 import numbers
@@ -59,3 +63,12 @@ def _check_count(value, minimum: int, name: str, maximum: int | None = None) -> 
     if maximum is not None and value > maximum:
         raise DomainError(f"{name} must be at most {maximum}, got {value!r}")
     return int(value)
+
+
+def _check_choice(value, choices, name: str) -> str:
+    """``value``; DomainError naming the valid ``choices``, in their order,
+    unless it is a string among them.  Any other value, an array or list
+    included, is an unknown ``name``."""
+    if not (isinstance(value, str) and value in choices):
+        raise DomainError(f"unknown {name} {value!r}; valid: {', '.join(choices)}")
+    return value

@@ -69,7 +69,7 @@ import numpy as np
 from .curves import GRID, CurveKind, gauss_legendre_grid
 from .empirical_qf import (SortedSample, _as_sorted_sample, _interpolate, interp_plan,
                           plotting_positions, step_indices)
-from .errors import BracketFailure, DegenerateQuantile, DomainError, QcurvesError, StartFailure
+from .errors import BracketFailure, DegenerateQuantile, QcurvesError, StartFailure, _check_choice
 from .shape_estimators import EstimateResult, _ROW_KERNELS
 from .weibull import _check_positive, _log_ratio
 
@@ -101,16 +101,17 @@ _PANEL_WEIGHTS.flags.writeable = False
 class MdConfig:
     """What a minimum-distance fit matches: the ``curve`` (a kind or its
     name) and the ``reference`` quantile function (``empirical`` step or
-    ``hf``).  The minimizer's start, bracket and tolerance and the
-    quadrature grid are fixed (see the module docstring)."""
+    ``hf``), a key of ``MD_REFERENCES``; any other reference, a non-string
+    included, is a DomainError naming them.  The minimizer's start, bracket
+    and tolerance and the quadrature grid are fixed (see the module
+    docstring)."""
 
     curve: CurveKind = CurveKind.QZ
     reference: str = "empirical"
 
     def __post_init__(self):
         object.__setattr__(self, "curve", CurveKind(self.curve))
-        if self.reference not in MD_REFERENCES:
-            raise DomainError(f"reference must be one of {sorted(MD_REFERENCES)}")
+        _check_choice(self.reference, MD_REFERENCES, "reference")
 
     @property
     def method(self) -> str:
@@ -487,6 +488,9 @@ def _start_rows(x_rows: np.ndarray, strict: bool) -> np.ndarray:
         start[redo] = _ROW_KERNELS["lm"](x_rows[redo], False)[0]
     bad = ~(np.isfinite(start) & (start > 0.0))
     if strict and bad.any():
+        # lm runs strictly on the first failed row alone: on several rows a
+        # strict kernel reports the first check that any row fails, which
+        # need not be the first failed row's reason
         k = int(np.argmax(bad))
         try:
             _ROW_KERNELS["lm"](x_rows[k:k + 1], True)  # raises with the reason lm failed
@@ -508,8 +512,8 @@ def _md_rows(x_rows: np.ndarray, config: MdConfig, strict: bool):
     inside the seed's bracket.  A row without a seed or a reference, or
     whose minimum stays pinned to the bracket edge, has a NaN shape and
     objective; with ``strict`` it raises the typed error instead, the seed
-    checked before the reference and the reference before the minimizer.  A row without a reference keeps its
-    seed as start.  A one-row call is ``md_fit``.
+    checked before the reference and the reference before the minimizer.  A
+    row without a reference keeps its seed as start.  A one-row call is ``md_fit``.
     """
     seeds = _start_rows(x_rows, strict)
     ref = _ref_rows(x_rows, config.reference, config.curve, strict)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .empirical_qf import (SortedSample, _as_sorted_sample, _interpolate, interp_plan,
                           plotting_positions)
-from .errors import DegenerateSample, DomainError, NoBracket, NonConvergence
-from .weibull import _check_positive
+from .errors import DegenerateSample, DomainError, NoBracket, NonConvergence, _check_choice
+from .weibull import _NORMAL_MIN, _check_positive
 
 __all__ = [
     "EstimateResult",
@@ -231,13 +231,22 @@ def _fit_one(method: str, sample: SortedSample) -> EstimateResult:
 @_row_kernel("ml", False)
 def _profile_rows(x_rows, strict, modified):
     """Roots of shift/b + mean(log y) - sum(y^b log y)/sum(y^b) = 0, where the
-    shift is 1 for ml and (n-1)/n for mml."""
+    shift is 1 for ml and (n-1)/n for mml.
+
+    The equation is scale invariant, and on y = x / max(x) the weights y^b
+    stay in (0, 1] for any shape, so they cannot overflow.  On a row that
+    spans more than the float range, whose smallest ratio is below the
+    smallest normal float and so has lost digits or underflowed to 0, log y
+    is log x - log max, as in ``weibull._log_terms``; its fit is then the
+    one of the same data rescaled."""
     bad = _screen(x_rows, strict, 2, positive=True, spread=True)
     n = x_rows.shape[1]
     shift = (n - 1.0) / n if modified else 1.0
-    # Work with y = x / max(x); the profile equation is invariant and
-    # y**beta stays in (0, 1] for any shape, avoiding overflow.
-    ly = np.log(x_rows / x_rows[:, -1:])
+    y = x_rows / x_rows[:, -1:]
+    ly = np.log(y)
+    wide = y[:, 0] < _NORMAL_MIN
+    if wide.any():
+        ly[wide] = np.log(x_rows[wide]) - np.log(x_rows[wide, -1:])
     mean_ly = ly.mean(axis=1)
 
     def g(beta):
@@ -531,14 +540,22 @@ SHAPE_METHODS = {
 def _profile_scale_rows(x_rows, beta, strict):
     """Profile scales of sorted rows, one shape per row; NaN for a row whose
     shape is not positive and finite or whose data are not strictly positive,
-    or with ``strict`` the DomainError, shape checked first."""
+    or with ``strict`` the DomainError, shape checked first.  The powers are
+    (x / max)^b, and exp(b (log x - log max)) on a row that spans more than
+    the float range, as in ``_profile_rows``."""
     bad = _reject(strict, ~((beta > 0.0) & np.isfinite(beta)), DomainError,
                   "shape must be positive and finite")
     bad |= _reject(strict, x_rows[:, 0] <= 0.0, DomainError,
                    "profile scale requires strictly positive data")
     top = x_rows[:, -1]
     with np.errstate(all="ignore"):
-        scaled = np.power(x_rows / top[:, None], beta[:, None]).mean(axis=1)
+        y = x_rows / top[:, None]
+        terms = np.power(y, beta[:, None])
+        wide = y[:, 0] < _NORMAL_MIN
+        if wide.any():
+            log_y = np.log(x_rows[wide]) - np.log(top[wide, None])
+            terms[wide] = np.exp(beta[wide, None] * log_y)
+        scaled = terms.mean(axis=1)
         return np.where(bad, np.nan, top * np.power(scaled, 1.0 / beta))
 
 
@@ -546,7 +563,8 @@ def profile_scale(sample: SortedSample, beta: float) -> float:
     """Likelihood-maximizing scale for a fixed shape: (mean x^beta)^(1/beta).
 
     Computed on data rescaled by the sample maximum so x^beta cannot
-    overflow for large shapes.  DomainError unless ``beta`` is a finite
+    overflow for large shapes, and from logs where the data span more than
+    the float range.  DomainError unless ``beta`` is a finite
     positive real number, not a bool, and the data are strictly positive.
     """
     x_rows = _as_sorted_sample(sample).values[None, :]
@@ -554,11 +572,6 @@ def profile_scale(sample: SortedSample, beta: float) -> float:
 
 
 def fit_shape(sample: SortedSample, method: str) -> EstimateResult:
-    """Fit the shape by the named method; see SHAPE_METHODS for identifiers."""
-    try:
-        fn = SHAPE_METHODS[method]
-    except KeyError:
-        raise DomainError(
-            f"unknown shape method {method!r}; valid: {', '.join(sorted(SHAPE_METHODS))}"
-        ) from None
-    return fn(sample)
+    """Fit the shape by the named method; see SHAPE_METHODS for identifiers.
+    DomainError naming them unless ``method`` is one, as a string."""
+    return SHAPE_METHODS[_check_choice(method, sorted(SHAPE_METHODS), "shape method")](sample)

@@ -54,7 +54,7 @@ import numpy as np
 from ._streams import STREAMS, seeded_uniforms
 from ._version import __version__
 from .curves import GRID, CurveKind
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_choice, _check_count
 from .md_estimation import (MdConfig, _MD_METHODS, _block_buffers, _cell_plan, _md_rows,
                             _ref_rows, _row_blocks)
 from .shape_estimators import _ROW_KERNELS
@@ -101,13 +101,6 @@ def _entries(config, name: str, check) -> tuple:
     return entries
 
 
-def _check_estimator(est):
-    """``est``; DomainError unless it names an estimator of the study."""
-    if not (isinstance(est, str) and est in ESTIMATOR_ORDER):
-        raise DomainError(f"unknown estimator {est!r}; valid: {', '.join(ESTIMATOR_ORDER)}")
-    return est
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Grid, estimator set, and seeding for one simulation run."""
@@ -122,7 +115,8 @@ class SimulationConfig:
     def __post_init__(self):
         for name, check in (("betas", lambda b: _check_positive(b, "betas shape")),
                             ("sizes", lambda n: _check_count(n, 2, "sample size")),
-                            ("estimators", _check_estimator)):
+                            ("estimators", lambda e: _check_choice(e, ESTIMATOR_ORDER,
+                                                                   "estimator"))):
             object.__setattr__(self, name, _entries(self, name, check))
         # replication r draws from stream r of its cell
         for name, minimum, maximum in (("replications", 1, STREAMS), ("workers", 1, None),

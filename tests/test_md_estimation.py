@@ -16,6 +16,7 @@ from qcurves import (
     MdConfig,
     QcurvesError,
     SortedSample,
+    StartFailure,
     WeibullParams,
     curve_value,
     empirical_qf,
@@ -492,6 +493,25 @@ def test_lm_start_only_where_pe_fails():
     pe = md_estimation._ROW_KERNELS["pe"](x_rows, False)[0]
     expected = np.where(np.isfinite(pe), pe, lm(x_rows, False)[0])
     assert np.array_equal(starts, expected)
+
+
+# (sample, the reason lm gives after pe failed): equal values, and two zeros
+# whose L-moment ratio is exactly 1
+START_FAILURES = [
+    ([1.0, 1.0], "all sample values are equal"),
+    ([0.0, 0.0, 5.0], "L-moment ratio 1 outside the invertible range (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("reference,kind", MD_CASES)
+@pytest.mark.parametrize("data,reason", START_FAILURES)
+def test_start_failure_names_why_lm_failed(data, reason, reference, kind):
+    config = MdConfig(curve=kind, reference=reference)
+    with pytest.raises(StartFailure) as info:
+        md_fit(data, config)
+    assert str(info.value) == f"default starts pe and lm both failed: {reason}"
+    # the batched rows fail quietly on the same samples
+    assert np.isnan(_md_rows(np.array([data]), config, False)[0]).all()
 
 
 def test_bracket_failure_when_expansions_run_out():

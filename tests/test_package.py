@@ -15,6 +15,7 @@ from qcurves import errors
 from qcurves import (
     DomainError,
     KernelContext,
+    MdConfig,
     QuadratureSpec,
     SimulationConfig,
     SimulationReport,
@@ -35,6 +36,7 @@ from qcurves import (
     md_fit,
     md_objective,
     pdf,
+    plotting_position_qf,
     plotting_positions,
     profile_scale,
     quantile,
@@ -176,6 +178,14 @@ ENTRY_ERRORS = {
     "SortedSample": lambda: SortedSample([1.0, 10**400]),
     "fit_shape": lambda: fit_shape([1.0, 2.0, 10**400], "ml"),
     "md_fit": lambda: md_fit([1.0, 2.0, 10**400]),
+    # a named choice that is not a string, though it holds a valid name
+    "fit_shape.method": lambda: fit_shape(_X, ["ml"]),
+    "ad_test.method": lambda: ad_test(_X, method=["ml"]),
+    "MdConfig.reference": lambda: MdConfig(reference=["hf"]),
+    "MdConfig.reference.array": lambda: MdConfig(reference=np.array(["hf"])),
+    "plotting_positions.scheme": lambda: plotting_positions(5, np.array(["hf", "wg"])),
+    "plotting_positions.scheme.array": lambda: plotting_positions(5, np.array(["hf"])),
+    "plotting_position_qf.scheme": lambda: plotting_position_qf(_SAMPLE, np.array(["hf"])),
 }
 
 
@@ -183,3 +193,23 @@ ENTRY_ERRORS = {
 def test_bad_inputs_at_entry_points_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+# (entry point taking a named choice, the names it accepts in the order its
+# message lists them)
+CHOICE_CALLS = {
+    "fit_shape": (lambda v: fit_shape(_X, v), sorted(qcurves.SHAPE_METHODS)),
+    "MdConfig": (lambda v: MdConfig(reference=v), ["empirical", "hf"]),
+    "plotting_positions": (lambda v: plotting_positions(5, v), ["hf", "wg"]),
+    "SimulationConfig.estimators": (lambda v: SimulationConfig(estimators=(v,)),
+                                    list(qcurves.ESTIMATOR_ORDER)),
+}
+
+
+@pytest.mark.parametrize("call,names", list(CHOICE_CALLS.values()), ids=list(CHOICE_CALLS))
+def test_unknown_named_choices_are_domain_errors_naming_the_valid_ones(call, names):
+    for bad in ("x", names[0].upper(), None, 1, [names[0]], np.array([names[0]])):
+        with pytest.raises(DomainError, match=f"; valid: {', '.join(names)}$"):
+            call(bad)
+    for name in names:
+        call(name)

@@ -17,6 +17,7 @@ from qcurves import (
     QcurvesError,
     SHAPE_METHODS,
     SortedSample,
+    ad_test,
     fit_shape,
     profile_scale,
 )
@@ -118,6 +119,64 @@ def test_moment_shape_scale_invariant_across_float_range():
             scaled = fit_shape(SortedSample.from_data(x_rows[k]), method).beta_hat
             assert abs(scaled - base) < 1e-12 * base, (method, c)
             assert batch[k] == scaled, (method, c)
+
+
+# a sample spanning 350 decades: its ratios to the maximum underflow to 0
+WIDE_SAMPLE = np.array([1e-200, 1e-120, 1e-60, 1.0, 1e40, 1e90, 1e150])
+
+
+def _mp_profile_root(x, shift):
+    """Root of the profile equation on ``x`` by 40-digit bisection on the
+    bracket, from the logs of the same floats."""
+    with mpmath.workdps(40):
+        logs = [mpmath.log(mpmath.mpf(v)) for v in x]
+        mean = sum(logs) / len(logs)
+
+        def residual(b):
+            w = [mpmath.exp(b * v) for v in logs]
+            return shift / b + mean - sum(a * v for a, v in zip(w, logs)) / sum(w)
+
+        lo, hi = mpmath.mpf(1e-3), mpmath.mpf(1e3)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if residual(mid) > 0 else (lo, mid)
+        return lo
+
+
+def test_ml_family_and_profile_scale_across_the_float_range():
+    # within 1e-10 relative of 40-digit mpmath values; at a shape of about
+    # 0.004 the profile scale raises the mean of x^b to about 225, which
+    # magnifies rounding in the mean 225 times, to about 1e-13
+    n = len(WIDE_SAMPLE)
+    ml = _mp_profile_root(WIDE_SAMPLE, 1)
+    expected = {"ml": ml, "mml": _mp_profile_root(WIDE_SAMPLE, mpmath.mpf(n - 1) / n),
+                "bcml": ml * (1 - mpmath.mpf(BCML_FACTOR) / n)}
+    for method, root in expected.items():
+        for data in (WIDE_SAMPLE, WIDE_SAMPLE * 1e-100):
+            got = fit_shape(data, method).beta_hat
+            assert abs(got - float(root)) <= 1e-10 * float(root), (method, got)
+    beta = fit_shape(WIDE_SAMPLE, "ml").beta_hat
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        scale = float((sum(mpmath.mpf(v) ** b for v in WIDE_SAMPLE) / n) ** (1 / b))
+    assert abs(profile_scale(WIDE_SAMPLE, beta) - scale) <= 1e-10 * scale
+    fitted = ad_test(WIDE_SAMPLE, bootstrap_reps=9, seed=1)
+    assert (fitted.beta_hat, fitted.sigma_hat) == (beta, profile_scale(WIDE_SAMPLE, beta))
+
+
+def test_ml_fails_on_a_wide_study_chunk_only_where_a_row_holds_a_zero():
+    # at shape 0.006 most rows of 30 span more than the float range, and
+    # most of those hold no zero
+    config = SimulationConfig(betas=(0.006,), sizes=(30,), replications=40,
+                              estimators=("ml",), master_seed=1)
+    x_rows = _draw_rows(config, 0, 0, 0, 40)
+    wide = x_rows[:, 0] / x_rows[:, -1] < np.finfo(float).tiny
+    assert (wide & (x_rows[:, 0] > 0.0)).sum() >= 20
+    batch = replicate_estimates("ml", 0.006, 30, 40, master_seed=1)
+    assert np.array_equal(np.isnan(batch), x_rows[:, 0] == 0.0)
+    for row, beta in zip(x_rows, batch):
+        if row[0] > 0.0:
+            assert fit_shape(row, "ml").beta_hat == beta
 
 
 # nonnegative values with many zeros and ties, on a 0.01 grid: distinct
@@ -322,7 +381,8 @@ FAILURE_CASES = (
     + [(m, [2.5] * 4, DomainError if m == "pe" else DegenerateSample) for m in ALL_METHODS]
     + [("pe", [1.0] * 10 + [9.0], DomainError),
        ("lm", [0.0, 4.0], DomainError),  # tau = 1
-       ("ml", [1e-300, 1.0, 2.0, 1e300], NoBracket),
+       # the ml root, about 2/1e-7, lies far above the bracket
+       ("ml", [1.0, 1.0 + 1e-7], NoBracket),
        # distinct pe quantiles whose logarithms are equal
        ("pe", [1e300] * 5 + [np.nextafter(1e300, np.inf)] * 5, DomainError)]
 )
