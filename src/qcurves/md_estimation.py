@@ -384,7 +384,8 @@ def _minimize_log(ref: np.ndarray, lr: np.ndarray, weights: np.ndarray,
     The shape estimators' root finder (``_bracketed_root``) keeps a sign
     bracket (lo, hi) of its falling residuals by the same convention: the
     end on the point's side of the root moves to the point, and a Newton
-    step that would leave the bracket becomes its midpoint.  A row whose
+    step that would leave the bracket becomes its midpoint.  Both settle on
+    a step in log-shape, a step relative to the shape.  A row whose
     minimum lies outside its first bracket bisects toward that edge.  A row
     still moving after ``_NEWTON_PASSES`` passes goes to the golden search
     on log-shape.  That search starts on the first bracket and, while its

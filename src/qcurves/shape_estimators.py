@@ -6,7 +6,8 @@ shape b.  The residuals of the ml, mml, bcml and me shape equations fall as
 the shape grows, and one root finder solves them on the fixed shape bracket
 [1e-3, 1e3]: Newton steps in log-shape from b = 1, kept inside each row's
 sign bracket (lo, hi) by bisection as the MD minimizer keeps its own on F',
-so results are deterministic.
+until the log-shape step, a step relative to the shape, is below 1e-12.  The
+results are deterministic.
 
 Each estimator has one implementation, a row kernel in ``_ROW_KERNELS``
 called as ``kernel(x_rows, strict)``.  It maps sorted samples, one per row,
@@ -80,13 +81,10 @@ _LGAMMA_TAIL_16 = sum(c / 16.0 ** (2 * k + 1) for k, c in enumerate(_STIRLING[:,
 # Row multipliers of 1/b giving the me residual's arguments 2/b and 1/b.
 _TWO_ONE = np.array([[2.0], [1.0]])
 
-# Step (and bracket width) in b at which the root finder settles a root, and
-# its pass cap.
+# Log-shape step (and bracket width) at which the root finder settles a root,
+# a relative step in b, and its pass cap.
 _XTOL = 1e-12
 _MAXITER = 200
-_EPS = np.finfo(float).eps
-# A log-shape step below this that fails to halve marks the rounding floor.
-_STALL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -120,12 +118,12 @@ def _bracketed_root(f, rows, strict, ends=None):
     pass then takes the Newton step when it lands inside (lo, hi) and moves
     to the midpoint of (lo, hi) otherwise, as the MD minimizer
     (``md_estimation._minimize_log``) does on F'.  A row settles at its
-    evaluated point once the next step or (lo, hi) is below the tolerance
-    in b, or once a step below ``_STALL_STEP`` no longer halves, which means
-    the residual has reached its rounding floor.  Returns (roots, passes,
-    |f(roots)|).  Runs inside a kernel's errstate.  ``ends``, when the
-    caller knows them, are the residuals at BRACKET_LO and BRACKET_HI, which
-    then are not evaluated.
+    evaluated point once the next step or (lo, hi) is below ``_XTOL`` in
+    log b, a tolerance relative to b as the minimizer's ``_TOL`` is, so a
+    root near BRACKET_LO is found to the same relative precision as one
+    near BRACKET_HI.  Returns (roots, passes, |f(roots)|).  Runs inside a
+    kernel's errstate.  ``ends``, when the caller knows them, are the
+    residuals at BRACKET_LO and BRACKET_HI, which then are not evaluated.
     """
     if ends is None:
         ends = [f(np.full(rows, b))[0] for b in (BRACKET_LO, BRACKET_HI)]
@@ -142,7 +140,6 @@ def _bracketed_root(f, rows, strict, ends=None):
     active &= ~no_bracket
     lo, hi = _LOG_LO, _LOG_HI
     t = np.zeros(rows)
-    last_step = np.full(rows, np.inf)
     iterations = 0
     for it in range(_MAXITER):
         if not active.any():
@@ -155,8 +152,7 @@ def _bracketed_root(f, rows, strict, ends=None):
         negative = fx < 0.0
         hi = np.where(negative, t, hi)
         lo = np.where(negative, lo, t)
-        settled = active & ((fx == 0.0) | (b * np.fmin(step, hi - lo) < _XTOL + 4.0 * _EPS * b)
-                            | ((step < _STALL_STEP) & (step > 0.5 * last_step)))
+        settled = active & ((fx == 0.0) | (np.fmin(step, hi - lo) < _XTOL))
         np.copyto(root, b, where=settled)
         np.copyto(residual, np.abs(fx), where=settled)
         active &= ~settled
@@ -164,7 +160,6 @@ def _bracketed_root(f, rows, strict, ends=None):
         # point stays on the bracket and needs no freeze
         newton = t - delta
         t = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
-        last_step = step
     if strict and active.any():
         raise NonConvergence(f"root finder hit the {_MAXITER}-iteration cap")
     # unconverged rows stay NaN
@@ -537,25 +532,33 @@ SHAPE_METHODS = {
 }
 
 
+def _scaled_powers(x_rows, scale, beta):
+    """(x / scale)^beta of sorted rows, with one scale and one shape per row.
+    On a row where x / scale leaves the normal range, so that its smallest
+    ratio has lost digits or underflowed (a row spanning more than the float
+    range) or its largest overflowed, the powers are
+    exp(beta (log x - log scale)), as in ``_profile_rows``."""
+    y = x_rows / scale[:, None]
+    terms = np.power(y, beta[:, None])
+    wide = (y[:, 0] < _NORMAL_MIN) | (y[:, -1] == np.inf)
+    if wide.any():
+        log_y = np.log(x_rows[wide]) - np.log(scale[wide, None])
+        terms[wide] = np.exp(beta[wide, None] * log_y)
+    return terms
+
+
 def _profile_scale_rows(x_rows, beta, strict):
     """Profile scales of sorted rows, one shape per row; NaN for a row whose
     shape is not positive and finite or whose data are not strictly positive,
     or with ``strict`` the DomainError, shape checked first.  The powers are
-    (x / max)^b, and exp(b (log x - log max)) on a row that spans more than
-    the float range, as in ``_profile_rows``."""
+    ``_scaled_powers`` of the rows over their maxima."""
     bad = _reject(strict, ~((beta > 0.0) & np.isfinite(beta)), DomainError,
                   "shape must be positive and finite")
     bad |= _reject(strict, x_rows[:, 0] <= 0.0, DomainError,
                    "profile scale requires strictly positive data")
     top = x_rows[:, -1]
     with np.errstate(all="ignore"):
-        y = x_rows / top[:, None]
-        terms = np.power(y, beta[:, None])
-        wide = y[:, 0] < _NORMAL_MIN
-        if wide.any():
-            log_y = np.log(x_rows[wide]) - np.log(top[wide, None])
-            terms[wide] = np.exp(beta[wide, None] * log_y)
-        scaled = terms.mean(axis=1)
+        scaled = _scaled_powers(x_rows, top, beta).mean(axis=1)
         return np.where(bad, np.nan, top * np.power(scaled, 1.0 / beta))
 
 

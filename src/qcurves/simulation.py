@@ -23,19 +23,21 @@ estimates from ``md_estimation._md_rows``, whose one-row calls are the
 scalar fits (``fit_shape``, ``md_fit``), so a batched fit of one sample
 equals the scalar fit of that sample.  The ``hf`` plug-in curves are
 reference rows too, from the same gather plans, and every model curve is
-1 - exp(lr/b): the true one from ``_curve_rows``, the fitted ones as their
-negation expm1(lr/b).
+1 - exp(lr/b), the true one from ``_curve_rows``.
 
-The stage after the fits (model curves, ISE and index errors) runs in
-blocks of ``md_estimation._BLOCK_ROWS`` rows.  A block's curves are built
-in a reused buffer, or for the ``hf`` row by ``_ref_rows`` on the block's
-rows, and reduced while they are in cache, so the tail holds no chunk-sized
-curve matrix (500 rows x 2048 nodes is 8 MB; a block is 512 KB).  A fitted
-curve is reduced from its negation, whose index and squared error have the
-curve's own values bit for bit, so no pass is spent negating it.  Each row
-is reduced on its own along the node axis, so no result depends on the
-block size.  ``mde``/``mdhf`` build their own reference rows inside
-``_md_rows``; no reference rows are kept from one estimator to the next.
+The stage after the fits (error rows, ISE and index errors) runs in blocks
+of ``md_estimation._BLOCK_ROWS`` rows.  A block's error rows e = curve -
+true curve are built in a reused buffer, or for the ``hf`` row from
+``_ref_rows`` on the block's rows, and reduced while they are in cache, so
+the tail holds no chunk-sized curve matrix (500 rows x 2048 nodes is 8 MB;
+a block is 512 KB).  Every row goes through the same two sums, sum w*e for
+its index error and sum w*e^2 for its ISE.  A fitted row's error is formed
+without cancellation as -t*expm1(d*lr), where t = exp(lr/beta) and
+d = (beta - b)/b/beta, and as -exp(lr/b) at the nodes where t is below the
+normal range (see ``_simulate_chunk``).  Each row is reduced on its own
+along the node axis, so no result depends on the block size.
+``mde``/``mdhf`` build their own reference rows inside ``_md_rows``; no
+reference rows are kept from one estimator to the next.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .errors import DomainError, _check_choice, _check_count
 from .md_estimation import (MdConfig, _MD_METHODS, _block_buffers, _cell_plan, _md_rows,
                             _ref_rows, _row_blocks)
 from .shape_estimators import _ROW_KERNELS
-from .weibull import WeibullParams, _check_positive, _from_uniforms
+from .weibull import _NORMAL_MIN, WeibullParams, _check_positive, _from_uniforms
 
 __all__ = [
     "SimulationConfig",
@@ -154,8 +156,7 @@ def _draw_rows(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int):
 
 def _curve_rows(beta: float, lr: np.ndarray) -> np.ndarray:
     """Model curve 1 - exp(lr/b) at the shape ``beta``, a new row."""
-    out = np.expm1(lr / beta)
-    return np.negative(out, out=out)
+    return -np.expm1(lr / beta)
 
 
 def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int):
@@ -164,22 +165,26 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
     Returns {estimator: array of shape (r1 - r0, 4)} with columns
     (ise_qz, ise_qd, err_qzi, err_qdi); failed fits are NaN rows.
 
-    After each fit, the curves are built and reduced block by block in two
-    reused buffers (see the module docstring).  A fitted row is reduced
-    from d = expm1(lr/b), the negated curve: its index is -sum w*d and its
-    ISE sum w*(d + truth)^2, bitwise the index and ISE of the curve since
-    negation is exact.  The ``hf`` row has no fit: its curves are the
-    reference rows of each block, built there, and its curve error is
-    formed in the ``wg`` block itself.
+    After each fit, the error rows e = curve - true curve are built block by
+    block in two reused buffers (see the module docstring), and every row is
+    reduced by the same pair of sums: its index error sum w*e and its ISE
+    sum w*e^2.  A fitted row's error is -t*expm1(d*lr), with t = exp(lr/beta)
+    once per cell and d = (beta - b)/b/beta once per row; beta - b is exact
+    where b is near beta, so nothing cancels there.  At nodes where t is
+    below the normal range (beta below about 0.014 on qZ and 0.018 on qD),
+    t*expm1(d*lr) could be 0*inf, and the error there is -exp(lr/b), exact
+    to the smallest normal float.  The ``hf`` row has no fit: its errors are
+    the ``wg`` and ``hf`` reference rows of each block, built there, minus
+    the true curve.
     """
     beta = config.betas[ib]
     n = config.sizes[jn]
-    truths = []  # (kind, lr, weights, true curve, true index) per curve
+    cells = []  # (kind, lr, weights, true curve, -t, nodes where t is not normal)
     for kind in (CurveKind.QZ, CurveKind.QD):
         # every plan of a curve carries the same lr and weights
         _, _, lr, w, _ = _cell_plan(n, "empirical", kind)
-        truth = _curve_rows(beta, lr)
-        truths.append((kind, lr, w, truth, float((w * truth).sum())))
+        t = np.exp(lr / beta)
+        cells.append((kind, lr, w, _curve_rows(beta, lr), -t, np.flatnonzero(t < _NORMAL_MIN)))
 
     x_rows = _draw_rows(config, ib, jn, r0, r1)
     rows = x_rows.shape[0]
@@ -188,9 +193,10 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
     out = {}
     for est in config.estimators:
         errors = np.empty((rows, 4))
-        for col, (kind, lr, w, truth, true_index) in enumerate(truths):
+        for col, (kind, lr, w, truth, neg_t, low) in enumerate(cells):
             if est != "hf":
-                shapes = _shape_rows(est, x_rows, cache, kind)
+                shapes = _shape_rows(est, x_rows, cache, kind)[:, None]
+                d = (beta - shapes) / shapes / beta
             for b0, b1 in _row_blocks(rows):
                 k = b1 - b0
                 if est == "hf":
@@ -198,25 +204,22 @@ def _simulate_chunk(config: SimulationConfig, ib: int, jn: int, r0: int, r1: int
                     # interpolation, index error from the (k-1/3)/(n+1/3)
                     # one; the two benchmark conventions this row reproduces
                     # differ
-                    diff = _ref_rows(x_rows[b0:b1], "wg", kind, strict=False)
-                    diff -= truth
-                    index_terms = np.multiply(
-                        _ref_rows(x_rows[b0:b1], "hf", kind, strict=False), w, out=scratch[:k])
+                    e = _ref_rows(x_rows[b0:b1], "wg", kind, strict=False)
+                    e_index = _ref_rows(x_rows[b0:b1], "hf", kind, strict=False)
+                    e -= truth
+                    e_index -= truth
                 else:
-                    diff = model[:k]  # d, then d + truth
-                    with np.errstate(invalid="ignore"):
-                        np.divide(lr, shapes[b0:b1, None], out=diff)
-                        np.expm1(diff, out=diff)
-                    index_terms = np.multiply(diff, w, out=scratch[:k])  # -w*curve
-                    diff += truth
-                index_terms.sum(axis=1, out=errors[b0:b1, col + 2])
-                diff *= diff
-                diff *= w
-                diff.sum(axis=1, out=errors[b0:b1, col])
-            index = errors[:, col + 2]
-            if est != "hf":
-                np.negative(index, out=index)
-            index -= true_index
+                    # inf*0 where t is not normal; those nodes are set below
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        e = e_index = np.multiply(d[b0:b1], lr, out=model[:k])
+                        np.expm1(e, out=e)
+                        e *= neg_t
+                    if low.size:
+                        e[:, low] = -np.exp(lr[low] / shapes[b0:b1])
+                np.multiply(e_index, w, out=scratch[:k]).sum(axis=1, out=errors[b0:b1, col + 2])
+                e *= e
+                e *= w
+                e.sum(axis=1, out=errors[b0:b1, col])
         out[est] = errors
     return out
 

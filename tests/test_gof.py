@@ -23,6 +23,26 @@ from qcurves.weibull import cdf as weibull_cdf, sample as weibull_sample
 from tests.conftest import weib_sorted
 
 
+def test_ad_statistic_on_a_sample_spanning_the_float_range_matches_mpmath():
+    # bound stated before the first run: within 1e-12 relative of 40 digits.
+    # At the fit (shape about 2.2e-3, scale about 7.5e105), 1e-300 / scale
+    # underflows to 0, yet its fitted probability is about 0.12
+    mpmath = pytest.importorskip("mpmath")
+    x = [1e-300, 1.0, 2.0, 1e300]
+    beta = fit_shape(x, "ml").beta_hat
+    sigma = profile_scale(x, beta)
+    n = len(x)
+    with mpmath.workdps(40):
+        z = [1 - mpmath.exp(-(mpmath.mpf(v) / mpmath.mpf(sigma)) ** mpmath.mpf(beta))
+             for v in x]
+        terms = sum((2 * i + 1) * (mpmath.log(z[i]) + mpmath.log(1 - z[n - 1 - i]))
+                    for i in range(n))
+        expected = float(-n - terms / n)
+    assert 0.1 < float(z[0]) < 0.15
+    got = ad_statistic(x, WeibullParams(beta, sigma))
+    assert abs(got - expected) <= 1e-12 * expected, (got, expected)
+
+
 def ad_by_integration(sample, params):
     """Independent route: n * integral of (Fn - F)^2 / (F (1 - F)) dF.
 

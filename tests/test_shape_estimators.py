@@ -164,6 +164,17 @@ def test_ml_family_and_profile_scale_across_the_float_range():
     assert (fitted.beta_hat, fitted.sigma_hat) == (beta, profile_scale(WIDE_SAMPLE, beta))
 
 
+def test_ml_root_near_the_bracket_floor_is_found_to_a_relative_tolerance():
+    # bound stated before the first run: within 1e-13 relative of the
+    # 40-digit root.  The root, about 2.2e-3, lies near BRACKET_LO, where a
+    # tolerance in b rather than in log b would leave about 1e-9 relative
+    x = np.array([1e-300, 1.0, 2.0, 1e300])
+    for method, shift in (("ml", 1), ("mml", mpmath.mpf(3) / 4)):
+        root = float(_mp_profile_root(x, shift))
+        got = fit_shape(x, method).beta_hat
+        assert abs(got - root) <= 1e-13 * root, (method, got, root)
+
+
 def test_ml_fails_on_a_wide_study_chunk_only_where_a_row_holds_a_zero():
     # at shape 0.006 most rows of 30 span more than the float range, and
     # most of those hold no zero
@@ -358,10 +369,9 @@ def test_root_passes_stay_few():
 
 
 def test_root_finder_settles_rows_at_their_rounding_floor():
-    # at shape 200 the me residual reaches its rounding floor before the
-    # tolerance in b is met; the stall rule (a step below _STALL_STEP that no
-    # longer halves) settles those rows, where the chunk takes 19 passes with
-    # the rule and 28 without it
+    # at shape 200 the me residual is near its rounding floor as the rows
+    # settle; the tolerance in log-shape is met there, and the chunk takes
+    # 16 passes
     config = SimulationConfig(betas=(200.0,), sizes=(30,), replications=500)
     beta, passes, _ = _ROW_KERNELS["me"](_draw_rows(config, 0, 0, 0, 500), False)
     assert np.isfinite(beta).all()

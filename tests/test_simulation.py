@@ -279,21 +279,28 @@ def test_chunk_hf_row_builds_reference_rows_by_block():
 
 
 def test_report_cell_matches_public_recomputation():
+    # the documented error form: e = -t*expm1(d*lr) with t = exp(lr/beta)
+    # and d = (beta - b)/b/beta, reduced as sum w*e^2 and sum w*e
+    from qcurves.weibull import _log_ratio
     config = small_config(betas=(2.0,), estimators=("ml",), replications=40,
                           master_seed=777)
     report = run_simulation(config)
     points, w = gauss_legendre_grid(QuadratureSpec())
-    true_z = closed_curve(2.0, points, "qz")
-    true_zi = float((w * true_z).sum())
+    lr = _log_ratio(points, CurveKind.QZ)
+    t = np.exp(lr / 2.0)
     ise, err = [], []
     for r in range(40):
         seq = np.random.SeedSequence((777, 0, 0, r))
         rng = np.random.Generator(np.random.PCG64(seq))
         x = np.sort(weibull_sample(WeibullParams(2.0, 1.0), 30, rng))
         beta_hat = fit_shape(SortedSample(x), "ml").beta_hat
+        e = np.expm1((2.0 - beta_hat) / beta_hat / 2.0 * lr) * -t
+        # the same values as the closed curves' difference, up to rounding
         curve = closed_curve(beta_hat, points, "qz")
-        ise.append(((curve - true_z) ** 2 * w).sum())
-        err.append((curve * w).sum() - true_zi)
+        np.testing.assert_allclose(e, curve - closed_curve(2.0, points, "qz"),
+                                   rtol=0, atol=1e-15)
+        ise.append((e * e * w).sum())
+        err.append((e * w).sum())
     ise = np.array(ise)
     err = np.array(err)
     assert report.value("ml", "MISE_qZ", 30, 2.0) == ise.mean()
@@ -305,13 +312,12 @@ def test_report_cell_matches_public_recomputation():
 def test_hf_row_uses_wg_curves_and_hf_indices():
     # the benchmark row pairs k/(n+1) interpolation for curve error with
     # (k-1/3)/(n+1/3) interpolation for index error
-    from qcurves import curve_index, curve_value, plotting_position_qf
+    from qcurves import curve_value, plotting_position_qf
     config = small_config(betas=(1.0,), estimators=("hf",), replications=15,
                           master_seed=19)
     report = run_simulation(config)
     points, w = gauss_legendre_grid(QuadratureSpec())
     true_z = closed_curve(1.0, points, "qz")
-    true_zi = float((w * true_z).sum())
     wg_curves, hf_curves = [], []
     for r in range(15):
         seq = np.random.SeedSequence((19, 0, 0, r))
@@ -319,12 +325,67 @@ def test_hf_row_uses_wg_curves_and_hf_indices():
         x = SortedSample.from_data(weibull_sample(WeibullParams(1.0, 1.0), 30, rng))
         wg_curves.append(curve_value(plotting_position_qf(x, "wg"), "qz", points))
         hf_curves.append(curve_value(plotting_position_qf(x, "hf"), "qz", points))
-    # reductions in the study's batched shape so the comparison stays bitwise
+    # the errors are the reference curves minus the true curve, reduced in
+    # the study's batched shape so the comparison stays bitwise
     ise = ((np.vstack(wg_curves) - true_z) ** 2 * w).sum(axis=1)
-    err = (np.vstack(hf_curves) * w).sum(axis=1) - true_zi
+    err = ((np.vstack(hf_curves) - true_z) * w).sum(axis=1)
     assert report.value("hf", "MISE_qZ", 30, 1.0) == ise.mean()
     assert report.value("hf", "MSE_qZI", 30, 1.0) == (err ** 2).mean()
     assert report.value("hf", "BIAS_qZI", 30, 1.0) == err.mean()
+
+
+@pytest.mark.parametrize("beta", (0.5, 2.0))
+def test_fitted_row_errors_match_mpmath_where_the_shape_is_near_beta(beta):
+    # bound stated before the first run: every ISE and index error within
+    # 1e-13 relative of a 40-digit sum over the same nodes and weights (the
+    # form 1 - exp(lr/b) minus the true curve cancels to about 1e-9 there)
+    mpmath = pytest.importorskip("mpmath")
+    shapes = beta * (1.0 + np.array([-1e-6, -3e-8, 2e-10, 4e-7, 0.0]))
+    config = small_config(betas=(beta,), estimators=("ml",), replications=shapes.size)
+    with mock.patch.object(simulation, "_shape_rows", lambda *args: shapes):
+        errors = _simulate_chunk(config, 0, 0, 0, shapes.size)["ml"]
+    assert (errors[-1] == 0.0).all()
+    for col, kind in enumerate((CurveKind.QZ, CurveKind.QD)):
+        _, _, lr, w, _ = md_estimation._cell_plan(30, "empirical", kind)
+        with mpmath.workdps(40):
+            true = [mpmath.exp(mpmath.mpf(x) / beta) for x in lr.tolist()]
+            for row, b in enumerate(shapes[:-1].tolist()):
+                e = [t - mpmath.exp(mpmath.mpf(x) / b) for t, x in zip(true, lr.tolist())]
+                ise = mpmath.fsum(mpmath.mpf(wi) * ei ** 2 for wi, ei in zip(w.tolist(), e))
+                index = mpmath.fsum(mpmath.mpf(wi) * ei for wi, ei in zip(w.tolist(), e))
+                for got, want in ((errors[row, col], ise), (errors[row, col + 2], index)):
+                    assert abs(got - want) <= 1e-13 * abs(want), (kind, b, got, want)
+
+
+@pytest.mark.parametrize("beta", (0.006, 0.01))
+def test_rows_fail_only_with_their_fits_where_the_true_curve_underflows(beta):
+    # below beta of about 0.014 (qZ) and 0.018 (qD) exp(lr/beta) leaves the
+    # normal range at some nodes, where -t*expm1(d*lr) would be 0*inf
+    config = small_config(betas=(beta,), estimators=ESTIMATOR_ORDER, replications=200,
+                          master_seed=5)
+    fits = {}
+
+    def recorded(est, x_rows, cache, kind):
+        fits[est, kind] = _shape_rows(est, x_rows, cache, kind)
+        return fits[est, kind]
+
+    with mock.patch.object(simulation, "_shape_rows", recorded):
+        out = _simulate_chunk(config, 0, 0, 0, 200)
+    assert np.isfinite(out["hf"]).all()
+    points, _ = gauss_legendre_grid(QuadratureSpec())
+    for est in ESTIMATOR_ORDER[1:]:
+        errors = out[est]
+        for col, kind in enumerate((CurveKind.QZ, CurveKind.QD)):
+            shapes = fits[est, kind]
+            failed = np.isnan(shapes)
+            for c in (col, col + 2):
+                np.testing.assert_array_equal(~np.isfinite(errors[:, c]), failed, err_msg=est)
+            # the errors of one fitted row, against the closed curves' difference
+            r = int(np.argmin(failed))
+            e = closed_curve(shapes[r], points, kind) - closed_curve(beta, points, kind)
+            _, _, _, w, _ = md_estimation._cell_plan(30, "empirical", kind)
+            assert errors[r, col] == pytest.approx((w * e * e).sum(), rel=0, abs=1e-15)
+            assert errors[r, col + 2] == pytest.approx((w * e).sum(), rel=0, abs=1e-15)
 
 
 def test_md_metrics_use_kind_matched_fits():
