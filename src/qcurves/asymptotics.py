@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import GRID, CurveKind, QuadratureSpec, _real_array, gauss_legendre_grid
-from .errors import DomainError, NonConvergence, _check_count
+from .errors import DomainError, NonConvergence
 from .weibull import _check_positive, _eta_terms, _log_terms
 
 __all__ = ["KernelContext", "kernel_ab", "kernel_R", "md_asymptotic_variance",
@@ -57,13 +57,24 @@ __all__ = ["KernelContext", "kernel_ab", "kernel_R", "md_asymptotic_variance",
 # seven buffers holds one tile, 256 KB, and is reused for every tile.
 _TILE_VALUES = 2**15
 
+# Gauss-Legendre nodes a panel of the graded grid of _double_integral.
+_NODES = 4
+
 # Largest relative change of A under panel doubling that md_asymptotic_variance
 # accepts.
 _DOUBLING_RTOL = 1e-6
 
-# Most nodes (panels x nodes) md_asymptotic_variance takes.  Its cost grows
-# with the square of the node count: the doubled grid then holds 16,384
-# nodes and one call takes about 1.5 s on one core of a 2-vCPU AMD EPYC VM.
+# Largest relative difference md_asymptotic_variance accepts between C on
+# the package grid and C on the finer grid of A's last doubling.  The package
+# grid's C is off by about 1e-6 at shape 1 and 2e-4 at large shapes, and at
+# qD shapes below about 0.0015 it misses eta's boundary layer at t = 1: by
+# 2.9e-3 at 0.001, 1.3e-2 at 0.0008 and 30% at 1e-4.
+_ETA_SQUARED_RTOL = 1e-2
+
+# Most nodes of the coarser grid of the last doubling md_asymptotic_variance
+# makes.  Its cost grows with the square of the node count: the finer grid
+# then holds 16,384 nodes and that integral takes about 1.5 s on one core of
+# a 2-vCPU AMD EPYC VM, 2.2 s on a 2-vCPU Intel Xeon VM.
 MAX_VARIANCE_NODES = 8192
 
 
@@ -134,21 +145,22 @@ def kernel_R(ctx: KernelContext, s, t):
             - b_s * a_t * cov(v_s, u_t) + b_s * b_t * cov(v_s, v_t))
 
 
-def _graded_grid(panels: int, nodes: int):
+def _graded_grid(panels: int):
     """Gauss-Legendre grid pushed through t = (1 - cos(pi u)) / 2.
 
     The map clusters nodes at both endpoints and its derivative vanishes
     there, which restores fast panel convergence for integrands with
     endpoint power/log behavior.
     """
-    up, uw = gauss_legendre_grid(QuadratureSpec(panels, nodes))
+    up, uw = gauss_legendre_grid(QuadratureSpec(panels, _NODES))
     t = 0.5 * (1.0 - np.cos(np.pi * up))
     w = uw * 0.5 * np.pi * np.sin(np.pi * up)
     return t, w
 
 
-def _double_integral(ctx: KernelContext, panels: int, nodes: int) -> float:
-    """2 * integral of eta(s) eta(t) R(s, t) over the triangle s < t.
+def _double_integral(ctx: KernelContext, panels: int) -> tuple[float, float]:
+    """2 * integral of eta(s) eta(t) R(s, t) over the triangle s < t, and the
+    integral of eta**2 on the same grid.
 
     Splitting the square along the diagonal keeps the min() kink out of
     every panel: the inner integral over s runs on [0, t], on an
@@ -174,7 +186,7 @@ def _double_integral(ctx: KernelContext, panels: int, nodes: int) -> float:
     -Lv, enter as they are, and the factor -1/beta is applied to the
     finished sums.
     """
-    tp, tw = _graded_grid(panels, nodes)
+    tp, tw = _graded_grid(panels)
     n, k = tp.size, 3 if ctx.kind is CurveKind.QZ else 2
     sums = np.zeros((k, n))
     height = min(n, max(1, _TILE_VALUES // n))
@@ -203,7 +215,7 @@ def _double_integral(ctx: KernelContext, panels: int, nodes: int) -> float:
         row += sums[2] * b_t * w_t - sums[1] * a_t * u_t
     else:
         row -= sums[1] * (a_t * u_t - b_t * (1.0 - w_t))
-    return 2.0 * float((tp * tw * eta_t * row).sum())
+    return 2.0 * float((tp * tw * eta_t * row).sum()), float((tw * eta_t * eta_t).sum())
 
 
 @dataclass(frozen=True)
@@ -218,34 +230,42 @@ class AsymptoticVariance:
     rel_change: float  # relative change of A under panel doubling
 
 
-def md_asymptotic_variance(beta: float, kind=CurveKind.QZ, panels: int = 64,
-                           nodes: int = 4) -> AsymptoticVariance:
+def md_asymptotic_variance(beta: float, kind=CurveKind.QZ) -> AsymptoticVariance:
     """Asymptotic variance A/C**2 of the minimum-distance shape estimator.
 
     ``A`` is computed by triangle-split tensor Gauss-Legendre quadrature at
-    ``panels`` x ``nodes`` and at doubled panel count, and the finer value
-    is used.  NonConvergence is raised when the two differ by more than
-    ``_DOUBLING_RTOL`` relative.  DomainError is raised, before anything is
-    allocated, when ``panels`` x ``nodes`` exceeds ``MAX_VARIANCE_NODES``.
+    64 panels and at doubled panel counts, each finer value the next coarse
+    one, until A changes by at most ``_DOUBLING_RTOL`` relative; the finer
+    value of that last doubling is used.  NonConvergence is raised when the
+    coarse grid of the next doubling would hold more than
+    ``MAX_VARIANCE_NODES`` nodes.  A zero or non-finite integral ends the
+    doubling, and is a DomainError.
+
+    ``C`` is computed on the package grid ``GRID``; NonConvergence is also
+    raised where it differs from C on the finer grid of A's last doubling
+    by more than ``_ETA_SQUARED_RTOL`` relative.
     """
     ctx = KernelContext(beta, kind)
-    if (_check_count(panels, 1, "quadrature panels")
-            * _check_count(nodes, 1, "quadrature nodes") > MAX_VARIANCE_NODES):
-        raise DomainError(f"asymptotic variance takes at most {MAX_VARIANCE_NODES} nodes "
-                          f"(panels x nodes), got {panels!r} panels of {nodes!r}")
-    coarse = _double_integral(ctx, panels, nodes)
-    fine = _double_integral(ctx, 2 * panels, nodes)
-    rel = abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
-    if rel > _DOUBLING_RTOL:
-        raise NonConvergence(
-            f"double quadrature changed by {rel:.3e} under panel doubling")
+    panels = 64
+    fine, _ = _double_integral(ctx, panels)
+    while True:
+        coarse, panels = fine, 2 * panels
+        fine, graded = _double_integral(ctx, panels)
+        rel = abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
+        if rel <= _DOUBLING_RTOL or not (fine != 0.0 and math.isfinite(fine)):
+            break
+        if panels * _NODES > MAX_VARIANCE_NODES:
+            raise NonConvergence(f"double quadrature changed by {rel:.3e} under panel "
+                                 f"doubling to {panels} panels")
     points, weights = gauss_legendre_grid(GRID)
     eta = _point_terms(ctx, points)[0]
     c_val = float((weights * eta * eta).sum())
     c_sq = c_val * c_val
     if not (fine > 0.0 and c_sq > 0.0 and math.isfinite(fine / c_sq)):
         raise DomainError(f"asymptotic variance at shape {beta!r} under- or overflows")
-    sigma2 = fine / c_sq
-    return AsymptoticVariance(beta=ctx.beta, kind=ctx.kind, sigma2=sigma2,
+    if abs(c_val - graded) > _ETA_SQUARED_RTOL * graded:
+        raise NonConvergence(f"integral of eta**2 differs by {abs(c_val - graded) / graded:.3e} "
+                             f"between the package grid and {panels} graded panels")
+    return AsymptoticVariance(beta=ctx.beta, kind=ctx.kind, sigma2=fine / c_sq,
                               double_integral=fine, eta_squared_integral=c_val,
                               rel_change=rel)

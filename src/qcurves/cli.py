@@ -128,15 +128,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_asymvar(args) -> int:
-    result = md_asymptotic_variance(args.beta, args.kind, panels=args.panels,
-                                    nodes=args.nodes)
-    _emit(sys.stdout, [
-        ("beta", result.beta), ("kind", result.kind.value),
-        ("sigma2", result.sigma2),
-        ("double_integral", result.double_integral),
-        ("eta_squared_integral", result.eta_squared_integral),
-        ("rel_change", result.rel_change),
-    ])
+    result = md_asymptotic_variance(args.beta, args.kind)
+    # every field, in the order AsymptoticVariance declares them
+    _emit(sys.stdout, {**vars(result), "kind": result.kind.value}.items())
     return 0
 
 
@@ -209,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymvar", help="asymptotic variance of the minimum-distance shape")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--kind", default="qz", choices=_KINDS)
-    p.add_argument("--panels", type=int, default=64)
-    p.add_argument("--nodes", type=int, default=4)
     p.set_defaults(func=_cmd_asymvar)
 
     p = sub.add_parser("gof", help="Anderson-Darling Weibull test with bootstrap p-value")

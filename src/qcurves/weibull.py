@@ -102,13 +102,22 @@ def pdf(params: WeibullParams, x):
 
 def cdf(params: WeibullParams, x):
     """Distribution function F(x) = 1 - exp(-(x/sigma)**beta).  DomainError
-    for NaN."""
+    for NaN.
+
+    Where x/sigma leaves the normal range, so that it has lost digits or
+    under- or overflowed although (x/sigma)**beta need not, the power is
+    exp(beta (log x - log sigma)), as in ``pdf``."""
 
     def dist(x):
         out = np.zeros_like(x)
         pos = x > 0.0
         with np.errstate(over="ignore"):  # an overflow to inf gives F = 1
-            out[pos] = -np.expm1(-((x[pos] / params.sigma) ** params.beta))
+            y = x[pos] / params.sigma
+            zb = y**params.beta
+            wide = (y < _NORMAL_MIN) | (y == np.inf)
+            if wide.any():
+                zb[wide] = np.exp(params.beta * (np.log(x[pos][wide]) - math.log(params.sigma)))
+            out[pos] = -np.expm1(-zb)
         return out
 
     return _elementwise(x, dist, np.isnan, "distribution function argument must not be NaN")

@@ -43,19 +43,19 @@ def test_kernel_context_validation():
         KernelContext(1e-310, "qz")  # a(t), b(t) would be 0/0
 
 
-# from where eta underflows to where beta**2 overflows; 1e-2 and 50 (qd)
-# give a finite variance; 50 (qz), 1e5 and 1e-3 (qd) miss the panel-doubling
-# check
+# from where eta underflows to where beta**2 overflows; 1e-2, 50 and 1e5,
+# and 1e-3 (qd), give a finite variance, the last four after more than one
+# panel doubling (at qD 1e-3 C on the package grid is 2.9e-3 off)
 EXTREME_SHAPES = (1e-300, 1e-20, 1e-3, 1e-2, 50.0, 1e5, 1e160, 1e300)
 
 # sigma2 at each of EXTREME_SHAPES, or the error md_asymptotic_variance raises
 EXTREME_OUTCOMES = {
     "qz": dict(zip(EXTREME_SHAPES, (DomainError, DomainError, DomainError,
-                                    0.00013321001452347163, NonConvergence, NonConvergence,
-                                    DomainError, DomainError))),
-    "qd": dict(zip(EXTREME_SHAPES, (DomainError, DomainError, NonConvergence,
-                                    0.01795427153153546, 2142.427873901665, NonConvergence,
-                                    DomainError, DomainError))),
+                                    0.00013321001452347163, 2396.585653040136,
+                                    10035457023.785425, DomainError, DomainError))),
+    "qd": dict(zip(EXTREME_SHAPES, (DomainError, DomainError, 0.001813192077923134,
+                                    0.01795427153153546, 2142.427873901665,
+                                    8929265793.375746, DomainError, DomainError))),
 }
 
 
@@ -75,7 +75,8 @@ def test_variance_is_finite_or_a_typed_error_at_any_shape(beta, kind, capsys):
         error = f"error: {exc}\n"
     else:
         error = None
-        assert result.sigma2 == pytest.approx(expected, rel=1e-14, abs=0)
+        # qD 1e-3 moves by 2.1e-14 with NumPy's AVX-512 loops switched off
+        assert result.sigma2 == pytest.approx(expected, rel=1e-13, abs=0)
         values = (result.sigma2, result.double_integral, result.eta_squared_integral)
         assert np.all(np.isfinite(values)) and min(values) > 0.0
     code = cli_main(["asymvar", "--beta", repr(beta), "--kind", kind])
@@ -190,42 +191,79 @@ def test_variance_accepts_enum_and_string():
     assert a == b
 
 
-def test_variance_convergence_check_raises_on_coarse_grid():
-    # A changes by 1.8e-2 (2 x 2) and 1.2e-6 (8 x 4) under panel doubling
-    for panels, nodes in ((2, 2), (8, 4)):
-        with pytest.raises(NonConvergence, match="under panel doubling"):
-            md_asymptotic_variance(2.0, "qz", panels=panels, nodes=nodes)
-    with mock.patch.object(asymptotics, "_DOUBLING_RTOL", 1.0):
-        result = md_asymptotic_variance(2.0, "qz", panels=8, nodes=4)
-    assert result.rel_change > 1e-6  # the change is reported as computed
+@pytest.mark.parametrize("kind,beta", [("qz", 50.0), ("qz", 1e5), ("qd", 1e-3), ("qd", 1e5),
+                                       ("qz", 2.0)])
+def test_panel_doubling_is_within_its_change_of_a_finer_rule(kind, beta):
+    # the first four need 256 or 512 panels; A lies within the change it
+    # reports of the same integral with 8 nodes on each of 512 panels
+    result = md_asymptotic_variance(beta, kind)
+    assert result.rel_change <= 1e-6
+    with mock.patch.object(asymptotics, "_NODES", 8):
+        ref, _ = _double_integral(KernelContext(beta, kind), 512)
+    assert abs(result.double_integral - ref) <= result.rel_change * result.double_integral
 
 
-def test_variance_above_the_node_cap_is_rejected_before_any_integral():
-    cap = asymptotics.MAX_VARIANCE_NODES
-    with mock.patch.object(asymptotics, "_double_integral", side_effect=AssertionError):
-        for panels, nodes in ((cap // 8 + 1, 8), (cap + 1, 1), (10**15, 4)):
-            with pytest.raises(DomainError, match=f"at most {cap} nodes"):
-                md_asymptotic_variance(1.0, "qz", panels=panels, nodes=nodes)
+def _counted_integrals():
+    """A wrapper of _double_integral, patched in, that records its calls."""
+    return mock.patch.object(asymptotics, "_double_integral", wraps=_double_integral)
 
 
-def _tensor_double_integral(ctx, panels, nodes):
-    """The same triangle-split rule on the full N x N tensor of s = t * node."""
-    tp, tw = _graded_grid(panels, nodes)
+def test_panel_doubling_stops_at_the_node_cap():
+    # every doubling misses a negative tolerance: with a cap of 1024 nodes
+    # the call gives up after 64, 128, 256 and 512 panels of 4 nodes
+    with (mock.patch.object(asymptotics, "_DOUBLING_RTOL", -1.0),
+          mock.patch.object(asymptotics, "MAX_VARIANCE_NODES", 1024), _counted_integrals() as spy,
+          pytest.raises(NonConvergence) as caught):
+        md_asymptotic_variance(2.0, "qz")
+    assert [c.args[1] for c in spy.call_args_list] == [64, 128, 256, 512]
+    coarse, fine = (_double_integral(KernelContext(2.0, "qz"), p)[0] for p in (256, 512))
+    assert str(caught.value) == (f"double quadrature changed by {abs(fine - coarse) / fine:.3e} "
+                                 f"under panel doubling to 512 panels")
+    # at the package's cap the finest grid is 4096 panels, 16,384 nodes
+    with (mock.patch.object(asymptotics, "_double_integral", side_effect=lambda ctx, p: (p, 1.0)),
+          pytest.raises(NonConvergence, match="to 4096 panels")):
+        md_asymptotic_variance(2.0, "qz")
+    # a tolerance of 1 accepts the first doubling, and its change is reported
+    with mock.patch.object(asymptotics, "_DOUBLING_RTOL", 1.0), _counted_integrals() as spy:
+        result = md_asymptotic_variance(50.0, "qz")
+    assert spy.call_count == 2 and result.rel_change > 1e-6
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1e160])
+def test_zero_or_non_finite_integral_ends_the_doubling(beta):
+    with _counted_integrals() as spy, pytest.raises(DomainError, match="under- or overflows"):
+        md_asymptotic_variance(beta, "qz")
+    assert spy.call_count == 2
+
+
+def test_eta_squared_check_rejects_a_missed_boundary_layer():
+    # at qD 0.0008 C on the package grid is 1.3e-2 off C on the graded grid
+    with pytest.raises(NonConvergence, match=r"eta\*\*2 differs by 1\.2\d\de-02 between the "
+                                             r"package grid and 512 graded panels"):
+        md_asymptotic_variance(8e-4, "qd")
+
+
+def _tensor_double_integral(ctx, panels):
+    """The same triangle-split rule on the full N x N tensor of s = t * node,
+    and the integral of eta**2 on the grid."""
+    tp, tw = _graded_grid(panels)
     s_mat = np.multiply.outer(tp, tp)
     w_mat = np.multiply.outer(tp * tw, tw)
     eta_t = eta_weibull(ctx.beta, tp, ctx.kind)
     eta_s = eta_weibull(ctx.beta, s_mat, ctx.kind)
     r_mat = kernel_R(ctx, s_mat, tp[:, None])
-    return 2.0 * float((w_mat * eta_s * r_mat * eta_t[:, None]).sum())
+    a_val = 2.0 * float((w_mat * eta_s * r_mat * eta_t[:, None]).sum())
+    return a_val, float((tw * eta_t**2).sum())
 
 
-@pytest.mark.parametrize("panels,nodes", [(2, 2), (16, 4), (64, 4), (128, 4)])
+# 8, 64, 256 and 512 nodes: one tile, one, two and eight
+@pytest.mark.parametrize("panels", [2, 16, 64, 128])
 @pytest.mark.parametrize("kind", ["qz", "qd"])
 @pytest.mark.parametrize("beta", [1e-2, 0.3, 1.0, 2.0, 7.5, 50.0])
-def test_double_integral_matches_tensor_reference(beta, kind, panels, nodes):
+def test_double_integral_matches_tensor_reference(beta, kind, panels):
     ctx = KernelContext(beta, CurveKind(kind))
-    ref = _tensor_double_integral(ctx, panels, nodes)
-    assert _double_integral(ctx, panels, nodes) == pytest.approx(ref, rel=1e-13, abs=0)
+    ref = _tensor_double_integral(ctx, panels)
+    assert _double_integral(ctx, panels) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("rows", [1, 5, 7, 32])
@@ -234,15 +272,17 @@ def test_double_integral_tiles_match_tensor_reference(kind, rows):
     # 64 rows in tiles of 1, 5, 7 and 32 rows (the last tile shorter for 5
     # and 7): the mirrored column sums of each tile reach every later row once
     ctx = KernelContext(1.5, CurveKind(kind))
-    n = _graded_grid(16, 4)[0].size
-    ref = _tensor_double_integral(ctx, 16, 4)
+    n = _graded_grid(16)[0].size
+    ref = _tensor_double_integral(ctx, 16)
     with mock.patch.object(asymptotics, "_TILE_VALUES", rows * n):
-        assert _double_integral(ctx, 16, 4) == pytest.approx(ref, rel=1e-13, abs=0)
+        assert _double_integral(ctx, 16) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def test_variance_on_fine_qd_grid():
-    # v = 1 - s/2 rounds to 1 at the smallest s of this grid; 1 - v = s/2 does not
-    result = md_asymptotic_variance(1.0, "qd", panels=512, nodes=8)
-    golden = SIGMA2_GOLDENS[("qd", 1.0)]
-    assert abs(result.sigma2 - golden) < 1e-13 * golden
-    assert result.rel_change < 1e-6
+    # v = 1 - s/2 rounds to 1 at the smallest s of the 2048-panel grid, first
+    # of the doubled grids; 1 - v = s/2 does not
+    t = _graded_grid(2048)[0]
+    assert 1.0 - t[0] * t[0] / 2.0 == 1.0
+    result = md_asymptotic_variance(1.0, "qd")
+    fine, _ = _double_integral(KernelContext(1.0, "qd"), 2048)
+    assert abs(fine - result.double_integral) < 1e-13 * fine

@@ -16,7 +16,7 @@ from qcurves import (
     weibull_qf,
     WeibullParams,
 )
-from qcurves.curves import MAX_NODES, gauss_legendre_grid
+from qcurves.curves import gauss_legendre_grid
 from qcurves.cli import _FIT_METHODS, main
 from qcurves.weibull import sample as weibull_sample
 
@@ -343,23 +343,17 @@ def test_asymvar(capsys):
     assert pairs["kind"] == "qz"
 
 
-def test_asymvar_fine_qd_grid(capsys):
-    assert main(["asymvar", "--beta", "1", "--kind", "qd", "--panels", "512",
-                 "--nodes", "8"]) == 0
-    pairs = parse_pairs(capsys.readouterr().out)
-    assert float(pairs["sigma2"]) == pytest.approx(1.6625937556478971, rel=1e-10)
-
-
-def test_asymvar_nodes_above_table_exit_3(capsys):
-    assert main(["asymvar", "--beta", "2", "--nodes", str(MAX_NODES + 1)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+def test_asymvar_picks_its_own_grid(capsys):
+    # qZ 100 needs 256 panels; the grid is no option
+    assert main(["asymvar", "--beta", "100"]) == 0
+    assert float(parse_pairs(capsys.readouterr().out)["rel_change"]) <= 1e-6
+    for option in ("--panels", "--nodes"):
+        with pytest.raises(SystemExit) as info:
+            main(["asymvar", "--beta", "2", option, "64"])
+        assert info.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
-    ["asymvar", "--beta", "1", "--panels", "1000000000000000"],
-    ["asymvar", "--beta", "1", "--panels", "100000000"],
     ["curve", "--beta", "1", "--grid", "1000000000000000"],
 ])
 def test_huge_grids_exit_3_naming_the_limit(argv, capsys):

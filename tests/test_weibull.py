@@ -95,6 +95,21 @@ def test_pdf_and_cdf_edge_values(fn, x, expected, params, as_array):
         assert type(got) is float and got == expected
 
 
+@pytest.mark.parametrize("beta,sigma,x", [(0.5, 1e300, 1e-30), (0.001, 1e-300, 1e300)])
+def test_cdf_where_the_scaled_argument_leaves_the_float_range(beta, sigma, x):
+    # x/sigma under- or overflows, (x/sigma)**beta does not: about 1e-165 and
+    # 0.98133.  The power's exponent beta (log x - log sigma), at most 380
+    # here, carries an absolute error of a few eps times itself: 1e-13 relative
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = float(-mpmath.expm1(-(mpmath.mpf(x) / mpmath.mpf(sigma)) ** mpmath.mpf(beta)))
+    params = WeibullParams(beta, sigma)
+    assert cdf(params, x) == pytest.approx(want, rel=1e-13, abs=0)
+    # inside the normal range the power is (x/sigma)**beta as it stands
+    inside = np.array([0.3, 1.0, 2.5]) * sigma
+    assert np.array_equal(cdf(params, inside), -np.expm1(-((inside / sigma) ** beta)))
+
+
 def test_pdf_rounds_to_inf_near_zero_below_shape_one():
     assert pdf(WeibullParams(0.01), 5e-324) == np.inf
 
