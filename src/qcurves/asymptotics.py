@@ -65,11 +65,17 @@ _NODES = 4
 _DOUBLING_RTOL = 1e-6
 
 # Largest relative difference md_asymptotic_variance accepts between C on
-# the package grid and C on the finer grid of A's last doubling.  The package
-# grid's C is off by about 1e-6 at shape 1 and 2e-4 at large shapes, and at
-# qD shapes below about 0.0015 it misses eta's boundary layer at t = 1: by
-# 2.9e-3 at 0.001, 1.3e-2 at 0.0008 and 30% at 1e-4.
-_ETA_SQUARED_RTOL = 1e-2
+# the package grid and C on the graded grid of _ETA_SQUARED_PANELS panels.
+# sigma2 carries twice C's error, so C's part of it stays below 1e-3.  The
+# package grid's C is off by about 1e-6 at shape 1 and 2e-4 at large shapes,
+# and at qD shapes below about 0.00124 it misses eta's boundary layer at
+# t = 1: by 6.8e-4 at 0.0012, 2.9e-3 at 0.001 and 30% at 1e-4.
+_ETA_SQUARED_RTOL = 5e-4
+
+# Panels of the graded grid that checks C.  There C lies within 3e-7 of C
+# on 4,096 panels of 8 nodes at qD shapes from 3e-5 and 6e-8 at large
+# shapes, and costs about 0.3 ms a call.
+_ETA_SQUARED_PANELS = 1024
 
 # Most nodes of the coarser grid of the last doubling md_asymptotic_variance
 # makes.  Its cost grows with the square of the node count: the finer grid
@@ -158,9 +164,8 @@ def _graded_grid(panels: int):
     return t, w
 
 
-def _double_integral(ctx: KernelContext, panels: int) -> tuple[float, float]:
-    """2 * integral of eta(s) eta(t) R(s, t) over the triangle s < t, and the
-    integral of eta**2 on the same grid.
+def _double_integral(ctx: KernelContext, panels: int) -> float:
+    """2 * integral of eta(s) eta(t) R(s, t) over the triangle s < t.
 
     Splitting the square along the diagonal keeps the min() kink out of
     every panel: the inner integral over s runs on [0, t], on an
@@ -215,7 +220,13 @@ def _double_integral(ctx: KernelContext, panels: int) -> tuple[float, float]:
         row += sums[2] * b_t * w_t - sums[1] * a_t * u_t
     else:
         row -= sums[1] * (a_t * u_t - b_t * (1.0 - w_t))
-    return 2.0 * float((tp * tw * eta_t * row).sum()), float((tw * eta_t * eta_t).sum())
+    return 2.0 * float((tp * tw * eta_t * row).sum())
+
+
+def _eta_squared_integral(ctx: KernelContext, points, weights) -> float:
+    """C, the integral of eta**2, by the rule of ``points`` and ``weights``."""
+    eta = _point_terms(ctx, points)[0]
+    return float((weights * eta * eta).sum())
 
 
 @dataclass(frozen=True)
@@ -241,31 +252,33 @@ def md_asymptotic_variance(beta: float, kind=CurveKind.QZ) -> AsymptoticVariance
     ``MAX_VARIANCE_NODES`` nodes.  A zero or non-finite integral ends the
     doubling, and is a DomainError.
 
-    ``C`` is computed on the package grid ``GRID``; NonConvergence is also
-    raised where it differs from C on the finer grid of A's last doubling
-    by more than ``_ETA_SQUARED_RTOL`` relative.
+    ``C`` is computed on the package grid ``GRID``.  Before any A is
+    computed, NonConvergence is raised where it differs from C on the graded
+    grid of ``_ETA_SQUARED_PANELS`` panels by more than ``_ETA_SQUARED_RTOL``
+    relative.
     """
     ctx = KernelContext(beta, kind)
+    c_val = _eta_squared_integral(ctx, *gauss_legendre_grid(GRID))
+    graded = _eta_squared_integral(ctx, *_graded_grid(_ETA_SQUARED_PANELS))
+    # a subnormal C keeps too few digits to check; its square underflows,
+    # which is a DomainError below
+    if graded >= np.finfo(float).tiny and abs(c_val - graded) > _ETA_SQUARED_RTOL * graded:
+        raise NonConvergence(f"integral of eta**2 differs by {abs(c_val - graded) / graded:.3e} "
+                             f"between the package grid and {_ETA_SQUARED_PANELS} graded panels")
     panels = 64
-    fine, _ = _double_integral(ctx, panels)
+    fine = _double_integral(ctx, panels)
     while True:
         coarse, panels = fine, 2 * panels
-        fine, graded = _double_integral(ctx, panels)
+        fine = _double_integral(ctx, panels)
         rel = abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
         if rel <= _DOUBLING_RTOL or not (fine != 0.0 and math.isfinite(fine)):
             break
         if panels * _NODES > MAX_VARIANCE_NODES:
             raise NonConvergence(f"double quadrature changed by {rel:.3e} under panel "
                                  f"doubling to {panels} panels")
-    points, weights = gauss_legendre_grid(GRID)
-    eta = _point_terms(ctx, points)[0]
-    c_val = float((weights * eta * eta).sum())
     c_sq = c_val * c_val
     if not (fine > 0.0 and c_sq > 0.0 and math.isfinite(fine / c_sq)):
         raise DomainError(f"asymptotic variance at shape {beta!r} under- or overflows")
-    if abs(c_val - graded) > _ETA_SQUARED_RTOL * graded:
-        raise NonConvergence(f"integral of eta**2 differs by {abs(c_val - graded) / graded:.3e} "
-                             f"between the package grid and {panels} graded panels")
     return AsymptoticVariance(beta=ctx.beta, kind=ctx.kind, sigma2=fine / c_sq,
                               double_integral=fine, eta_squared_integral=c_val,
                               rel_change=rel)

@@ -129,8 +129,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_asymvar(args) -> int:
     result = md_asymptotic_variance(args.beta, args.kind)
-    # every field, in the order AsymptoticVariance declares them
-    _emit(sys.stdout, {**vars(result), "kind": result.kind.value}.items())
+    _emit(sys.stdout, [
+        ("beta", result.beta), ("kind", result.kind.value),
+        ("sigma2", result.sigma2),
+        ("double_integral", result.double_integral),
+        ("eta_squared_integral", result.eta_squared_integral),
+        ("rel_change", result.rel_change),
+    ])
     return 0
 
 

@@ -15,7 +15,7 @@ For each recipe it prints the sha256 of ``to_json``, ``to_csv`` and
 ``render_tables``.  It then prints ``repr`` of the ``md_asymptotic_variance``
 sigma^2, double integral A and A's relative change under panel doubling at
 shapes 0.5/1/2/3 on both curve kinds, the points whose sigma^2
-``perfbench/gates.py`` holds as goldens, and at qZ 100 and qD 0.001, where
+``perfbench/gates.py`` holds as goldens, and at qZ 100 and qD 0.0015, where
 the doubling takes more than one step; a change to the quadrature kernel
 shows in A before it shows in sigma^2, and a change to the doubling rule
 shows at the last two points.  Last it prints the bootstrap
@@ -60,7 +60,7 @@ RECIPES = {
 }
 SIGMA2_POINTS = [(kind, beta) for kind in ("qz", "qd") for beta in (0.5, 1.0, 2.0, 3.0)]
 # two points where the panel doubling runs past its first step
-SIGMA2_POINTS += [("qz", 100.0), ("qd", 0.001)]
+SIGMA2_POINTS += [("qz", 100.0), ("qd", 0.0015)]
 VARIANCE_FIELDS = ("sigma2", "double_integral", "rel_change")
 AD_TEST = {"bootstrap_reps": 999, "seed": 1, "method": "ml"}
 AD_FIELDS = ("statistic", "p_value", "failed_refits")
