@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .asymptotics import md_asymptotic_variance
-from .curves import CurveKind, CurveSamples, _unit_grid, curve_value, gauss_legendre_grid
+from .curves import CurveKind, CurveSamples, _grid_index, _unit_grid, curve_value
 from .datasets import _read_data
 from .empirical_qf import SortedSample, empirical_qf, plotting_position_qf
 from .errors import DomainError, QcurvesError
@@ -86,10 +86,8 @@ def _cmd_curve(args) -> int:
 
 def _cmd_index(args) -> int:
     curve = _source_curve(args)
-    points, weights = gauss_legendre_grid()
     kinds = [CurveKind(args.kind)] if args.kind else list(CurveKind)
-    # summed as curve_index sums, so a --data index equals it bitwise
-    _emit(sys.stdout, [(kind.value + "i", float((weights * curve(kind, points)).sum()))
+    _emit(sys.stdout, [(kind.value + "i", _grid_index(lambda p: curve(kind, p)))
                        for kind in kinds])
     return 0
 

@@ -238,11 +238,17 @@ def curve_value(qf, kind, p):
     return _curve_eval(p, ratio, kind.ends)
 
 
-def curve_index(qf, kind) -> float:
-    """Integral of the curve over [0, 1] by composite Gauss-Legendre on ``GRID``."""
+def _grid_index(curve) -> float:
+    """Integral over [0, 1] of ``curve``, a function of an array of p, by
+    composite Gauss-Legendre on ``GRID``; every curve index is this sum."""
     points, weights = gauss_legendre_grid(GRID)
     # elementwise product + pairwise sum keeps the reduction order fixed
-    return float((weights * curve_value(qf, kind, points)).sum())
+    return float((weights * curve(points)).sum())
+
+
+def curve_index(qf, kind) -> float:
+    """Integral of the curve over [0, 1] by composite Gauss-Legendre on ``GRID``."""
+    return _grid_index(lambda p: curve_value(qf, kind, p))
 
 
 @dataclass(frozen=True)

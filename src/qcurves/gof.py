@@ -26,9 +26,8 @@ import numpy as np
 from ._streams import STREAMS, seeded_uniforms
 from .empirical_qf import SortedSample, _as_sorted_sample
 from .errors import DomainError, _check_count
-from .shape_estimators import (_ROW_KERNELS, _profile_scale_rows, _scaled_powers, fit_shape,
-                               profile_scale)
-from .weibull import WeibullParams, _from_uniforms
+from .shape_estimators import _ROW_KERNELS, _profile_scale_rows, fit_shape, profile_scale
+from .weibull import WeibullParams, _cdf_values, _from_uniforms
 
 __all__ = ["GofResult", "ad_statistic", "ad_test"]
 
@@ -62,12 +61,12 @@ class GofResult:
 def _ad_rows(x_rows, beta, sigma, strict):
     """A2 of each sorted row against the Weibull(beta, sigma) of its row; NaN
     for a row with an observation at fitted probability 0 or 1 (or a NaN
-    parameter), or with ``strict`` a DomainError.  (x / sigma)^beta comes
-    from ``_scaled_powers``, so a row spanning more than the float range
-    keeps the probabilities of its extreme observations."""
+    parameter), or with ``strict`` a DomainError.  The probabilities are
+    ``weibull.cdf``'s, so a row spanning more than the float range keeps
+    those of its extreme observations."""
     n = x_rows.shape[1]
     with np.errstate(all="ignore"):
-        z = -np.expm1(-_scaled_powers(x_rows, sigma, beta))
+        z = _cdf_values(x_rows, sigma[:, None], beta[:, None])
         bad = ~((z > 0.0) & (z < 1.0)).all(axis=1)
         if strict and bad.any():
             raise DomainError("fitted distribution puts an observation at probability 0 or 1")

@@ -30,7 +30,7 @@ import numpy as np
 from .empirical_qf import (SortedSample, _as_sorted_sample, _interpolate, interp_plan,
                           plotting_positions)
 from .errors import DegenerateSample, DomainError, NoBracket, NonConvergence, _check_choice
-from .weibull import _NORMAL_MIN, _check_positive
+from .weibull import _check_positive, _log_scaled, _scaled_powers
 
 __all__ = [
     "EstimateResult",
@@ -229,19 +229,14 @@ def _profile_rows(x_rows, strict, modified):
     shift is 1 for ml and (n-1)/n for mml.
 
     The equation is scale invariant, and on y = x / max(x) the weights y^b
-    stay in (0, 1] for any shape, so they cannot overflow.  On a row that
-    spans more than the float range, whose smallest ratio is below the
-    smallest normal float and so has lost digits or underflowed to 0, log y
-    is log x - log max, as in ``weibull._log_terms``; its fit is then the
-    one of the same data rescaled."""
+    stay in (0, 1] for any shape, so they cannot overflow.  log y is
+    ``weibull._log_scaled``: on a row that spans more than the float range
+    it is log x - log max where y has lost digits or underflowed to 0, so
+    its fit is the one of the same data rescaled."""
     bad = _screen(x_rows, strict, 2, positive=True, spread=True)
     n = x_rows.shape[1]
     shift = (n - 1.0) / n if modified else 1.0
-    y = x_rows / x_rows[:, -1:]
-    ly = np.log(y)
-    wide = y[:, 0] < _NORMAL_MIN
-    if wide.any():
-        ly[wide] = np.log(x_rows[wide]) - np.log(x_rows[wide, -1:])
+    ly = _log_scaled(x_rows, x_rows[:, -1:])
     mean_ly = ly.mean(axis=1)
 
     def g(beta):
@@ -361,23 +356,22 @@ def moment_shape(sample: SortedSample) -> EstimateResult:
     return _fit_one("me", sample)
 
 
-def _binary_scaled(x_rows):
-    """Rows divided by the power of two of their maximum: exact, and a weighted
-    sum of n such values stays below n**2 instead of overflowing near 1e308."""
-    return np.ldexp(x_rows, -np.frexp(x_rows[:, -1:])[1])
-
-
-@_row_kernel("lm")
-def _lmoment_rows(x_rows, strict):
+@_row_kernel("g1", 0.0, "sample Gini")
+@_row_kernel("lm", 1.0, "L-moment ratio")
+def _gini_rows(x_rows, strict, offset, name):
+    """Inverse of the model Gini index at the sample Gini
+    sum((2i - n - 1) x_(i)) / (d sum(x)), d = n - ``offset``: n for g1 and
+    n - 1 for lm, whose ratio is the unbiased l2 / l1."""
     bad = _screen(x_rows, strict, 2, spread=True)
-    x = _binary_scaled(x_rows)
+    # rows divided by the power of two of their maximum: exact, and a weighted
+    # sum of n such values stays below n**2 instead of overflowing near 1e308
+    x = np.ldexp(x_rows, -np.frexp(x_rows[:, -1:])[1])
     n = x.shape[1]
-    b1 = (np.arange(n, dtype=float) * x).sum(axis=1) / (n * (n - 1.0))
-    l1 = x.mean(axis=1)
-    tau = (2.0 * b1 - l1) / l1  # unbiased l2 / l1
-    bad |= _reject(strict, ~((tau > 0.0) & (tau < 1.0)), DomainError,
-                   "L-moment ratio {:.6g} outside the invertible range (0, 1)", tau)
-    return _closed_form(bad, _LOG2 / -np.log1p(-tau))
+    i = np.arange(1, n + 1, dtype=float)
+    gini = ((2.0 * i - n - 1.0) * x).sum(axis=1) / ((n - offset) * x.sum(axis=1))
+    bad |= _reject(strict, ~((gini > 0.0) & (gini < 1.0)), DomainError,
+                   name + " {:.6g} outside the invertible range (0, 1)", gini)
+    return _closed_form(bad, _LOG2 / -np.log1p(-gini))
 
 
 def lmoment_shape(sample: SortedSample) -> EstimateResult:
@@ -387,18 +381,6 @@ def lmoment_shape(sample: SortedSample) -> EstimateResult:
     the n*(n-1) mean-difference denominator.  Tolerates zeros.
     """
     return _fit_one("lm", sample)
-
-
-@_row_kernel("g1")
-def _gini_rows(x_rows, strict):
-    bad = _screen(x_rows, strict, 2, spread=True)
-    x = _binary_scaled(x_rows)
-    n = x.shape[1]
-    i = np.arange(1, n + 1, dtype=float)
-    gini = ((2.0 * i - n - 1.0) * x).sum(axis=1) / (n * x.sum(axis=1))
-    bad |= _reject(strict, ~((gini > 0.0) & (gini < 1.0)), DomainError,
-                   "sample Gini {:.6g} outside the invertible range (0, 1)", gini)
-    return _closed_form(bad, _LOG2 / -np.log1p(-gini))
 
 
 def gini_shape(sample: SortedSample) -> EstimateResult:
@@ -486,8 +468,7 @@ def _tmml_rows(x_rows, strict):
     bad = _screen(x_rows, strict, 2, positive=True, spread=True)
     n = x_rows.shape[1]
     y = np.log(x_rows)
-    q = np.arange(1, n + 1, dtype=float) / (n + 1.0)
-    bi = -np.log1p(-q)
+    bi = -np.log1p(-plotting_positions(n, "wg"))
     ti = np.log(bi)
     ai = bi * (1.0 - ti)
     m = float(bi.sum())
@@ -532,33 +513,18 @@ SHAPE_METHODS = {
 }
 
 
-def _scaled_powers(x_rows, scale, beta):
-    """(x / scale)^beta of sorted rows, with one scale and one shape per row.
-    On a row where x / scale leaves the normal range, so that its smallest
-    ratio has lost digits or underflowed (a row spanning more than the float
-    range) or its largest overflowed, the powers are
-    exp(beta (log x - log scale)), as in ``_profile_rows``."""
-    y = x_rows / scale[:, None]
-    terms = np.power(y, beta[:, None])
-    wide = (y[:, 0] < _NORMAL_MIN) | (y[:, -1] == np.inf)
-    if wide.any():
-        log_y = np.log(x_rows[wide]) - np.log(scale[wide, None])
-        terms[wide] = np.exp(beta[wide, None] * log_y)
-    return terms
-
-
 def _profile_scale_rows(x_rows, beta, strict):
     """Profile scales of sorted rows, one shape per row; NaN for a row whose
     shape is not positive and finite or whose data are not strictly positive,
     or with ``strict`` the DomainError, shape checked first.  The powers are
-    ``_scaled_powers`` of the rows over their maxima."""
+    ``weibull._scaled_powers`` of the rows over their maxima."""
     bad = _reject(strict, ~((beta > 0.0) & np.isfinite(beta)), DomainError,
                   "shape must be positive and finite")
     bad |= _reject(strict, x_rows[:, 0] <= 0.0, DomainError,
                    "profile scale requires strictly positive data")
     top = x_rows[:, -1]
     with np.errstate(all="ignore"):
-        scaled = _scaled_powers(x_rows, top, beta).mean(axis=1)
+        scaled = _scaled_powers(x_rows, top[:, None], beta[:, None]).mean(axis=1)
         return np.where(bad, np.nan, top * np.power(scaled, 1.0 / beta))
 
 

@@ -45,6 +45,57 @@ __all__ = [
 _NORMAL_MIN = np.finfo(float).tiny  # the smallest normal float
 
 
+def _outside_normal(y):
+    """Mask of the elements of ``y`` outside the normal range: below the
+    smallest normal float, so with digits lost or underflowed, or +inf.
+    None where there are none, found by one min and one max of ``y`` that
+    pass over NaN (a row of NaN parameters, say)."""
+    if (np.fmin.reduce(y, axis=None, initial=np.inf) < _NORMAL_MIN
+            or np.fmax.reduce(y, axis=None, initial=0.0) == np.inf):
+        return (y < _NORMAL_MIN) | (y == np.inf)
+    return None
+
+
+def _log_scaled(x, scale):
+    """log(x / scale), elementwise; log x - log scale where x / scale leaves
+    the normal range.  ``scale`` broadcasts against ``x``, one per row say.
+    Runs inside the caller's errstate, which ignores division: log 0 of a
+    ratio that underflowed is taken before it is replaced."""
+    y = x / scale
+    out = np.log(y)
+    wide = _outside_normal(y)
+    if wide is not None:
+        out[wide] = np.log(x[wide]) - np.log(np.broadcast_to(scale, y.shape)[wide])
+    return out
+
+
+def _scaled_powers(x, scale, beta):
+    """(x / scale)**beta, elementwise; exp(beta * ``_log_scaled``) where
+    x / scale leaves the normal range, so a sample spanning more than the
+    float range keeps the powers of its extreme values.  ``scale`` and
+    ``beta`` broadcast against ``x``, one per row say."""
+    y = x / scale
+    out = y**beta
+    wide = _outside_normal(y)
+    if wide is not None:
+        scale, beta = (np.broadcast_to(v, y.shape)[wide] for v in (scale, beta))
+        out[wide] = np.exp(beta * _log_scaled(x[wide], scale))
+    return out
+
+
+def _times_scale(power, sigma, log_power):
+    """sigma times ``power``, in place.  Where sigma is not 1 and ``power``
+    leaves the normal range although the product need not, the product is
+    exp(log_power(at) + log sigma), ``log_power`` giving the power's log at
+    the mask ``at`` of those elements from the power's base, not from
+    ``power``."""
+    wide = _outside_normal(power) if sigma != 1.0 else None
+    power *= sigma
+    if wide is not None:
+        power[wide] = np.exp(log_power(wide) + math.log(sigma))
+    return power
+
+
 def _check_positive(value: float, name: str = "shape") -> float:
     """The parameter ``value`` as a float; DomainError unless it is a finite
     positive real number (NumPy scalars included), not a bool.  Any real is
@@ -84,9 +135,9 @@ def pdf(params: WeibullParams, x):
         # taken in logs, so that no factor over- or underflows where the
         # density does not; an overflow rounds the density to inf near 0
         # (beta < 1), and where z**beta overflows the density rounds to zero
-        with np.errstate(over="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             log_x = np.log(x[pos])
-            log_zb = params.beta * (log_x - math.log(params.sigma))
+            log_zb = params.beta * _log_scaled(x[pos], params.sigma)
             zb = np.exp(log_zb)
             keep = zb < np.inf
             pos[pos] = keep
@@ -100,42 +151,29 @@ def pdf(params: WeibullParams, x):
     return _elementwise(x, density, np.isnan, "density argument must not be NaN")
 
 
+def _cdf_values(x, scale, beta):
+    """1 - exp(-(x/scale)**beta) of ``x`` >= 0, the powers from
+    ``_scaled_powers``."""
+    with np.errstate(divide="ignore", over="ignore"):  # x = 0 gives 0, an overflow 1
+        return -np.expm1(-_scaled_powers(x, scale, beta))
+
+
 def cdf(params: WeibullParams, x):
-    """Distribution function F(x) = 1 - exp(-(x/sigma)**beta).  DomainError
-    for NaN.
-
-    Where x/sigma leaves the normal range, so that it has lost digits or
-    under- or overflowed although (x/sigma)**beta need not, the power is
-    exp(beta (log x - log sigma)), as in ``pdf``."""
-
-    def dist(x):
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        with np.errstate(over="ignore"):  # an overflow to inf gives F = 1
-            y = x[pos] / params.sigma
-            zb = y**params.beta
-            wide = (y < _NORMAL_MIN) | (y == np.inf)
-            if wide.any():
-                zb[wide] = np.exp(params.beta * (np.log(x[pos][wide]) - math.log(params.sigma)))
-            out[pos] = -np.expm1(-zb)
-        return out
-
-    return _elementwise(x, dist, np.isnan, "distribution function argument must not be NaN")
+    """Distribution function F(x) = 1 - exp(-(x/sigma)**beta), 0 for x <= 0.
+    DomainError for NaN.  The power is ``_scaled_powers``: exp(beta (log x -
+    log sigma)) where x/sigma leaves the normal range."""
+    return _elementwise(x, lambda x: _cdf_values(np.maximum(x, 0.0), params.sigma, params.beta),
+                        np.isnan, "distribution function argument must not be NaN")
 
 
 def quantile(params: WeibullParams, p):
     """Quantile function Q(p) = sigma * (-log(1-p))**(1/beta).
 
-    ``p`` may be a scalar or array in [0, 1]; Q(1) is +inf.
+    ``p`` may be a scalar or array in [0, 1]; Q(1) is +inf, as is a quantile
+    beyond the float range.  It is ``_from_uniforms`` of a copy of ``p``.
     """
-
-    def q(p):
-        # -log1p(-p) keeps precision for small p and gives +inf at p=1; a
-        # quantile beyond the float range is +inf
-        with np.errstate(divide="ignore", over="ignore"):
-            return params.sigma * (-np.log1p(-p)) ** (1.0 / params.beta)
-
-    return _on_unit_interval(p, q, "quantile order")
+    return _on_unit_interval(p, lambda p: _from_uniforms(p.copy(), params, strict=False),
+                             "quantile order")
 
 
 def quantile_density(params: WeibullParams, p):
@@ -143,13 +181,19 @@ def quantile_density(params: WeibullParams, p):
 
     Defined for p in (0, 1).  The power is divided by beta before sigma
     multiplies it, so at a subnormal shape, where 1/beta overflows, the
-    density is 0 where -log(1-p) < 1 and +inf where it is above 1.
+    density is 0 where -log(1-p) < 1 and +inf where it is above 1.  Where
+    sigma is not 1 and that quotient leaves the normal range, so that sigma
+    could bring it back, sigma times it is exp((1 - beta) log u / beta -
+    log beta + log sigma) with u = -log(1-p) (``_times_scale``).
     """
 
     def density(p):
         u = -np.log1p(-p)
+        beta = params.beta
         with np.errstate(over="ignore"):  # a density beyond the float range is +inf
-            return params.sigma * (u ** (1.0 / params.beta - 1.0) / params.beta) / (1.0 - p)
+            power = u ** (1.0 / beta - 1.0) / beta
+            return _times_scale(power, params.sigma, lambda at: (1.0 - beta) * np.log(u[at])
+                                / beta - math.log(beta)) / (1.0 - p)
 
     return _elementwise(p, density, lambda p: (p <= 0.0) | (p >= 1.0) | np.isnan(p),
                         "quantile density needs p in the open interval (0, 1)")
@@ -160,21 +204,27 @@ def sample(params: WeibullParams, n: int, rng: np.random.Generator) -> np.ndarra
     return _from_uniforms(rng.random(_check_count(n, 1, "sample size")), params)
 
 
-def _from_uniforms(u: np.ndarray, params: WeibullParams) -> np.ndarray:
-    """The inverse transform sigma * (-log(1 - u))**(1/beta) of uniforms ``u``
-    in [0, 1), computed in place in ``u`` and returned.
+def _from_uniforms(u: np.ndarray, params: WeibullParams, strict: bool = True) -> np.ndarray:
+    """The inverse transform sigma * (-log(1 - u))**(1/beta) of ``u`` in
+    [0, 1], computed in place in ``u`` and returned; u = 1 gives +inf.
 
-    -log(1 - u) lies in [0, 36.74] for a 53-bit uniform, so a draw can only
-    go wrong by overflowing to +inf (at sigma = 1, possible once beta is
-    below about 0.0051); DomainError naming the parameters if one does.
+    Where sigma is not 1 and L**(1/beta), L = -log(1 - u), leaves the normal
+    range although the draw need not, the draw is exp(log L / beta + log
+    sigma) (``_times_scale``).  -log(1 - u) lies in [0, 36.74] for a 53-bit
+    uniform, so a draw can then only go wrong by overflowing to +inf (at
+    sigma = 1, possible once beta is below about 0.0051); with ``strict``,
+    DomainError naming the parameters if one does.
     """
     np.negative(u, out=u)
-    np.log1p(u, out=u)
-    np.negative(u, out=u)
-    with np.errstate(over="ignore"):
-        u **= 1.0 / params.beta
-        u *= params.sigma
-    if u.max(initial=0.0) == np.inf:
+    with np.errstate(divide="ignore", over="ignore"):
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        if params.sigma == 1.0:
+            u **= 1.0 / params.beta
+        else:
+            u[...] = _times_scale(u ** (1.0 / params.beta), params.sigma,
+                                  lambda at: np.log(u[at]) / params.beta)
+    if strict and u.max(initial=0.0) == np.inf:
         raise DomainError(f"Weibull draws overflow at shape {params.beta!r} "
                           f"and scale {params.sigma!r}")
     return u

@@ -168,6 +168,76 @@ def test_quantile_forms_overflow_to_inf_without_a_warning():
                               [0.0, np.inf, np.inf])
 
 
+# (shape, scale, p): (-log(1-p))**(1/beta) or its quantile-density power
+# leaves the float range although sigma brings the result back
+WIDE_QUANTILES = [(0.05, 1e300, 1e-20), (0.05, 1e300, 1e-16), (0.002, 1e-300, 0.99)]
+
+
+def _mp_quantile_and_density(beta, sigma, p):
+    """Q(p) and Q'(p) from 50-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        beta, sigma, p = (mpmath.mpf(v) for v in (beta, sigma, p))
+        u = -mpmath.log1p(-p)
+        return (float(sigma * u ** (1 / beta)),
+                float(sigma / beta * u ** (1 / beta - 1) / (1 - p)))
+
+
+@pytest.mark.parametrize("beta,sigma,p", WIDE_QUANTILES)
+def test_quantile_and_density_where_the_power_leaves_the_float_range(beta, sigma, p):
+    # the power is exp(log L / beta + log sigma) there: its exponent, at most
+    # about 1,400, carries an absolute error of a few eps times itself
+    want_q, want_qd = _mp_quantile_and_density(beta, sigma, p)
+    params = WeibullParams(beta, sigma)
+    assert quantile(params, p) == pytest.approx(want_q, rel=1e-12, abs=0)
+    assert quantile_density(params, p) == pytest.approx(want_qd, rel=1e-12, abs=0)
+    # the array form gives the same values, and a normal-range order keeps the
+    # direct formulas
+    assert np.array_equal(quantile(params, np.array([p, 0.5])),
+                          [quantile(params, p), sigma * (-np.log1p(-0.5)) ** (1.0 / beta)])
+
+
+def test_sample_is_the_quantile_of_its_uniforms_past_the_power_overflow():
+    # at shape 0.002 and scale 1e-300, L**500 overflows once a uniform exceeds
+    # about 0.984, the draw only beyond about 1 - 7e-8
+    params = WeibullParams(0.002, 1e-300)
+    u = np.random.default_rng(3).random(1000)
+    assert u.max() > 0.984
+    x = sample(params, 1000, np.random.default_rng(3))
+    assert np.isfinite(x).all()
+    assert np.array_equal(x, quantile(params, u))
+    assert np.isfinite(sample(params, 100, np.random.default_rng(0))).all()
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.1, 0.5, 1.0, 2.0, 7.1, 100.0])
+def test_unit_scale_draws_keep_the_direct_power(beta):
+    # the study and the bootstrap draw at unit scale: bit for bit the
+    # inverse transform as written
+    u = np.random.default_rng(17).random(100_000)
+    x = sample(WeibullParams(beta), u.size, np.random.default_rng(17))
+    assert np.array_equal(x, (-np.log1p(-u)) ** (1.0 / beta))
+
+
+def test_pdf_across_the_float_range():
+    # every point whose true density is a normal float lies within 1e-12 of
+    # 50-digit mpmath: the density's exponent is at most about 700, with an
+    # absolute error of a few eps times itself
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    for beta in (0.5, 2.0, 7.0):
+        for sigma in (1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e250):
+            x = np.array([0.3, 0.7, 1.0, 1.6, 2.5]) * sigma
+            got = pdf(WeibullParams(beta, sigma), x)
+            for xi, gi in zip(x, got):
+                with mpmath.workdps(50):
+                    b, z = mpmath.mpf(beta), mpmath.mpf(xi) / mpmath.mpf(sigma)
+                    want = b / mpmath.mpf(sigma) * z ** (b - 1) * mpmath.exp(-z**b)
+                if want >= np.finfo(float).tiny:
+                    assert gi == pytest.approx(float(want), rel=1e-12, abs=0), (beta, sigma, xi)
+                    checked += 1
+    assert checked > 90
+
+
 def test_sample_reproducible():
     params = WeibullParams(1.0, 1.0)
     a = sample(params, 100, np.random.default_rng(5))
